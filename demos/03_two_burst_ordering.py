@@ -35,11 +35,11 @@ for scenario in (lb_scenario, rr_scenario):
     # Sample the received-vs-expected ramp: with round robin the received
     # sequence number drifts away from the slot index and snaps back when
     # the slower carrier finally drains; with load balancing it hugs it.
+    # Row i of the merged record is the i-th PDU the terminal received.
     print("merged slot -> received seq (burst 1 samples):")
     for slot in (0, 500, 1000, 1500, 2000, 2400, 2499):
-        entry = merged.entries[slot]
-        drift = entry.seq - entry.merge_index
-        print(f"  slot {slot:>4}: seq {entry.seq:>4}  (drift {drift:+d})")
+        seq = int(merged.seq[slot])
+        print(f"  slot {slot:>4}: seq {seq:>4}  (drift {seq - slot:+d})")
     print()
 
 print("round robin cannot adapt to unbalanced carriers; the load-balancing")

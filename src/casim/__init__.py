@@ -5,7 +5,8 @@ two heterogeneous carriers (load balancing with an optional multi-orbit
 prefix, or plain round robin), a discrete-event link emulator serializes and
 propagates each PDU, a naive FIFO receiver merges the two arrival streams,
 and the metrics layer reports misplacement distances and aggregated
-throughput.
+throughput.  One columnar record, ``RunTrace``, carries a run from the
+emulator through the merge to the metrics and ``trace.csv``.
 """
 
 from .config import (
@@ -14,14 +15,7 @@ from .config import (
     serialize_scenario,
     write_scenario,
 )
-from .emulator import (
-    LinkEvent,
-    LinkEventKind,
-    pdu_service_time_s,
-    run,
-    run_detailed,
-    write_trace_csv,
-)
+from .emulator import pdu_service_time_s, run, write_trace_csv
 from .errors import (
     CasimError,
     ConfigError,
@@ -52,13 +46,12 @@ from .model import (
     ModCod,
     OrbitKind,
     OrbitModel,
-    Pdu,
-    PduTrace,
+    RunTrace,
     ScenarioConfig,
     SchedulerKind,
     modcod_for_snr,
 )
-from .receiver import MergedEntry, MergedStream, merge
+from .receiver import merge
 from .scheduler import (
     LOOKUP_TABLE,
     SchedulingPlan,

@@ -24,7 +24,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -38,7 +38,7 @@ from .metrics import (
     ordering_report,
     write_comparison_csv,
 )
-from .model import ScenarioConfig
+from .model import RunTrace, ScenarioConfig
 from .receiver import merge
 from .scheduler import (
     SchedulingPlan,
@@ -71,26 +71,20 @@ class RunManifest:
     outputs: tuple[str, ...]
     duration_s: float
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "config_sha256": self.config_sha256,
-            "outputs": list(self.outputs),
-            "duration_s": self.duration_s,
-        }
 
+def _atomic_write(path: Path, writer) -> None:
+    """Run a path-taking writer against a temp file, then rename into place.
 
-def _atomic_write_text(path: Path, text: str) -> None:
+    If the writer raises, the temp file is removed before the error
+    propagates, so nothing is left behind.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
-def _atomic_write_with(path: Path, writer) -> None:
-    """Run a path-taking writer against a temp file, then rename into place."""
-    tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    tmp.replace(path)
+    try:
+        writer(tmp)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _apply_seed(scenario: ScenarioConfig, seed: str | None) -> ScenarioConfig:
@@ -119,11 +113,10 @@ def _load(config_path: str) -> tuple[ScenarioConfig, str]:
     return scenario, hashlib.sha256(raw).hexdigest()
 
 
-def _execute(scenario: ScenarioConfig) -> tuple[SchedulingPlan, OrderingReport, list]:
+def _execute(scenario: ScenarioConfig) -> tuple[SchedulingPlan, OrderingReport, RunTrace]:
     plan = build_plan(scenario)
-    traces = run(scenario, plan)
-    merged = merge(traces)
-    return plan, ordering_report(merged, scenario), traces
+    merged = merge(run(scenario, plan))
+    return plan, ordering_report(merged, scenario), merged
 
 
 def _report_json(scenario: ScenarioConfig, plan: SchedulingPlan, report: OrderingReport) -> str:
@@ -142,21 +135,22 @@ def _report_json(scenario: ScenarioConfig, plan: SchedulingPlan, report: Orderin
 def cmd_run(args) -> int:
     started = time.perf_counter()
     scenario, config_hash = _load(args.config)
-    plan, report, traces = _execute(scenario)
+    plan, report, merged = _execute(scenario)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
-    _atomic_write_text(out_dir / "report.json", _report_json(scenario, plan, report))
+    report_text = _report_json(scenario, plan, report)
+    _atomic_write(out_dir / "report.json", lambda p: p.write_text(report_text))
     outputs.append("report.json")
-    _atomic_write_with(
+    _atomic_write(
         out_dir / "comparison.csv",
         lambda p: write_comparison_csv([(scenario.label, report)], p),
     )
     outputs.append("comparison.csv")
     if args.trace:
-        _atomic_write_with(out_dir / "trace.csv", lambda p: write_trace_csv(traces, p))
+        _atomic_write(out_dir / "trace.csv", lambda p: write_trace_csv(merged, p))
         outputs.append("trace.csv")
 
     manifest = RunManifest(
@@ -165,9 +159,8 @@ def cmd_run(args) -> int:
         outputs=tuple(outputs),
         duration_s=time.perf_counter() - started,
     )
-    _atomic_write_text(
-        out_dir / "manifest.json", json.dumps(manifest.as_dict(), indent=2) + "\n"
-    )
+    manifest_text = json.dumps(asdict(manifest), indent=2) + "\n"
+    _atomic_write(out_dir / "manifest.json", lambda p: p.write_text(manifest_text))
 
     print(format_comparison([(scenario.label, report)]))
     print(f"outputs written to {out_dir}")
@@ -186,32 +179,30 @@ def cmd_suite(args) -> int:
     labeled: list[tuple[str, OrderingReport]] = []
     for path in config_paths:
         scenario, _ = _load(str(path))
-        plan, report, _traces = _execute(scenario)
+        plan, report, _merged = _execute(scenario)
         labeled.append((scenario.label, report))
-        _atomic_write_text(
+        report_text = _report_json(scenario, plan, report)
+        _atomic_write(
             out_dir / f"{scenario.label}.report.json",
-            _report_json(scenario, plan, report),
+            lambda p: p.write_text(report_text),
         )
 
-    _atomic_write_with(
+    _atomic_write(
         out_dir / "comparison.csv", lambda p: write_comparison_csv(labeled, p))
     print(format_comparison(labeled))
     print(f"outputs written to {out_dir}")
     return 0
 
 
-def _describe_plan(plan: SchedulingPlan, scenario: ScenarioConfig | None) -> list[str]:
+def _describe_plan(plan: SchedulingPlan, scenario: ScenarioConfig) -> list[str]:
     lines = [
         f"alpha_used: {plan.alpha_used} = {float(plan.alpha_used):.6f}",
         f"cycle: [{','.join(str(c) for c in plan.cycle)}]",
     ]
     if plan.prefix:
         carrier = plan.prefix[0]
-        kind = ""
-        if scenario is not None:
-            orbit = (scenario.carrier1 if carrier == 1 else scenario.carrier2).orbit
-            kind = f" ({orbit.kind.value})"
-        lines.append(f"prefix: {len(plan.prefix)} x carrier {carrier}{kind}")
+        orbit = (scenario.carrier1 if carrier == 1 else scenario.carrier2).orbit
+        lines.append(f"prefix: {len(plan.prefix)} x carrier {carrier} ({orbit.kind.value})")
     else:
         lines.append("prefix: (empty)")
     return lines

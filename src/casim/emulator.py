@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from .model import CarrierConfig, PduTrace, ScenarioConfig
+import numpy as np
+
+from .model import CarrierConfig, RunTrace, ScenarioConfig
 from .scheduler import (
     FRAMES_PER_SUPERFRAME_BUNDLE,
     SUPERFRAME_SYMBOLS,
@@ -28,15 +28,11 @@ from .scheduler import (
 
 __all__ = [
     "NS_PER_S",
-    "LinkEventKind",
-    "LinkEvent",
-    "CarrierQueue",
     "s_to_ns",
     "pdu_service_time_ns",
     "pdu_service_time_s",
     "propagation_delay_ns",
     "run",
-    "run_detailed",
     "write_trace_csv",
     "TRACE_CSV_COLUMNS",
 ]
@@ -47,32 +43,6 @@ NS_PER_S = 10**9
 def s_to_ns(seconds: float) -> int:
     """Convert seconds to integer nanoseconds (round half to even)."""
     return round(seconds * NS_PER_S)
-
-
-class LinkEventKind(str, Enum):
-    TX_START = "TxStart"
-    TX_END = "TxEnd"
-    ARRIVAL = "Arrival"
-
-
-@dataclass(frozen=True)
-class LinkEvent:
-    """One link-level event for a (seq, carrier) pair."""
-
-    kind: LinkEventKind
-    seq: int
-    carrier: int
-    time_ns: int
-
-
-@dataclass
-class CarrierQueue:
-    """FIFO of scheduled PDUs awaiting serialization on one carrier."""
-
-    carrier: int
-    fifo: deque = field(default_factory=deque)
-    next_free_ns: int = 0
-    busy: bool = False
 
 
 def pdu_service_time_ns(carrier: CarrierConfig, pdu_size_bytes: int) -> int:
@@ -101,96 +71,65 @@ def propagation_delay_ns(carrier: CarrierConfig, t_ns: int) -> int:
     return s_to_ns(carrier.orbit.propagation_delay_s(t_ns / NS_PER_S))
 
 
-# Internal event tags; RELEASE feeds the queues, the LinkEvent kinds record
-# the transmission lifecycle.
-_RELEASE = "release"
+def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
+    """Run the event engine; return one row per PDU, in sequence order.
 
-
-def run_detailed(
-    scenario: ScenarioConfig, plan: SchedulingPlan
-) -> tuple[list[PduTrace], list[LinkEvent]]:
-    """Run the event engine; return per-PDU traces and the full event log.
-
-    Traces are sorted by arrival time with the deterministic tie-break
-    (carrier 1 first, then lower seq).  Events are in processing order.
+    Releases are taken in sequence order and merged with a heap of
+    transmission ends (at most one per carrier).  A released PDU joins its
+    carrier's FIFO, whose head is the PDU on the air: a PDU that finds the
+    FIFO empty starts at once.  When a transmission ends, its PDU leaves the
+    FIFO for the orbit's propagation delay and the next one starts.
     """
     carriers = {1: scenario.carrier1, 2: scenario.carrier2}
     service_ns = {
         idx: pdu_service_time_ns(cfg, scenario.pdu_size_bytes)
         for idx, cfg in carriers.items()
     }
-    queues = {1: CarrierQueue(1), 2: CarrierQueue(2)}
-
-    heap: list[tuple[int, int, str, int]] = []  # (time_ns, order, tag, seq)
-    order = 0
-
+    n = scenario.total_pdus
+    carrier = [assign(plan, seq) for seq in range(n)]
+    release: list[int] = []
     release_ns = 0
-    seq = 0
-    release_of: dict[int, int] = {}
     for burst in scenario.bursts:
-        for _ in range(burst.pdu_count):
-            release_of[seq] = release_ns
-            heapq.heappush(heap, (release_ns, order, _RELEASE, seq))
-            order += 1
-            seq += 1
+        release += [release_ns] * burst.pdu_count
         release_ns += s_to_ns(burst.inter_burst_gap_s)
 
-    events: list[LinkEvent] = []
-    tx_start_ns: dict[int, int] = {}
-    traces: list[PduTrace] = []
+    tx_start = [0] * n
+    tx_end = [0] * n
+    arrival = [0] * n
+    fifo = {1: deque(), 2: deque()}
+    tx_ends: list[tuple[int, int]] = []  # heap of (tx_end_ns, seq)
 
-    def start_tx(queue: CarrierQueue, now_ns: int) -> None:
-        nonlocal order
-        head = queue.fifo.popleft()
-        queue.busy = True
-        begin = max(now_ns, queue.next_free_ns)
-        end = begin + service_ns[queue.carrier]
-        queue.next_free_ns = end
-        tx_start_ns[head] = begin
-        events.append(LinkEvent(LinkEventKind.TX_START, head, queue.carrier, begin))
-        heapq.heappush(heap, (end, order, LinkEventKind.TX_END.value, head))
-        order += 1
+    def start_tx(carrier_idx: int, now_ns: int) -> None:
+        head = fifo[carrier_idx][0]
+        tx_start[head] = now_ns
+        tx_end[head] = now_ns + service_ns[carrier_idx]
+        heapq.heappush(tx_ends, (tx_end[head], head))
 
-    while heap:
-        now_ns, _, tag, ev_seq = heapq.heappop(heap)
-        if tag == _RELEASE:
-            queue = queues[assign(plan, ev_seq)]
-            queue.fifo.append(ev_seq)
-            if not queue.busy:
-                start_tx(queue, now_ns)
-        elif tag == LinkEventKind.TX_END.value:
-            carrier_idx = assign(plan, ev_seq)
-            queue = queues[carrier_idx]
-            events.append(LinkEvent(LinkEventKind.TX_END, ev_seq, carrier_idx, now_ns))
-            arrival = now_ns + propagation_delay_ns(carriers[carrier_idx], now_ns)
-            heapq.heappush(heap, (arrival, order, LinkEventKind.ARRIVAL.value, ev_seq))
-            order += 1
-            queue.busy = False
-            if queue.fifo:
-                start_tx(queue, now_ns)
-        else:  # arrival
-            carrier_idx = assign(plan, ev_seq)
-            events.append(LinkEvent(LinkEventKind.ARRIVAL, ev_seq, carrier_idx, now_ns))
-            begin = tx_start_ns[ev_seq]
-            traces.append(
-                PduTrace(
-                    seq=ev_seq,
-                    carrier=carrier_idx,
-                    t_scheduled_ns=release_of[ev_seq],
-                    t_tx_start_ns=begin,
-                    t_tx_end_ns=begin + service_ns[carrier_idx],
-                    t_arrival_ns=now_ns,
-                )
-            )
+    next_seq = 0
+    while next_seq < n or tx_ends:
+        if next_seq < n and (not tx_ends or release[next_seq] <= tx_ends[0][0]):
+            seq, now_ns = next_seq, release[next_seq]
+            next_seq += 1
+            carrier_idx = carrier[seq]
+            fifo[carrier_idx].append(seq)
+            if len(fifo[carrier_idx]) == 1:
+                start_tx(carrier_idx, now_ns)
+        else:
+            now_ns, seq = heapq.heappop(tx_ends)
+            carrier_idx = carrier[seq]
+            arrival[seq] = now_ns + propagation_delay_ns(carriers[carrier_idx], now_ns)
+            fifo[carrier_idx].popleft()
+            if fifo[carrier_idx]:
+                start_tx(carrier_idx, now_ns)
 
-    traces.sort(key=lambda t: (t.t_arrival_ns, t.carrier, t.seq))
-    return traces, events
-
-
-def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> list[PduTrace]:
-    """Run the event engine and return traces sorted by arrival."""
-    traces, _ = run_detailed(scenario, plan)
-    return traces
+    return RunTrace(
+        seq=np.arange(n),
+        carrier=carrier,
+        t_scheduled_ns=release,
+        t_tx_start_ns=tx_start,
+        t_tx_end_ns=tx_end,
+        t_arrival_ns=arrival,
+    )
 
 
 TRACE_CSV_COLUMNS = (
@@ -203,13 +142,10 @@ TRACE_CSV_COLUMNS = (
 )
 
 
-def write_trace_csv(traces: list[PduTrace], path: str | Path) -> None:
-    """Dump traces as CSV (times in integer nanoseconds), one row per PDU."""
+def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
+    """Dump a run as CSV (times in integer nanoseconds), one row per PDU,
+    in the record's row order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_CSV_COLUMNS)
-        for t in traces:
-            writer.writerow(
-                (t.seq, t.carrier, t.t_scheduled_ns, t.t_tx_start_ns,
-                 t.t_tx_end_ns, t.t_arrival_ns)
-            )
+        writer.writerows(zip(*(column.tolist() for column in trace.columns())))

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .emulator import NS_PER_S
 from .errors import DegenerateWindow, InvariantError
-from .model import ScenarioConfig
-from .receiver import MergedStream
+from .model import RunTrace, ScenarioConfig
 
 __all__ = [
     "Misplacement",
@@ -33,8 +33,6 @@ __all__ = [
     "COMPARISON_CSV_COLUMNS",
 ]
 
-NS_PER_S = 10**9
-
 
 class Misplacement(NamedTuple):
     misplaced_count: int
@@ -42,71 +40,85 @@ class Misplacement(NamedTuple):
     max: int
 
 
-def _burst_bounds(n_total: int, burst_sizes: Sequence[int] | None) -> list[tuple[int, int]]:
+class _BurstFigures(NamedTuple):
+    """Per-burst sums, one entry per burst, as Python ints."""
+
+    n_pdus: list[int]
+    misplaced_count: list[int]
+    distance_sum: list[int]
+    max_distance: list[int]
+    window_ns: list[int]
+
+
+def _burst_figures(merged: RunTrace, burst_sizes: Sequence[int] | None) -> _BurstFigures:
+    """Each burst's misplacement and active window (first tx start to last
+    arrival), from one grouping of the merged stream by burst.
+
+    Grouping keeps merge order within a burst, so a burst's k-th merged PDU
+    lands at index start + k of the grouped stream, while its sequence
+    number is start + its local sequence position: the burst start cancels
+    out of the displacement.
+    """
+    n = len(merged)
     if burst_sizes is None:
-        return [(0, n_total)]
-    if sum(burst_sizes) != n_total:
+        burst_sizes = (n,) if n else ()
+    sizes = np.asarray(burst_sizes, dtype=np.int64)
+    if sizes.sum() != n:
         raise InvariantError(
-            f"burst sizes sum to {sum(burst_sizes)} but the stream has {n_total} PDUs")
-    bounds = []
-    start = 0
-    for size in burst_sizes:
-        bounds.append((start, start + size))
-        start += size
-    return bounds
+            f"burst sizes sum to {sizes.sum()} but the stream has {n} PDUs")
+    if (sizes <= 0).any():
+        raise InvariantError("burst sizes must be > 0")
+    starts = np.cumsum(sizes) - sizes
+    burst_of_seq = np.repeat(np.arange(sizes.size), sizes)
+    grouped = np.argsort(burst_of_seq[merged.seq], kind="stable")
+    distance = np.abs(np.arange(n) - merged.seq[grouped])
+    window_ns = (np.maximum.reduceat(merged.t_arrival_ns[grouped], starts)
+                 - np.minimum.reduceat(merged.t_tx_start_ns[grouped], starts))
+    return _BurstFigures(
+        n_pdus=sizes.tolist(),
+        misplaced_count=np.add.reduceat(distance > 0, starts).tolist(),
+        distance_sum=np.add.reduceat(distance, starts).tolist(),
+        max_distance=np.maximum.reduceat(distance, starts).tolist(),
+        window_ns=window_ns.tolist(),
+    )
+
+
+def _rate_bps(n_pdus: int, pdu_size_bytes: int, window_ns: int) -> float:
+    return n_pdus * pdu_size_bytes * 8 * NS_PER_S / window_ns
+
+
+def _overall_misplacement(figures: _BurstFigures) -> Misplacement:
+    count = sum(figures.misplaced_count)
+    mean = sum(figures.distance_sum) / count if count else 0.0
+    return Misplacement(count, mean, max(figures.max_distance, default=0))
+
+
+def _overall_throughput_bps(figures: _BurstFigures, pdu_size_bytes: int) -> float:
+    n = sum(figures.n_pdus)
+    if n < 2:
+        raise DegenerateWindow(f"throughput needs at least 2 PDUs, got {n}")
+    total_ns = sum(figures.window_ns)
+    if total_ns <= 0:
+        raise DegenerateWindow("total active time is zero")
+    return _rate_bps(n, pdu_size_bytes, total_ns)
 
 
 def misplacement(
-    merged: MergedStream, burst_sizes: Sequence[int] | None = None
+    merged: RunTrace, burst_sizes: Sequence[int] | None = None
 ) -> Misplacement:
     """Misplaced-PDU count, mean displacement over misplaced PDUs, and the
     maximum displacement over all PDUs (0 everywhere for a perfect stream)."""
-    seqs = np.fromiter((e.seq for e in merged.entries), dtype=np.int64)
-    total_misplaced = 0
-    total_distance = 0
-    worst = 0
-    for start, stop in _burst_bounds(seqs.size, burst_sizes):
-        in_burst = (seqs >= start) & (seqs < stop)
-        local_seq = seqs[in_burst] - start
-        distance = np.abs(np.arange(local_seq.size, dtype=np.int64) - local_seq)
-        misplaced = distance > 0
-        total_misplaced += int(misplaced.sum())
-        total_distance += int(distance[misplaced].sum())
-        if distance.size:
-            worst = max(worst, int(distance.max()))
-    mean = total_distance / total_misplaced if total_misplaced else 0.0
-    return Misplacement(total_misplaced, mean, worst)
-
-
-def _burst_windows_ns(
-    merged: MergedStream, burst_sizes: Sequence[int] | None
-) -> list[tuple[int, int]]:
-    """Per burst: (pdu_count, active window from first tx start to last arrival)."""
-    windows = []
-    for start, stop in _burst_bounds(len(merged), burst_sizes):
-        entries = [e for e in merged.entries if start <= e.seq < stop]
-        first_tx = min(e.t_tx_start_ns for e in entries)
-        last_arrival = max(e.t_arrival_ns for e in entries)
-        windows.append((len(entries), last_arrival - first_tx))
-    return windows
+    return _overall_misplacement(_burst_figures(merged, burst_sizes))
 
 
 def throughput_bps(
-    merged: MergedStream,
+    merged: RunTrace,
     pdu_size_bytes: int,
     burst_sizes: Sequence[int] | None = None,
 ) -> float:
     """Aggregated delivered rate: total bits over total per-burst active time
     (first tx start to last arrival per burst; inter-burst gaps excluded)."""
-    if len(merged) < 2:
-        raise DegenerateWindow(
-            f"throughput needs at least 2 PDUs, got {len(merged)}")
-    windows = _burst_windows_ns(merged, burst_sizes)
-    total_ns = sum(w for _, w in windows)
-    if total_ns <= 0:
-        raise DegenerateWindow("total active time is zero")
-    total_bits = len(merged) * pdu_size_bytes * 8
-    return total_bits * NS_PER_S / total_ns
+    return _overall_throughput_bps(_burst_figures(merged, burst_sizes), pdu_size_bytes)
 
 
 @dataclass(frozen=True)
@@ -140,62 +152,34 @@ class OrderingReport:
             raise InvariantError("misplaced_count cannot exceed n_pdus")
 
     def as_dict(self) -> dict:
-        return {
-            "n_pdus": self.n_pdus,
-            "misplaced_count": self.misplaced_count,
-            "mean_misplace": self.mean_misplace,
-            "max_misplace": self.max_misplace,
-            "throughput_bps": self.throughput_bps,
-            "per_burst": [
-                {
-                    "n_pdus": b.n_pdus,
-                    "misplaced_count": b.misplaced_count,
-                    "mean_misplace": b.mean_misplace,
-                    "max_misplace": b.max_misplace,
-                    "throughput_bps": b.throughput_bps,
-                }
-                for b in self.per_burst
-            ],
-        }
+        return {**asdict(self), "per_burst": [asdict(b) for b in self.per_burst]}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
-def ordering_report(merged: MergedStream, scenario: ScenarioConfig) -> OrderingReport:
+def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingReport:
     """Full report for one scenario run, including the per-burst breakdown."""
-    sizes = scenario.burst_sizes
-    overall = misplacement(merged, sizes)
-    overall_tp = throughput_bps(merged, scenario.pdu_size_bytes, sizes)
-
-    per_burst = []
-    windows = _burst_windows_ns(merged, sizes)
-    offset = 0
-    for size, (n, window_ns) in zip(sizes, windows):
-        seqs = [e.seq for e in merged.entries if offset <= e.seq < offset + size]
-        local = np.asarray(seqs, dtype=np.int64) - offset
-        distance = np.abs(np.arange(local.size, dtype=np.int64) - local)
-        misplaced = distance > 0
-        count = int(misplaced.sum())
-        bits = n * scenario.pdu_size_bytes * 8
-        per_burst.append(
-            BurstStats(
-                n_pdus=n,
-                misplaced_count=count,
-                mean_misplace=float(distance[misplaced].mean()) if count else 0.0,
-                max_misplace=int(distance.max(initial=0)),
-                throughput_bps=bits * NS_PER_S / window_ns if window_ns > 0 else 0.0,
-            )
+    figures = _burst_figures(merged, scenario.burst_sizes)
+    overall = _overall_misplacement(figures)
+    per_burst = tuple(
+        BurstStats(
+            n_pdus=n,
+            misplaced_count=count,
+            mean_misplace=distance_sum / count if count else 0.0,
+            max_misplace=worst,
+            throughput_bps=_rate_bps(n, scenario.pdu_size_bytes, window_ns)
+            if window_ns > 0 else 0.0,
         )
-        offset += size
-
+        for n, count, distance_sum, worst, window_ns in zip(*figures)
+    )
     return OrderingReport(
         n_pdus=len(merged),
         misplaced_count=overall.misplaced_count,
         mean_misplace=overall.mean,
         max_misplace=overall.max,
-        throughput_bps=overall_tp,
-        per_burst=tuple(per_burst),
+        throughput_bps=_overall_throughput_bps(figures, scenario.pdu_size_bytes),
+        per_burst=per_burst,
     )
 
 
@@ -213,19 +197,10 @@ def compare(labeled_reports: Sequence[tuple[str, OrderingReport]]) -> list[dict]
     """Flatten (label, report) pairs into comparison rows, one per scenario."""
     if not labeled_reports:
         raise ValueError("compare needs at least one report")
-    rows = []
-    for label, report in labeled_reports:
-        rows.append(
-            {
-                "label": label,
-                "n_pdus": report.n_pdus,
-                "misplaced_count": report.misplaced_count,
-                "mean_misplace": report.mean_misplace,
-                "max_misplace": report.max_misplace,
-                "throughput_bps": report.throughput_bps,
-            }
-        )
-    return rows
+    return [
+        {"label": label} | {key: getattr(report, key) for key in COMPARISON_CSV_COLUMNS[1:]}
+        for label, report in labeled_reports
+    ]
 
 
 def format_comparison(labeled_reports: Sequence[tuple[str, OrderingReport]]) -> str:

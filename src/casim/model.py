@@ -3,16 +3,18 @@
 All types are immutable value objects validated at construction; they carry
 no behaviour beyond derived-quantity accessors.  Rates and fill factors are
 stored as exact ``Fraction``s so capacity ratios come out as exact rationals;
-times and distances are plain floats (the event engine keeps integer
-nanoseconds, see ``emulator``).
+times and distances are plain finite floats, except in ``RunTrace``, which
+holds a run's per-PDU times as integer nanoseconds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DominanceViolated, InvariantError, ZeroFillRate
 
@@ -30,11 +32,10 @@ __all__ = [
     "OrbitKind",
     "OrbitModel",
     "CarrierConfig",
-    "Pdu",
     "SchedulerKind",
     "Burst",
     "ScenarioConfig",
-    "PduTrace",
+    "RunTrace",
 ]
 
 SPEED_OF_LIGHT_KM_S = 299792.458
@@ -66,6 +67,14 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot convert {type(value).__name__} to a fraction")
+
+
+def _require_finite(obj, *names: str) -> None:
+    """Raise InvariantError unless each named float field of ``obj`` is finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise InvariantError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +162,8 @@ class OrbitModel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", OrbitKind(self.kind))
+        _require_finite(self, "mean_leg_distance_km", "variation_amplitude_km",
+                        "variation_period_s", "variation_phase_rad")
         if self.mean_leg_distance_km <= 0:
             raise InvariantError(
                 f"mean_leg_distance_km must be > 0, got {self.mean_leg_distance_km}")
@@ -214,6 +225,7 @@ class CarrierConfig:
     def __post_init__(self):
         object.__setattr__(self, "symbol_rate_sym_s", to_fraction(self.symbol_rate_sym_s))
         object.__setattr__(self, "fill_rate", to_fraction(self.fill_rate))
+        _require_finite(self, "snr_db")
         if self.symbol_rate_sym_s <= 0:
             raise InvariantError(
                 f"symbol_rate_sym_s must be > 0, got {self.symbol_rate_sym_s}")
@@ -248,20 +260,6 @@ class CarrierConfig:
 #  Traffic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pdu:
-    """A fixed-length protocol data unit identified by its 0-based sequence number."""
-
-    seq: int
-    size_bytes: int
-
-    def __post_init__(self):
-        if self.seq < 0:
-            raise InvariantError(f"seq must be >= 0, got {self.seq}")
-        if self.size_bytes <= 0:
-            raise InvariantError(f"size_bytes must be > 0, got {self.size_bytes}")
-
-
 class SchedulerKind(str, Enum):
     LOAD_BALANCING = "load_balancing"
     ROUND_ROBIN = "round_robin"
@@ -278,6 +276,7 @@ class Burst:
     def __post_init__(self):
         if self.pdu_count <= 0:
             raise InvariantError(f"pdu_count must be > 0, got {self.pdu_count}")
+        _require_finite(self, "inter_burst_gap_s")
         if self.inter_burst_gap_s < 0:
             raise InvariantError("inter_burst_gap_s must be >= 0")
 
@@ -327,31 +326,49 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-#  Per-PDU journey record
+#  Run record
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PduTrace:
-    """Timestamped journey of one PDU (all times integer nanoseconds).
+@dataclass(frozen=True, eq=False)
+class RunTrace:
+    """One run as columns: row i is one PDU's journey (times in integer ns).
 
     ``t_scheduled_ns`` is the generator release instant, ``t_tx_start_ns`` /
-    ``t_tx_end_ns`` bracket serialization on the assigned carrier, and
-    ``t_arrival_ns`` is delivery after propagation.  ``merge_index`` is
-    assigned by the receiver-side merge.
+    ``t_tx_end_ns`` bracket serialization on ``carrier``, and
+    ``t_arrival_ns`` is delivery after propagation.  The emulator emits rows
+    in sequence order; the receiver-side merge reorders them so that a row's
+    index is its position in the merged stream.  Every column is converted
+    to a one-dimensional int64 array of the same length.
     """
 
-    seq: int
-    carrier: int
-    t_scheduled_ns: int
-    t_tx_start_ns: int
-    t_tx_end_ns: int
-    t_arrival_ns: int
-    merge_index: int | None = None
+    seq: np.ndarray
+    carrier: np.ndarray
+    t_scheduled_ns: np.ndarray
+    t_tx_start_ns: np.ndarray
+    t_tx_end_ns: np.ndarray
+    t_arrival_ns: np.ndarray
 
     def __post_init__(self):
-        if self.carrier not in (1, 2):
-            raise InvariantError(f"carrier must be 1 or 2, got {self.carrier}")
-        if not (self.t_tx_start_ns <= self.t_tx_end_ns <= self.t_arrival_ns):
+        for f in fields(self):
+            try:
+                column = np.asarray(getattr(self, f.name), dtype=np.int64)
+            except OverflowError as exc:
+                raise InvariantError(f"{f.name} exceeds the int64 range") from exc
+            object.__setattr__(self, f.name, column)
+        if any(c.ndim != 1 or c.shape != self.seq.shape for c in self.columns()):
+            raise InvariantError("columns must be one-dimensional and of equal length")
+        if (self.seq < 0).any():
+            raise InvariantError("seq must be >= 0")
+        if ((self.carrier != 1) & (self.carrier != 2)).any():
+            raise InvariantError("carrier must be 1 or 2")
+        if ((self.t_tx_start_ns > self.t_tx_end_ns)
+                | (self.t_tx_end_ns > self.t_arrival_ns)).any():
             raise InvariantError(
-                "trace times must satisfy tx_start <= tx_end <= arrival, got "
-                f"{self.t_tx_start_ns}, {self.t_tx_end_ns}, {self.t_arrival_ns}")
+                "trace times must satisfy tx_start <= tx_end <= arrival")
+
+    def __len__(self) -> int:
+        return self.seq.size
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The six columns, in field order."""
+        return tuple(getattr(self, f.name) for f in fields(self))

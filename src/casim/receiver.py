@@ -7,65 +7,29 @@ gateway scheduler failed to prevent surface directly in the merged stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .errors import DuplicateSeq, MissingSeq
-from .model import PduTrace
+from .model import RunTrace
 
-__all__ = ["MergedEntry", "MergedStream", "merge"]
-
-
-@dataclass(frozen=True)
-class MergedEntry:
-    """One PDU's slot in the merged output stream."""
-
-    merge_index: int
-    seq: int
-    carrier: int
-    t_arrival_ns: int
-    t_tx_start_ns: int
+__all__ = ["merge"]
 
 
-@dataclass(frozen=True)
-class MergedStream:
-    """FIFO-merged output: entries indexed 0..N-1 in arrival order."""
-
-    entries: tuple[MergedEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def seqs(self) -> tuple[int, ...]:
-        """Sequence numbers in merged (arrival) order."""
-        return tuple(e.seq for e in self.entries)
-
-
-def merge(traces: list[PduTrace]) -> MergedStream:
+def merge(trace: RunTrace) -> RunTrace:
     """Combine per-carrier arrivals into one FIFO stream.
 
-    Entries are sorted by arrival time (ties: carrier 1 first, then lower
-    seq) and numbered consecutively.  The input must be a permutation of
-    sequence numbers 0..N-1.
+    Rows are sorted by arrival time (ties: carrier 1 first, then lower seq),
+    so a row's index in the result is its merge position.  The input must
+    be a permutation of sequence numbers 0..N-1.
     """
-    seen: set[int] = set()
-    for trace in traces:
-        if trace.seq in seen:
-            raise DuplicateSeq(f"sequence number {trace.seq} appears more than once")
-        seen.add(trace.seq)
-    for expected in range(len(traces)):
-        if expected not in seen:
-            raise MissingSeq(f"sequence number {expected} missing from traces")
+    n = len(trace)
+    counts = np.bincount(trace.seq[trace.seq < n], minlength=n)
+    duplicated = np.flatnonzero(counts > 1)
+    if duplicated.size:
+        raise DuplicateSeq(f"sequence number {duplicated[0]} appears more than once")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise MissingSeq(f"sequence number {missing[0]} missing from traces")
 
-    ordered = sorted(traces, key=lambda t: (t.t_arrival_ns, t.carrier, t.seq))
-    entries = tuple(
-        MergedEntry(
-            merge_index=i,
-            seq=t.seq,
-            carrier=t.carrier,
-            t_arrival_ns=t.t_arrival_ns,
-            t_tx_start_ns=t.t_tx_start_ns,
-        )
-        for i, t in enumerate(ordered)
-    )
-    return MergedStream(entries=entries)
+    order = np.lexsort((trace.seq, trace.carrier, trace.t_arrival_ns))
+    return RunTrace(*(column[order] for column in trace.columns()))

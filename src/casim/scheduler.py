@@ -53,6 +53,8 @@ MAX_GENERATOR_DENOMINATOR = 64
 
 # Scheduling sequences by load balancing factor: 1 = PDU to carrier 1,
 # 2 = PDU to carrier 2.  Every row satisfies count(2)/count(1) == key.
+# ``generate_sequence`` reproduces every row, so plans come from the
+# generator; the table backs ``lookup_sequence`` (``casim plan --alpha``).
 LOOKUP_TABLE: dict[Fraction, tuple[int, ...]] = {
     Fraction("0.2"): (1, 1, 1, 1, 1, 2),
     Fraction("0.25"): (1, 1, 1, 1, 2),
@@ -245,19 +247,16 @@ def multi_orbit_prefix(
 def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
     """Compose the scheduling plan for a scenario.
 
-    Load balancing uses the lookup table on an exact key match and the
-    generator (alpha rounded to denominator <= 64) otherwise, plus the
-    multi-orbit prefix on the lower-delay carrier.  Round robin alternates
+    Load balancing uses the generator on alpha rounded to denominator
+    <= 64 (it reproduces every lookup-table row on the table's keys), plus
+    the multi-orbit prefix on the lower-delay carrier.  Round robin alternates
     1,2 with no prefix regardless of alpha.
     """
     if scenario.scheduler is SchedulerKind.ROUND_ROBIN:
         return SchedulingPlan(prefix=(), cycle=(1, 2), alpha_used=Fraction(1))
 
     alpha = load_balance_factor(scenario.carrier1, scenario.carrier2)
-    if alpha in LOOKUP_TABLE:
-        cycle = LOOKUP_TABLE[alpha]
-    else:
-        cycle = tuple(generate_sequence(alpha.limit_denominator(MAX_GENERATOR_DENOMINATOR)))
+    cycle = tuple(generate_sequence(alpha.limit_denominator(MAX_GENERATOR_DENOMINATOR)))
     alpha_used = Fraction(cycle.count(2), cycle.count(1))
 
     leg1 = scenario.carrier1.orbit.mean_leg_distance_km

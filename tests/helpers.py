@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
+from casim.emulator import pdu_service_time_s
 from casim.model import (
     MODCODS,
     Burst,
     CarrierConfig,
     OrbitModel,
+    RunTrace,
     ScenarioConfig,
     SchedulerKind,
 )
 
 EIGHT_PSK_56 = MODCODS["8PSK 5/6"]
+
+
+def rows(trace: RunTrace) -> list[tuple[int, ...]]:
+    """A record's rows as (seq, carrier, scheduled, tx_start, tx_end, arrival)."""
+    return list(zip(*(column.tolist() for column in trace.columns())))
+
+
+def record(trace_rows) -> RunTrace:
+    """A RunTrace from (seq, carrier, scheduled, tx_start, tx_end, arrival) rows."""
+    return RunTrace(*(list(column) for column in zip(*trace_rows, strict=True)))
 
 
 def carrier(
@@ -53,40 +66,56 @@ def alpha_scenario(
     )
 
 
-def random_constant_delay_scenario(rng: random.Random) -> ScenarioConfig:
-    """Random valid scenario with constant delays and well-separated bursts."""
-    modcods = list(MODCODS.values())
-    pdu_size = rng.choice((400, 800, 1200, 1500))
-
-    def one_carrier():
-        while True:
-            modcod = rng.choice(modcods)
-            fill = Fraction(rng.randint(1, 4), 4)
-            share_bytes = 64800 * modcod.code_rate * fill / 8
-            if share_bytes >= pdu_size:
-                break
-        leg = float(rng.randint(8000, 45000))
-        kind = "MEO" if leg < 20000 else "GEO"
-        return CarrierConfig(
-            symbol_rate_sym_s=rng.randint(500, 8000) * 1000,
-            modcod=modcod,
-            fill_rate=fill,
-            snr_db=10.0,
-            orbit=OrbitModel(kind, leg),
+def _random_carrier(rng: random.Random, pdu_size: int, varying_meo: bool = False) -> CarrierConfig:
+    """Random carrier whose frame share holds a ``pdu_size`` PDU.  Its path is
+    a sinusoidally varying MEO orbit when ``varying_meo`` is set, else a
+    constant one whose kind follows from the drawn leg distance."""
+    while True:
+        modcod = rng.choice(list(MODCODS.values()))
+        fill = Fraction(rng.randint(1, 4), 4)
+        share_bytes = 64800 * modcod.code_rate * fill / 8
+        if share_bytes >= pdu_size:
+            break
+    if varying_meo:
+        orbit = OrbitModel.meo(
+            float(rng.randint(8000, 15000)),
+            amplitude_km=float(rng.randint(50, 500)),
+            period_s=float(rng.randint(300, 1200)),
+            phase_rad=rng.uniform(0.0, 2.0 * math.pi),
         )
+    else:
+        leg = float(rng.randint(8000, 45000))
+        orbit = OrbitModel("MEO" if leg < 20000 else "GEO", leg)
+    return CarrierConfig(
+        symbol_rate_sym_s=rng.randint(500, 8000) * 1000,
+        modcod=modcod,
+        fill_rate=fill,
+        snr_db=10.0,
+        orbit=orbit,
+    )
 
-    a, b = one_carrier(), one_carrier()
-    if a.usable_capacity_bps() < b.usable_capacity_bps():
-        a, b = b, a
 
-    n_bursts = rng.randint(1, 3)
-    remaining = rng.randint(n_bursts, 200)
+def _random_sizes(rng: random.Random, n_bursts: int, total: int) -> list[int]:
+    """``total`` PDUs cut into ``n_bursts`` bursts of at least one PDU."""
     sizes = []
+    remaining = total
     for i in range(n_bursts - 1):
         take = rng.randint(1, remaining - (n_bursts - 1 - i))
         sizes.append(take)
         remaining -= take
     sizes.append(remaining)
+    return sizes
+
+
+def random_constant_delay_scenario(rng: random.Random) -> ScenarioConfig:
+    """Random valid scenario with constant delays and well-separated bursts."""
+    pdu_size = rng.choice((400, 800, 1200, 1500))
+    a, b = _random_carrier(rng, pdu_size), _random_carrier(rng, pdu_size)
+    if a.usable_capacity_bps() < b.usable_capacity_bps():
+        a, b = b, a
+
+    n_bursts = rng.randint(1, 3)
+    sizes = _random_sizes(rng, n_bursts, rng.randint(n_bursts, 200))
     bursts = tuple(Burst(size, 120.0) for size in sizes)
 
     return ScenarioConfig(
@@ -96,4 +125,33 @@ def random_constant_delay_scenario(rng: random.Random) -> ScenarioConfig:
         pdu_size_bytes=pdu_size,
         bursts=bursts,
         label="random",
+    )
+
+
+def random_overlapping_meo_scenario(rng: random.Random) -> ScenarioConfig:
+    """Random valid scenario with a varying MEO path on one or both carriers
+    and 1-4 bursts, each released before the previous one can have drained.
+
+    A burst of k PDUs needs at least k * s / 2 to drain, with s the shorter
+    per-PDU service time of the two carriers; every gap is drawn below that.
+    """
+    pdu_size = rng.choice((400, 800, 1200, 1500))
+    a = _random_carrier(rng, pdu_size, varying_meo=True)
+    b = _random_carrier(rng, pdu_size, varying_meo=rng.random() < 0.5)
+    if a.usable_capacity_bps() < b.usable_capacity_bps():
+        a, b = b, a
+    service_s = min(pdu_service_time_s(c, pdu_size) for c in (a, b))
+
+    n_bursts = rng.randint(1, 4)
+    sizes = _random_sizes(rng, n_bursts, rng.randint(max(n_bursts, 2), 300))
+    bursts = tuple(
+        Burst(size, rng.uniform(0.0, size * service_s / 2)) for size in sizes)
+
+    return ScenarioConfig(
+        carrier1=a,
+        carrier2=b,
+        scheduler=rng.choice((SchedulerKind.LOAD_BALANCING, SchedulerKind.ROUND_ROBIN)),
+        pdu_size_bytes=pdu_size,
+        bursts=bursts,
+        label="random_meo",
     )

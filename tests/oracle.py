@@ -2,8 +2,10 @@
 
 `fluid_arrivals` re-derives every PDU's timing from closed-form prefix sums
 (no event queue); `brute_displacement` computes displacement statistics by
-literal per-element iteration.  Both deliberately hardcode their constants
-instead of importing them from the production modules.
+literal per-element iteration; `burst_report` walks a merged stream row by
+row to rebuild the per-burst ordering report.  All deliberately hardcode
+their constants instead of importing them from the production modules, and
+use no numpy.
 """
 
 from __future__ import annotations
@@ -90,3 +92,62 @@ def brute_displacement(perm: list[int]) -> tuple[int, float, int]:
         if d > worst:
             worst = d
     return count, (total / count if count else 0.0), worst
+
+
+def burst_report(merged_rows, burst_sizes, pdu_size_bytes: int) -> dict:
+    """The ordering report, in ``OrderingReport.as_dict()`` form, of merged
+    (seq, carrier, scheduled, tx_start, tx_end, arrival) rows given in
+    receive order.
+
+    Each burst's sequence numbers restart at 0, and its k-th received PDU
+    has local position k.  A burst's active window runs from its first tx
+    start to its last arrival.
+    """
+    first_seq = []
+    start = 0
+    for size in burst_sizes:
+        first_seq.append(start)
+        start += size
+    n_bursts = len(burst_sizes)
+    received = [0] * n_bursts
+    misplaced = [0] * n_bursts
+    distance_sum = [0] * n_bursts
+    worst = [0] * n_bursts
+    first_tx = [None] * n_bursts
+    last_arrival = [None] * n_bursts
+    for seq, _, _, tx_start, _, arrival in merged_rows:
+        burst = max(b for b in range(n_bursts) if first_seq[b] <= seq)
+        d = abs(received[burst] - (seq - first_seq[burst]))
+        received[burst] += 1
+        if d > 0:
+            misplaced[burst] += 1
+            distance_sum[burst] += d
+        worst[burst] = max(worst[burst], d)
+        if first_tx[burst] is None or tx_start < first_tx[burst]:
+            first_tx[burst] = tx_start
+        if last_arrival[burst] is None or arrival > last_arrival[burst]:
+            last_arrival[burst] = arrival
+
+    def rate(n, window_ns):
+        return n * pdu_size_bytes * 8 * NS_PER_S / window_ns if window_ns > 0 else 0.0
+
+    windows = [last - first for first, last in zip(first_tx, last_arrival)]
+    per_burst = [
+        {
+            "n_pdus": received[b],
+            "misplaced_count": misplaced[b],
+            "mean_misplace": distance_sum[b] / misplaced[b] if misplaced[b] else 0.0,
+            "max_misplace": worst[b],
+            "throughput_bps": rate(received[b], windows[b]),
+        }
+        for b in range(n_bursts)
+    ]
+    count = sum(misplaced)
+    return {
+        "n_pdus": sum(received),
+        "misplaced_count": count,
+        "mean_misplace": sum(distance_sum) / count if count else 0.0,
+        "max_misplace": max(worst),
+        "throughput_bps": rate(sum(received), sum(windows)),
+        "per_burst": per_burst,
+    }

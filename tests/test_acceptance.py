@@ -17,7 +17,7 @@ from casim.config import parse_scenario_file
 from casim.emulator import run
 from casim.metrics import misplacement, ordering_report
 from casim.model import MODCODS, CarrierConfig, OrbitModel, SchedulerKind
-from casim.receiver import MergedEntry, MergedStream, merge
+from casim.receiver import merge
 from casim.scheduler import (
     LOOKUP_TABLE,
     build_plan,
@@ -27,7 +27,7 @@ from casim.scheduler import (
     planning_differential_delay_s,
     superframes_in_interval,
 )
-from helpers import alpha_scenario, carrier, random_constant_delay_scenario
+from helpers import alpha_scenario, carrier, random_constant_delay_scenario, record, rows
 import oracle
 
 
@@ -225,11 +225,7 @@ def test_criterion_10_oracle_equivalence():
     for i in range(50):
         scenario = random_constant_delay_scenario(rng)
         plan = build_plan(scenario)
-        got = [
-            (t.seq, t.carrier, t.t_scheduled_ns, t.t_tx_start_ns,
-             t.t_tx_end_ns, t.t_arrival_ns)
-            for t in run(scenario, plan)
-        ]
+        got = rows(merge(run(scenario, plan)))
         expected = oracle.fluid_arrivals(scenario, plan)
         assert got == expected, f"fluid mismatch on random scenario {i}"
 
@@ -237,10 +233,7 @@ def test_criterion_10_oracle_equivalence():
         n = rng.randint(1, 10_000)
         seqs = list(range(n))
         rng.shuffle(seqs)
-        stream = MergedStream(entries=tuple(
-            MergedEntry(merge_index=j, seq=s, carrier=1,
-                        t_arrival_ns=j + 1, t_tx_start_ns=j)
-            for j, s in enumerate(seqs)))
+        stream = record((s, 1, 0, j, j + 1, j + 1) for j, s in enumerate(seqs))
         got = misplacement(stream)
         want = oracle.brute_displacement(seqs)
         assert got.misplaced_count == want[0]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from casim.cli import bundled_scenario_dir, main
+from casim.cli import _atomic_write, bundled_scenario_dir, main
 from casim.config import (
     parse_scenario_file,
     parse_scenario_text,
@@ -17,6 +17,14 @@ BUNDLED = ("geo_ca", "geo_rr", "meo_ca", "meo_geo", "geo_meo")
 
 def bundled_path(name: str) -> Path:
     return bundled_scenario_dir() / f"{name}.cfg"
+
+
+def with_value(text: str, key: str, value: str) -> str:
+    """Config text with the ``key=...`` line set to ``key=value``."""
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(key + "="))
+    lines[index] = f"{key}={value}"
+    return "\n".join(lines) + "\n"
 
 
 def pairs_of(text: str) -> dict:
@@ -136,6 +144,34 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key, value", [
+        ("carrier1.leg_km", "nan"),
+        ("carrier2.leg_km", "inf"),
+        ("carrier1.variation_period_s", "nan"),
+        ("bursts", "100:nan,100:0"),
+        ("carrier1.snr_db", "nan"),
+    ])
+    def test_non_finite_value_exits_3(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_value(bundled_path("meo_geo").read_text(), key, value))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad), "--out", str(out), "--trace"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") for line in err)
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_failed_write_leaves_no_files(self, tmp_path):
+        target = tmp_path / "report.json"
+
+        def failing_writer(path):
+            path.write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(target, failing_writer)
+        assert not target.exists()
+        assert not (tmp_path / "report.json.tmp").exists()
 
     def test_suite_over_bundled_configs(self, tmp_path, capsys):
         out = tmp_path / "suite"

@@ -4,17 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from casim.emulator import (
-    LinkEventKind,
-    pdu_service_time_ns,
-    pdu_service_time_s,
-    run,
-    run_detailed,
-)
+from casim.emulator import pdu_service_time_ns, pdu_service_time_s, run
 from casim.errors import ZeroPayload
 from casim.model import Burst, OrbitModel, ScenarioConfig, SchedulerKind
+from casim.receiver import merge
 from casim.scheduler import SchedulingPlan, build_plan
-from helpers import alpha_scenario, carrier, random_constant_delay_scenario
+from helpers import alpha_scenario, carrier, random_constant_delay_scenario, rows
 import oracle
 
 
@@ -42,17 +37,17 @@ class TestRun:
     def test_single_pdu_arrival(self):
         sc = alpha_scenario(Fraction(1), bursts=(Burst(1),))
         plan = build_plan(sc)
-        (trace,) = run(sc, plan)
+        ((_, _, _, tx_start, tx_end, arrival),) = rows(run(sc, plan))
         service = pdu_service_time_ns(sc.carrier1, sc.pdu_size_bytes)
         prop = round(sc.carrier1.orbit.propagation_delay_s(service / 1e9) * 1e9)
-        assert trace.t_tx_start_ns == 0
-        assert trace.t_tx_end_ns == service
-        assert trace.t_arrival_ns == service + prop
+        assert tx_start == 0
+        assert tx_end == service
+        assert arrival == service + prop
 
     def test_balanced_alternation_arrives_in_seq_order(self):
         sc = alpha_scenario(Fraction(1), bursts=(Burst(400),))
-        traces = run(sc, build_plan(sc))
-        assert [t.seq for t in traces] == list(range(400))
+        merged = merge(run(sc, build_plan(sc)))
+        assert merged.seq.tolist() == list(range(400))
 
     def test_two_burst_scenario_yields_all_traces(self):
         sc = alpha_scenario(Fraction(2, 5))
@@ -62,14 +57,13 @@ class TestRun:
     def test_conservation(self):
         sc = alpha_scenario(Fraction(2, 5), bursts=(Burst(777),))
         traces = run(sc, build_plan(sc))
-        assert sorted(t.seq for t in traces) == list(range(777))
+        assert sorted(traces.seq.tolist()) == list(range(777))
 
     def test_per_carrier_fifo(self):
         sc = alpha_scenario(Fraction(2, 5))
-        traces = run(sc, build_plan(sc))
+        merged = merge(run(sc, build_plan(sc)))
         for carrier_idx in (1, 2):
-            arrivals = [t for t in traces if t.carrier == carrier_idx]
-            seqs = [t.seq for t in arrivals]
+            seqs = merged.seq[merged.carrier == carrier_idx].tolist()
             assert seqs == sorted(seqs)
 
     def test_determinism(self):
@@ -80,32 +74,25 @@ class TestRun:
             bursts=(Burst(600, 20.0), Burst(600, 0.0)),
         )
         plan = build_plan(sc)
-        assert run(sc, plan) == run(sc, plan)
+        assert rows(run(sc, plan)) == rows(run(sc, plan))
 
     def test_throughput_bound(self):
         sc = alpha_scenario(Fraction(2, 5), bursts=(Burst(1000),))
         traces = run(sc, build_plan(sc))
         bits = 1000 * sc.pdu_size_bytes * 8
         duration_s = (
-            max(t.t_arrival_ns for t in traces)
-            - min(t.t_tx_start_ns for t in traces)
+            int(traces.t_arrival_ns.max()) - int(traces.t_tx_start_ns.min())
         ) / 1e9
         ceiling = float(
             sc.carrier1.usable_capacity_bps() + sc.carrier2.usable_capacity_bps())
         assert bits / duration_s <= ceiling
 
-    def test_event_log_ordering_per_pdu(self):
+    def test_each_pdu_once_with_ordered_times(self):
         sc = alpha_scenario(Fraction(1, 2), bursts=(Burst(60),))
-        _, events = run_detailed(sc, build_plan(sc))
-        by_pdu = {}
-        for event in events:
-            by_pdu.setdefault((event.seq, event.carrier), {})[event.kind] = event.time_ns
-        assert len(by_pdu) == 60
-        for times in by_pdu.values():
-            assert set(times) == {
-                LinkEventKind.TX_START, LinkEventKind.TX_END, LinkEventKind.ARRIVAL}
-            assert times[LinkEventKind.TX_START] <= times[LinkEventKind.TX_END]
-            assert times[LinkEventKind.TX_END] <= times[LinkEventKind.ARRIVAL]
+        trace_rows = rows(run(sc, build_plan(sc)))
+        assert sorted(row[0] for row in trace_rows) == list(range(60))
+        for _, _, _, tx_start, tx_end, arrival in trace_rows:
+            assert tx_start <= tx_end <= arrival
 
     def test_queue_carries_across_overlapping_bursts(self):
         # gap shorter than the drain time: the second burst must queue behind
@@ -115,7 +102,7 @@ class TestRun:
         traces = run(sc, build_plan(sc))
         assert len(traces) == 400
         for carrier_idx in (1, 2):
-            ends = [t.t_tx_end_ns for t in traces if t.carrier == carrier_idx]
+            ends = traces.t_tx_end_ns[traces.carrier == carrier_idx].tolist()
             service = pdu_service_time_ns(
                 sc.carrier1 if carrier_idx == 1 else sc.carrier2, sc.pdu_size_bytes)
             diffs = [b - a for a, b in zip(sorted(ends), sorted(ends)[1:])]
@@ -154,14 +141,8 @@ class TestFluidOracleEquivalence:
         for _ in range(10):
             sc = random_constant_delay_scenario(rng)
             plan = build_plan(sc)
-            traces = run(sc, plan)
             expected = oracle.fluid_arrivals(sc, plan)
-            got = [
-                (t.seq, t.carrier, t.t_scheduled_ns, t.t_tx_start_ns,
-                 t.t_tx_end_ns, t.t_arrival_ns)
-                for t in traces
-            ]
-            assert got == expected
+            assert rows(merge(run(sc, plan))) == expected
 
     def test_empty_bursts_not_constructible(self):
         with pytest.raises(Exception):
@@ -178,5 +159,4 @@ class TestManualPlanRuns:
         # a carrier-1-only plan is valid when its ratio is zero
         sc = alpha_scenario(Fraction(1), bursts=(Burst(50),))
         plan = SchedulingPlan(prefix=(), cycle=(1,), alpha_used=0)
-        traces = run(sc, plan)
-        assert all(t.carrier == 1 for t in traces)
+        assert (run(sc, plan).carrier == 1).all()

@@ -13,22 +13,20 @@ from casim.metrics import (
     ordering_report,
     throughput_bps,
 )
-from casim.model import Burst
-from casim.receiver import MergedEntry, MergedStream, merge
+from casim.model import Burst, RunTrace
+from casim.receiver import merge
 from casim.emulator import run
 from casim.scheduler import SchedulingPlan, build_plan
-from helpers import alpha_scenario
+from helpers import alpha_scenario, random_overlapping_meo_scenario, record, rows
 import oracle
 
 
 def stream_from_seqs(seqs, arrival_step=100):
-    entries = tuple(
-        MergedEntry(
-            merge_index=i, seq=s, carrier=1,
-            t_arrival_ns=(i + 1) * arrival_step, t_tx_start_ns=i * arrival_step)
+    """A merged stream receiving ``seqs`` in order, one arrival per step."""
+    return record(
+        (s, 1, 0, i * arrival_step, (i + 1) * arrival_step, (i + 1) * arrival_step)
         for i, s in enumerate(seqs)
     )
-    return MergedStream(entries=entries)
 
 
 class TestMisplacement:
@@ -115,7 +113,7 @@ class TestThroughput:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(DegenerateWindow):
-            throughput_bps(MergedStream(entries=()), 1500)
+            throughput_bps(RunTrace(*[[]] * 6), 1500)
 
     def test_single_pdu_rejected(self):
         with pytest.raises(DegenerateWindow):
@@ -151,6 +149,23 @@ class TestOrderingReport:
             OrderingReport(
                 n_pdus=10, misplaced_count=1, mean_misplace=5.0, max_misplace=3,
                 throughput_bps=1.0, per_burst=())
+
+    def test_matches_row_by_row_oracle_on_overlapping_meo_runs(self):
+        rng = random.Random(4242)
+        overlapping = 0
+        for _ in range(40):
+            sc = random_overlapping_meo_scenario(rng)
+            merged = merge(run(sc, build_plan(sc)))
+            want = oracle.burst_report(rows(merged), sc.burst_sizes, sc.pdu_size_bytes)
+            assert ordering_report(merged, sc).as_dict() == want
+            # a burst released while the previous one is still transmitting
+            by_seq = sorted(rows(merged))
+            first = 0
+            for size in sc.burst_sizes[:-1]:
+                last_end = max(row[4] for row in by_seq[first:first + size])
+                first += size
+                overlapping += by_seq[first][2] < last_end
+        assert overlapping > 0
 
     def test_json_round_trip_is_stable(self):
         sc = alpha_scenario(Fraction(2, 5), bursts=(Burst(300),))

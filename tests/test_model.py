@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from casim.errors import DominanceViolated, InvariantError
@@ -13,14 +14,13 @@ from casim.model import (
     ModCod,
     OrbitKind,
     OrbitModel,
-    Pdu,
-    PduTrace,
+    RunTrace,
     ScenarioConfig,
     SchedulerKind,
     modcod_for_snr,
     to_fraction,
 )
-from helpers import carrier
+from helpers import carrier, record
 
 
 class TestToFraction:
@@ -182,17 +182,50 @@ class TestScenarioConfig:
             Burst(10, -1.0)
 
 
-class TestPduAndTrace:
-    def test_pdu_validation(self):
-        Pdu(0, 1500)
-        with pytest.raises(InvariantError):
-            Pdu(-1, 1500)
-        with pytest.raises(InvariantError):
-            Pdu(0, 0)
-
+class TestRunTrace:
     def test_trace_time_ordering(self):
-        PduTrace(0, 1, 0, 0, 5, 10)
+        record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])
         with pytest.raises(InvariantError):
-            PduTrace(0, 1, 0, 5, 4, 10)
+            record([(0, 1, 0, 0, 5, 10), (1, 1, 0, 5, 4, 10)])
         with pytest.raises(InvariantError):
-            PduTrace(0, 3, 0, 0, 5, 10)
+            record([(0, 1, 0, 0, 11, 10)])
+        with pytest.raises(InvariantError):
+            record([(0, 3, 0, 0, 5, 10)])
+
+    def test_columns_are_equal_length_int64(self):
+        trace = record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])
+        assert len(trace) == 2
+        assert all(c.dtype == np.int64 and c.shape == (2,) for c in trace.columns())
+        with pytest.raises(InvariantError):
+            RunTrace([0, 1], [1, 1], [0, 0], [0, 0], [5, 5], [10])
+
+    def test_negative_seq_rejected(self):
+        with pytest.raises(InvariantError):
+            record([(-1, 1, 0, 0, 5, 10)])
+
+    def test_times_beyond_int64_rejected(self):
+        with pytest.raises(InvariantError):
+            record([(0, 1, 2**63, 2**63, 2**63, 2**63)])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field", [
+        "mean_leg_distance_km", "variation_amplitude_km",
+        "variation_period_s", "variation_phase_rad"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_orbit_fields(self, field, value):
+        kwargs = dict(kind=OrbitKind.MEO, mean_leg_distance_km=11933.0,
+                      variation_amplitude_km=300.0)
+        kwargs[field] = value
+        with pytest.raises(InvariantError, match=field):
+            OrbitModel(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_burst_gap(self, value):
+        with pytest.raises(InvariantError, match="inter_burst_gap_s"):
+            Burst(10, value)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_snr(self, value):
+        with pytest.raises(InvariantError, match="snr_db"):
+            carrier(snr_db=value)

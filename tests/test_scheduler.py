@@ -220,6 +220,12 @@ class TestBuildPlan:
         assert plan.prefix == ()
         assert plan.cycle == (1, 2)
 
+    def test_table_alphas_get_the_table_rows(self):
+        for alpha, row in LOOKUP_TABLE.items():
+            plan = build_plan(alpha_scenario(alpha))
+            assert plan.cycle == row
+            assert plan.alpha_used == alpha
+
     def test_off_table_alpha_uses_generator(self):
         plan = build_plan(alpha_scenario(Fraction(13, 32)))
         assert plan.alpha_used == Fraction(13, 32)
