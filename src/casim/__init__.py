@@ -2,8 +2,9 @@
 
 Pipeline: a gateway-side scheduler splits a fixed-length PDU stream across
 two heterogeneous carriers (load balancing with an optional multi-orbit
-prefix, or plain round robin), a discrete-event link emulator serializes and
-propagates each PDU, a naive FIFO receiver merges the two arrival streams,
+prefix, or plain round robin), a link emulator computes each carrier's FIFO
+transmission times in closed form (Lindley's recursion) and propagates each
+PDU, a naive FIFO receiver merges the two arrival streams,
 and the metrics layer reports misplacement distances and aggregated
 throughput.  One columnar record, ``RunTrace``, carries a run from the
 emulator through the merge to the metrics and ``trace.csv``.
@@ -55,7 +56,7 @@ from .receiver import merge
 from .scheduler import (
     LOOKUP_TABLE,
     SchedulingPlan,
-    assign,
+    assignments,
     build_plan,
     generate_sequence,
     load_balance_factor,

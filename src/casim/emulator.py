@@ -1,28 +1,30 @@
-"""Deterministic discrete-event transport of scheduled PDUs over two carriers.
+"""Transport of scheduled PDUs over two carriers, in closed form.
 
-Each carrier serializes its queue work-conservingly at an effective per-PDU
-rate (frame-level encapsulation collapsed into one service time), then the
-PDU propagates for the orbit's delay.  All engine time is integer
-nanoseconds: seconds are converted once with round(x * 1e9) so identical
-scenarios replay to byte-identical traces.
+Each carrier is a work-conserving FIFO that serializes PDUs at one effective
+per-PDU service time (frame-level encapsulation collapsed into one number),
+after which each PDU propagates for the orbit's delay at the instant it
+leaves.  Releases arrive in sequence order, so a carrier's transmission
+times follow Lindley's recursion and need no event simulation.  All times
+are integer nanoseconds: seconds are converted once with round(x * 1e9), so
+identical scenarios replay to byte-identical traces.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
-from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
+from .errors import InvariantError
 from .model import CarrierConfig, RunTrace, ScenarioConfig
 from .scheduler import (
     FRAMES_PER_SUPERFRAME_BUNDLE,
     SUPERFRAME_SYMBOLS,
     SchedulingPlan,
-    assign,
+    assignments,
     pdus_per_fecframe,
 )
 
@@ -72,55 +74,37 @@ def propagation_delay_ns(carrier: CarrierConfig, t_ns: int) -> int:
 
 
 def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
-    """Run the event engine; return one row per PDU, in sequence order.
+    """Transport every PDU; return one row per PDU, in sequence order.
 
-    Releases are taken in sequence order and merged with a heap of
-    transmission ends (at most one per carrier).  A released PDU joins its
-    carrier's FIFO, whose head is the PDU on the air: a PDU that finds the
-    FIFO empty starts at once.  When a transmission ends, its PDU leaves the
-    FIFO for the orbit's propagation delay and the next one starts.
+    On a carrier with service time s, the k-th PDU (k = 0, 1, ...) released at
+    r_k starts when both it and the carrier are ready, so
+    end_k = max(r_k, end_{k-1}) + s = (k+1)·s + max_{j<=k}(r_j - j·s).
+    It arrives after the path delay at end_k: one delay for a constant path,
+    one per PDU for a varying one.
     """
-    carriers = {1: scenario.carrier1, 2: scenario.carrier2}
-    service_ns = {
-        idx: pdu_service_time_ns(cfg, scenario.pdu_size_bytes)
-        for idx, cfg in carriers.items()
-    }
     n = scenario.total_pdus
-    carrier = [assign(plan, seq) for seq in range(n)]
-    release: list[int] = []
-    release_ns = 0
-    for burst in scenario.bursts:
-        release += [release_ns] * burst.pdu_count
-        release_ns += s_to_ns(burst.inter_burst_gap_s)
-
-    tx_start = [0] * n
-    tx_end = [0] * n
-    arrival = [0] * n
-    fifo = {1: deque(), 2: deque()}
-    tx_ends: list[tuple[int, int]] = []  # heap of (tx_end_ns, seq)
-
-    def start_tx(carrier_idx: int, now_ns: int) -> None:
-        head = fifo[carrier_idx][0]
-        tx_start[head] = now_ns
-        tx_end[head] = now_ns + service_ns[carrier_idx]
-        heapq.heappush(tx_ends, (tx_end[head], head))
-
-    next_seq = 0
-    while next_seq < n or tx_ends:
-        if next_seq < n and (not tx_ends or release[next_seq] <= tx_ends[0][0]):
-            seq, now_ns = next_seq, release[next_seq]
-            next_seq += 1
-            carrier_idx = carrier[seq]
-            fifo[carrier_idx].append(seq)
-            if len(fifo[carrier_idx]) == 1:
-                start_tx(carrier_idx, now_ns)
-        else:
-            now_ns, seq = heapq.heappop(tx_ends)
-            carrier_idx = carrier[seq]
-            arrival[seq] = now_ns + propagation_delay_ns(carriers[carrier_idx], now_ns)
-            fifo[carrier_idx].popleft()
-            if fifo[carrier_idx]:
-                start_tx(carrier_idx, now_ns)
+    carriers = (scenario.carrier1, scenario.carrier2)
+    service_ns = [pdu_service_time_ns(cfg, scenario.pdu_size_bytes) for cfg in carriers]
+    burst_start_ns = list(accumulate(
+        (s_to_ns(burst.inter_burst_gap_s) for burst in scenario.bursts[:-1]), initial=0))
+    if burst_start_ns[-1] + n * max(service_ns) > np.iinfo(np.int64).max:
+        raise InvariantError("transmission times exceed the int64 range")
+    release = np.repeat(burst_start_ns, scenario.burst_sizes)
+    carrier = assignments(plan, n)
+    tx_start, tx_end, arrival = np.empty((3, n), dtype=np.int64)
+    for idx, cfg, service in zip((1, 2), carriers, service_ns):
+        rows = np.flatnonzero(carrier == idx)
+        queued_ns = np.arange(rows.size, dtype=np.int64) * service
+        end = queued_ns + service + np.maximum.accumulate(release[rows] - queued_ns)
+        tx_start[rows], tx_end[rows] = end - service, end
+        try:
+            if cfg.orbit.variation_amplitude_km == 0.0:
+                # A sum past the int64 range wraps negative, which RunTrace rejects.
+                arrival[rows] = end + propagation_delay_ns(cfg, 0)
+            else:
+                arrival[rows] = [t + propagation_delay_ns(cfg, t) for t in end.tolist()]
+        except OverflowError as exc:
+            raise InvariantError("arrival times exceed the int64 range") from exc
 
     return RunTrace(
         seq=np.arange(n),

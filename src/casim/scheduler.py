@@ -12,7 +12,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DenominatorTooLarge, DominanceViolated, ZeroFillRate, ZeroPayload
 from .model import CarrierConfig, ModCod, OrbitModel, ScenarioConfig, SchedulerKind, to_fraction
@@ -35,7 +38,7 @@ __all__ = [
     "initial_fast_sequence_raw",
     "multi_orbit_prefix",
     "build_plan",
-    "assign",
+    "assignments",
 ]
 
 log = logging.getLogger(__name__)
@@ -256,7 +259,13 @@ def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
         return SchedulingPlan(prefix=(), cycle=(1, 2), alpha_used=Fraction(1))
 
     alpha = load_balance_factor(scenario.carrier1, scenario.carrier2)
-    cycle = tuple(generate_sequence(alpha.limit_denominator(MAX_GENERATOR_DENOMINATOR)))
+    rounded = alpha.limit_denominator(MAX_GENERATOR_DENOMINATOR)
+    if rounded == 0:
+        raise DenominatorTooLarge(
+            f"alpha = {Decimal(alpha.numerator) / alpha.denominator:.3g} is at most "
+            f"1/{2 * MAX_GENERATOR_DENOMINATOR} and rounds to 0 at denominator <= "
+            f"{MAX_GENERATOR_DENOMINATOR}; carrier 2 is too slow to schedule")
+    cycle = tuple(generate_sequence(rounded))
     alpha_used = Fraction(cycle.count(2), cycle.count(1))
 
     leg1 = scenario.carrier1.orbit.mean_leg_distance_km
@@ -274,10 +283,11 @@ def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
     return SchedulingPlan(prefix=prefix, cycle=cycle, alpha_used=alpha_used)
 
 
-def assign(plan: SchedulingPlan, seq: int) -> int:
-    """Carrier index for the PDU with (global) sequence number ``seq``."""
-    if seq < 0:
-        raise ValueError(f"seq must be >= 0, got {seq}")
-    if seq < len(plan.prefix):
-        return plan.prefix[seq]
-    return plan.cycle[(seq - len(plan.prefix)) % len(plan.cycle)]
+def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
+    """Carrier indices of the PDUs with sequence numbers 0..n-1 (int64): the
+    prefix once, then the cycle repeated."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    prefix = np.array(plan.prefix[:n], dtype=np.int64)
+    cycle = np.resize(np.array(plan.cycle, dtype=np.int64), n - prefix.size)
+    return np.concatenate((prefix, cycle))

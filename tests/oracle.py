@@ -1,19 +1,24 @@
 """Independent brute-force references used only by the test suite.
 
 `fluid_arrivals` re-derives every PDU's timing from closed-form prefix sums
-(no event queue); `brute_displacement` computes displacement statistics by
-literal per-element iteration; `burst_report` walks a merged stream row by
-row to rebuild the per-burst ordering report.  All deliberately hardcode
-their constants instead of importing them from the production modules, and
-use no numpy.
+(no event queue); `heap_run` simulates the two carrier FIFOs event by event,
+merging releases with a heap of transmission ends; `brute_displacement`
+computes displacement statistics by literal per-element iteration;
+`burst_report` walks a merged stream row by row to rebuild the per-burst
+ordering report.  All deliberately hardcode their constants and the
+prefix-then-cycle rule instead of importing them from the production
+modules, and use no numpy.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections import deque
 from fractions import Fraction
 
 from casim.model import ScenarioConfig
-from casim.scheduler import SchedulingPlan, assign
+from casim.scheduler import SchedulingPlan
 
 NS_PER_S = 10**9
 LIGHT_SPEED_KM_S = 299792.458
@@ -36,9 +41,25 @@ def _service_ns(carrier, pdu_size_bytes: int) -> int:
 
 def _prop_ns(carrier) -> int:
     assert carrier.orbit.variation_amplitude_km == 0, "oracle requires constant delays"
-    return round(
-        2.0 * carrier.orbit.mean_leg_distance_km / LIGHT_SPEED_KM_S * NS_PER_S
-    )
+    return _path_delay_ns(carrier, 0)
+
+
+def _path_delay_ns(carrier, t_ns: int) -> int:
+    """Delay of ``carrier``'s path for a PDU leaving at ``t_ns``: two legs of
+    mean + amplitude * sin(2 pi t / period + phase) kilometres."""
+    orbit = carrier.orbit
+    leg_km = orbit.mean_leg_distance_km
+    if orbit.variation_amplitude_km != 0.0:
+        phase = 2.0 * math.pi * (t_ns / NS_PER_S) / orbit.variation_period_s
+        leg_km += orbit.variation_amplitude_km * math.sin(phase + orbit.variation_phase_rad)
+    return round(2.0 * leg_km / LIGHT_SPEED_KM_S * NS_PER_S)
+
+
+def _carrier_of(plan: SchedulingPlan, seq: int) -> int:
+    """Carrier of PDU ``seq``: the prefix entry, else the cycle entry."""
+    if seq < len(plan.prefix):
+        return plan.prefix[seq]
+    return plan.cycle[(seq - len(plan.prefix)) % len(plan.cycle)]
 
 
 def fluid_arrivals(
@@ -61,7 +82,7 @@ def fluid_arrivals(
     for burst_index, burst in enumerate(scenario.bursts):
         counts = {1: 0, 2: 0}
         for _ in range(burst.pdu_count):
-            carrier = assign(plan, seq)
+            carrier = _carrier_of(plan, seq)
             counts[carrier] += 1
             tx_end = release_ns + counts[carrier] * service[carrier]
             rows.append(
@@ -75,6 +96,58 @@ def fluid_arrivals(
                 or release_ns >= last_tx_end), "oracle requires non-overlapping bursts"
     rows.sort(key=lambda row: (row[5], row[1], row[0]))
     return rows
+
+
+def heap_run(
+    scenario: ScenarioConfig, plan: SchedulingPlan
+) -> list[tuple[int, int, int, int, int, int]]:
+    """Per-PDU (seq, carrier, scheduled, tx_start, tx_end, arrival) tuples in
+    sequence order, from an event loop.
+
+    Releases are taken in sequence order and merged with a heap of
+    transmission ends; on a tie the release goes first.  A released PDU joins
+    its carrier's FIFO, whose head is on the air, and starts at once if the
+    FIFO was empty.  When a transmission ends, its PDU leaves for the path
+    delay at that instant and the next PDU in the FIFO starts.
+    """
+    carriers = {1: scenario.carrier1, 2: scenario.carrier2}
+    service = {i: _service_ns(c, scenario.pdu_size_bytes) for i, c in carriers.items()}
+    n = sum(burst.pdu_count for burst in scenario.bursts)
+    carrier = [_carrier_of(plan, seq) for seq in range(n)]
+    release = []
+    release_ns = 0
+    for burst in scenario.bursts:
+        release += [release_ns] * burst.pdu_count
+        release_ns += round(burst.inter_burst_gap_s * NS_PER_S)
+
+    tx_start = [0] * n
+    tx_end = [0] * n
+    arrival = [0] * n
+    fifo = {1: deque(), 2: deque()}
+    tx_ends = []  # heap of (tx_end_ns, seq)
+
+    def start_tx(carrier_idx: int, now_ns: int) -> None:
+        head = fifo[carrier_idx][0]
+        tx_start[head] = now_ns
+        tx_end[head] = now_ns + service[carrier_idx]
+        heapq.heappush(tx_ends, (tx_end[head], head))
+
+    next_seq = 0
+    while next_seq < n or tx_ends:
+        if next_seq < n and (not tx_ends or release[next_seq] <= tx_ends[0][0]):
+            seq, now_ns = next_seq, release[next_seq]
+            next_seq += 1
+            fifo[carrier[seq]].append(seq)
+            if len(fifo[carrier[seq]]) == 1:
+                start_tx(carrier[seq], now_ns)
+        else:
+            now_ns, seq = heapq.heappop(tx_ends)
+            arrival[seq] = now_ns + _path_delay_ns(carriers[carrier[seq]], now_ns)
+            fifo[carrier[seq]].popleft()
+            if fifo[carrier[seq]]:
+                start_tx(carrier[seq], now_ns)
+
+    return list(zip(range(n), carrier, release, tx_start, tx_end, arrival))
 
 
 def brute_displacement(perm: list[int]) -> tuple[int, float, int]:

@@ -241,7 +241,7 @@ def test_criterion_10_oracle_equivalence():
         assert got.max == want[2]
     check(
         10,
-        "event engine matches fluid oracle (50 runs); metrics match brute force (100 perms)",
+        "emulator matches fluid oracle (50 runs); metrics match brute force (100 perms)",
         True,
     )
 

@@ -27,6 +27,19 @@ def with_value(text: str, key: str, value: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_run_exits_3(tmp_path, capsys, name: str, key: str, value: str) -> str:
+    """Run bundled config ``name`` with ``key=value``; require exit 3, an
+    ``error:`` line and no outputs.  Returns stderr."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(with_value(bundled_path(name).read_text(), key, value))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out), "--trace"]) == 3
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert not out.exists() or not any(out.iterdir())
+    return err
+
+
 def pairs_of(text: str) -> dict:
     out = {}
     for line in text.splitlines():
@@ -153,13 +166,15 @@ class TestCli:
         ("carrier1.snr_db", "nan"),
     ])
     def test_non_finite_value_exits_3(self, tmp_path, capsys, key, value):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(with_value(bundled_path("meo_geo").read_text(), key, value))
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(bad), "--out", str(out), "--trace"]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert any(line.startswith("error:") for line in err)
-        assert not out.exists() or not any(out.iterdir())
+        assert_run_exits_3(tmp_path, capsys, "meo_geo", key, value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("carrier2.symbol_rate_sym_s", "10000"),  # alpha = 1/464
+        ("carrier1.symbol_rate_sym_s", "1e400"),
+    ])
+    def test_alpha_below_one_in_128_exits_3(self, tmp_path, capsys, key, value):
+        err = assert_run_exits_3(tmp_path, capsys, "geo_ca", key, value)
+        assert "1/128" in err
 
     def test_failed_write_leaves_no_files(self, tmp_path):
         target = tmp_path / "report.json"

@@ -4,12 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from casim.emulator import pdu_service_time_ns, pdu_service_time_s, run
-from casim.errors import ZeroPayload
+from casim.emulator import pdu_service_time_ns, pdu_service_time_s, run, s_to_ns
+from casim.errors import InvariantError, ZeroPayload
 from casim.model import Burst, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
 from casim.scheduler import SchedulingPlan, build_plan
-from helpers import alpha_scenario, carrier, random_constant_delay_scenario, rows
+from helpers import (
+    alpha_scenario,
+    carrier,
+    random_constant_delay_scenario,
+    random_overlapping_meo_scenario,
+    rows,
+)
 import oracle
 
 
@@ -94,6 +100,18 @@ class TestRun:
         for _, _, _, tx_start, tx_end, arrival in trace_rows:
             assert tx_start <= tx_end <= arrival
 
+    @pytest.mark.parametrize("orbit, bursts", [
+        (OrbitModel.geo(), (Burst(5, 1e10), Burst(5))),  # release past int64
+        (OrbitModel.geo(1e300), (Burst(5),)),  # delay past int64
+        (OrbitModel.geo(1e308), (Burst(5),)),  # delay overflows to inf
+        (OrbitModel.meo(1e300), (Burst(5),)),
+        (OrbitModel.geo(1.35e15), (Burst(5, 3e8), Burst(5))),  # in range, sum past
+    ])
+    def test_times_past_int64_rejected(self, orbit, bursts):
+        sc = alpha_scenario(Fraction(1), orbit1=orbit, orbit2=orbit, bursts=bursts)
+        with pytest.raises(InvariantError):
+            run(sc, build_plan(sc))
+
     def test_queue_carries_across_overlapping_bursts(self):
         # gap shorter than the drain time: the second burst must queue behind
         # the first, keeping each carrier work-conserving and order-preserving
@@ -160,3 +178,53 @@ class TestManualPlanRuns:
         sc = alpha_scenario(Fraction(1), bursts=(Burst(50),))
         plan = SchedulingPlan(prefix=(), cycle=(1,), alpha_used=0)
         assert (run(sc, plan).carrier == 1).all()
+
+
+class TestHeapOracleEquivalence:
+    def test_overlapping_meo_scenarios(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            sc = random_overlapping_meo_scenario(rng)
+            plan = build_plan(sc)
+            assert rows(run(sc, plan)) == oracle.heap_run(sc, plan)
+
+    def test_constant_delay_scenarios(self):
+        rng = random.Random(2025)
+        for _ in range(10):
+            sc = random_constant_delay_scenario(rng)
+            plan = build_plan(sc)
+            assert rows(run(sc, plan)) == oracle.heap_run(sc, plan)
+
+    def test_prefix_longer_than_run(self):
+        # meo_geo geometry: a 38-PDU prefix on the MEO carrier, 5 PDUs in all
+        sc = alpha_scenario(
+            Fraction(2, 5), orbit1=OrbitModel.meo(), orbit2=OrbitModel.geo(),
+            bursts=(Burst(5),))
+        plan = build_plan(sc)
+        assert len(plan.prefix) > 5
+        trace = run(sc, plan)
+        assert (trace.carrier == 1).all()
+        assert rows(trace) == oracle.heap_run(sc, plan)
+
+    def test_carrier_one_only_cycle(self):
+        sc = alpha_scenario(Fraction(1), bursts=(Burst(30, 0.001), Burst(20)))
+        plan = SchedulingPlan(prefix=(), cycle=(1,), alpha_used=0)
+        trace = run(sc, plan)
+        assert (trace.carrier == 1).all()
+        assert rows(trace) == oracle.heap_run(sc, plan)
+
+    def test_release_on_a_tx_end(self):
+        # cycle (1,1,2) at alpha 1/2: the first burst's four carrier-1 PDUs
+        # drain exactly when the second burst is released
+        sc = alpha_scenario(Fraction(1, 2), bursts=(Burst(6), Burst(6)))
+        s1 = pdu_service_time_ns(sc.carrier1, sc.pdu_size_bytes)
+        drain_s = 4 * s1 / 1e9
+        assert s_to_ns(drain_s) == 4 * s1
+        sc = alpha_scenario(Fraction(1, 2), bursts=(Burst(6, drain_s), Burst(6)))
+        plan = build_plan(sc)
+        trace = rows(run(sc, plan))
+        first_of_second_burst = trace[6]
+        assert first_of_second_burst[1] == 1
+        assert first_of_second_burst[2] == trace[4][4] == 4 * s1
+        assert first_of_second_burst[3] == 4 * s1
+        assert trace == oracle.heap_run(sc, plan)

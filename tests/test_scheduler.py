@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from casim.errors import DenominatorTooLarge, DominanceViolated, ZeroPayload
@@ -9,7 +10,7 @@ from casim.model import MODCODS, OrbitModel, SchedulerKind
 from casim.scheduler import (
     LOOKUP_TABLE,
     SchedulingPlan,
-    assign,
+    assignments,
     build_plan,
     generate_sequence,
     initial_fast_sequence_raw,
@@ -235,24 +236,34 @@ class TestBuildPlan:
 class TestAssign:
     def test_direct_cycle_index(self):
         plan = SchedulingPlan(prefix=(), cycle=(1, 1, 2), alpha_used=Fraction(1, 2))
-        assert assign(plan, 2) == 2
+        column = assignments(plan, 3)
+        assert column.dtype == np.int64
+        assert column.tolist() == [1, 1, 2]
 
     def test_prefix_then_rollover(self):
         plan = SchedulingPlan(
             prefix=(1,) * 38, cycle=(1, 1, 2, 1, 1, 1, 2), alpha_used=Fraction(2, 5))
-        assert assign(plan, 37) == 1
-        assert assign(plan, 38) == plan.cycle[0]
+        column = assignments(plan, 50)
+        assert column[:38].tolist() == [1] * 38
+        assert column[38:45].tolist() == list(plan.cycle)
+        assert column[45:].tolist() == list(plan.cycle[:5])
 
     def test_periodic_after_prefix(self):
         plan = SchedulingPlan(
             prefix=(2, 2), cycle=(1, 2, 1, 1, 2), alpha_used=Fraction(2, 3))
+        column = assignments(plan, 65).tolist()
         for seq in range(2, 60):
-            assert assign(plan, seq) == assign(plan, seq + 5)
+            assert column[seq] == column[seq + 5]
+
+    def test_prefix_longer_than_n(self):
+        plan = SchedulingPlan(prefix=(1,) * 38, cycle=(1, 2), alpha_used=1)
+        assert assignments(plan, 5).tolist() == [1] * 5
+        assert assignments(plan, 0).tolist() == []
 
     def test_negative_seq_rejected(self):
         plan = SchedulingPlan(prefix=(), cycle=(1, 2), alpha_used=1)
         with pytest.raises(ValueError):
-            assign(plan, -1)
+            assignments(plan, -1)
 
     def test_plan_ratio_validation(self):
         with pytest.raises(ValueError):
