@@ -53,7 +53,7 @@ scenario = ScenarioConfig(
     label="meo_geo_demo",
 )
 plan = build_plan(scenario)
-print(f"plan prefix: {len(plan.prefix)} x carrier {plan.prefix[0]}")
+print(f"plan prefix: {plan.prefix_length} x carrier {plan.prefix_carrier}")
 print(f"plan cycle:  {list(plan.cycle)} (alpha_used={plan.alpha_used})")
 
 # With identical orbits the prefix vanishes.
@@ -64,5 +64,5 @@ same_orbit = ScenarioConfig(
     bursts=(Burst(100),),
     label="geo_geo_demo",
 )
-assert build_plan(same_orbit).prefix == ()
+assert build_plan(same_orbit).prefix_length == 0
 print("\nsame-orbit carriers need no prefix")

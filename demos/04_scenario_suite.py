@@ -18,7 +18,9 @@ for path in sorted(bundled_scenario_dir().glob("*.cfg")):
     report = ordering_report(merge(run(scenario, plan)), scenario)
     labeled.append((scenario.label, report))
 
-    prefix = f"{len(plan.prefix)} x carrier {plan.prefix[0]}" if plan.prefix else "none"
+    prefix = "none"
+    if plan.prefix_length:
+        prefix = f"{plan.prefix_length} x carrier {plan.prefix_carrier}"
     print(f"{scenario.label:<8} alpha_used={plan.alpha_used}  prefix={prefix}")
 
 print()

@@ -2,7 +2,8 @@
 
 Pipeline: a gateway-side scheduler splits a fixed-length PDU stream across
 two heterogeneous carriers (load balancing with an optional multi-orbit
-prefix, or plain round robin), a link emulator computes each carrier's FIFO
+prefix, or plain round robin; a plan is one generated cycle plus a prefix
+held as its carrier and length), a link emulator computes each carrier's FIFO
 transmission times in closed form (Lindley's recursion) and propagates each
 PDU, a naive FIFO receiver merges the two arrival streams,
 and the metrics layer reports misplacement distances and aggregated
@@ -26,7 +27,6 @@ from .errors import (
     DuplicateSeq,
     InvariantError,
     MissingSeq,
-    ZeroFillRate,
     ZeroPayload,
 )
 from .metrics import (
@@ -54,13 +54,11 @@ from .model import (
 )
 from .receiver import merge
 from .scheduler import (
-    LOOKUP_TABLE,
     SchedulingPlan,
     assignments,
     build_plan,
     generate_sequence,
     load_balance_factor,
-    lookup_sequence,
     multi_orbit_prefix,
     pdus_per_fecframe,
     superframes_in_interval,

@@ -43,12 +43,13 @@ from .receiver import merge
 from .scheduler import (
     SchedulingPlan,
     build_plan,
+    generate_sequence,
     initial_fast_sequence_raw,
     load_balance_factor,
-    lookup_sequence,
-    nearest_table_alpha,
+    multi_orbit_prefix,
     pdus_per_fecframe,
     planning_differential_delay_s,
+    prefix_carriers,
     superframes_in_interval,
 )
 
@@ -124,8 +125,8 @@ def _report_json(scenario: ScenarioConfig, plan: SchedulingPlan, report: Orderin
         "label": scenario.label,
         "scheduler": scenario.scheduler.value,
         "alpha_used": str(plan.alpha_used),
-        "prefix_length": len(plan.prefix),
-        "prefix_carrier": plan.prefix[0] if plan.prefix else None,
+        "prefix_length": plan.prefix_length,
+        "prefix_carrier": plan.prefix_carrier,
         "cycle": list(plan.cycle),
         "metrics": report.as_dict(),
     }
@@ -199,12 +200,12 @@ def _describe_plan(plan: SchedulingPlan, scenario: ScenarioConfig) -> list[str]:
         f"alpha_used: {plan.alpha_used} = {float(plan.alpha_used):.6f}",
         f"cycle: [{','.join(str(c) for c in plan.cycle)}]",
     ]
-    if plan.prefix:
-        carrier = plan.prefix[0]
-        orbit = (scenario.carrier1 if carrier == 1 else scenario.carrier2).orbit
-        lines.append(f"prefix: {len(plan.prefix)} x carrier {carrier} ({orbit.kind.value})")
-    else:
+    if plan.prefix_carrier is None:
         lines.append("prefix: (empty)")
+    else:
+        carrier = plan.prefix_carrier
+        orbit = (scenario.carrier1 if carrier == 1 else scenario.carrier2).orbit
+        lines.append(f"prefix: {plan.prefix_length} x carrier {carrier} ({orbit.kind.value})")
     return lines
 
 
@@ -214,12 +215,11 @@ def cmd_plan(args) -> int:
             alpha = Fraction(args.alpha)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"--alpha: not a number: {args.alpha!r}") from exc
-        key = nearest_table_alpha(alpha)
-        cycle = lookup_sequence(alpha)
+        plan = SchedulingPlan(generate_sequence(alpha))
         print(f"alpha: {alpha} = {float(alpha):.6f}")
-        if key != alpha:
-            print(f"nearest_table_alpha: {key} = {float(key):.6f}")
-        print(f"cycle: [{','.join(str(c) for c in cycle)}]")
+        if plan.alpha_used != alpha:
+            print(f"alpha_used: {plan.alpha_used} = {float(plan.alpha_used):.6f}")
+        print(f"cycle: [{','.join(str(c) for c in plan.cycle)}]")
         print("prefix: (carrier geometry required; pass --config)")
         return 0
 
@@ -235,16 +235,13 @@ def cmd_plan(args) -> int:
 
 def cmd_prefix(args) -> int:
     scenario, _ = _load(args.config)
-    c1, c2 = scenario.carrier1, scenario.carrier2
-    if c1.orbit.mean_leg_distance_km <= c2.orbit.mean_leg_distance_km:
-        fast_index, fast, slow = 1, c1, c2
-    else:
-        fast_index, fast, slow = 2, c2, c1
+    fast_index, fast, slow = prefix_carriers(scenario)
     slow_index = 3 - fast_index
 
     delta_t = planning_differential_delay_s(fast.orbit, slow.orbit)
     n_pdu = pdus_per_fecframe(scenario.pdu_size_bytes, fast.modcod, fast.fill_rate)
     raw = initial_fast_sequence_raw(fast, delta_t, scenario.pdu_size_bytes)
+    prefix_length = multi_orbit_prefix(fast, slow, scenario.pdu_size_bytes)
 
     print(f"fast_carrier: {fast_index} ({fast.orbit.kind.value}, "
           f"leg {fast.orbit.mean_leg_distance_km} km)")
@@ -255,7 +252,7 @@ def cmd_prefix(args) -> int:
           f"{superframes_in_interval(delta_t, fast.symbol_rate_sym_s):.6f}")
     print(f"pdus_per_fecframe: {n_pdu}")
     print(f"raw_initial_sequence: {raw:.4f}")
-    print(f"prefix_length: {math.floor(raw)}")
+    print(f"prefix_length: {prefix_length}")
     return 0
 
 
@@ -291,7 +288,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

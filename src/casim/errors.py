@@ -23,12 +23,9 @@ class DominanceViolated(InvariantError):
     """Carrier 2's usable capacity exceeds carrier 1's (alpha would be > 1)."""
 
 
-class ZeroFillRate(InvariantError):
-    """A carrier has no usable capacity share (fill rate or capacity is zero)."""
-
-
 class DenominatorTooLarge(InvariantError):
-    """Requested ratio is finer than the sequence generator supports."""
+    """Alpha is at most 1/128, so it rounds to 0 at the generator's
+    denominator limit of 64 and no cycle can realise it."""
 
 
 class ZeroPayload(InvariantError):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DominanceViolated, InvariantError, ZeroFillRate
+from .errors import DominanceViolated, InvariantError
 
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
@@ -305,8 +305,6 @@ class ScenarioConfig:
                 f"pdu_size_bytes must be > 0, got {self.pdu_size_bytes}")
         if not self.bursts:
             raise InvariantError("a scenario needs at least one burst")
-        if self.carrier1.fill_rate == 0:
-            raise ZeroFillRate("carrier 1 fill rate must be nonzero")
         u1 = self.carrier1.usable_capacity_bps()
         u2 = self.carrier2.usable_capacity_bps()
         if u1 < u2:

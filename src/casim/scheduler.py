@@ -3,13 +3,15 @@
 Produces the per-scenario :class:`SchedulingPlan`: a one-shot prefix that
 compensates the differential propagation delay between orbits, followed by a
 repeating cycle of carrier assignments whose 2:1 ratio equals the load
-balancing factor alpha.  All operations are pure functions of their
-arguments.
+balancing factor alpha.  Every scheduling decision lives here:
+``generate_sequence`` is the one place that makes a cycle, ``prefix_carriers``
+the one fast/slow carrier choice, and ``assignments`` the one
+prefix-then-cycle rule.
+All operations are pure functions of their arguments.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DenominatorTooLarge, DominanceViolated, ZeroFillRate, ZeroPayload
+from .errors import DenominatorTooLarge, DominanceViolated, InvariantError, ZeroPayload
 from .model import CarrierConfig, ModCod, OrbitModel, ScenarioConfig, SchedulerKind, to_fraction
 
 __all__ = [
@@ -25,23 +27,19 @@ __all__ = [
     "FRAMES_PER_SUPERFRAME_BUNDLE",
     "FECFRAME_BITS",
     "NOMINAL_LIGHT_SPEED_KM_S",
-    "LOOKUP_TABLE",
     "MAX_GENERATOR_DENOMINATOR",
     "SchedulingPlan",
     "load_balance_factor",
-    "nearest_table_alpha",
-    "lookup_sequence",
     "generate_sequence",
     "superframes_in_interval",
     "pdus_per_fecframe",
     "planning_differential_delay_s",
     "initial_fast_sequence_raw",
+    "prefix_carriers",
     "multi_orbit_prefix",
     "build_plan",
     "assignments",
 ]
-
-log = logging.getLogger(__name__)
 
 # Physical-layer container sizes (normal FEC frames, bundle format 2).
 SUPERFRAME_SYMBOLS = 612540
@@ -54,66 +52,36 @@ NOMINAL_LIGHT_SPEED_KM_S = 3.0e5
 
 MAX_GENERATOR_DENOMINATOR = 64
 
-# Scheduling sequences by load balancing factor: 1 = PDU to carrier 1,
-# 2 = PDU to carrier 2.  Every row satisfies count(2)/count(1) == key.
-# ``generate_sequence`` reproduces every row, so plans come from the
-# generator; the table backs ``lookup_sequence`` (``casim plan --alpha``).
-LOOKUP_TABLE: dict[Fraction, tuple[int, ...]] = {
-    Fraction("0.2"): (1, 1, 1, 1, 1, 2),
-    Fraction("0.25"): (1, 1, 1, 1, 2),
-    Fraction("0.3"): (1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2),
-    Fraction("0.35"): (1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2,
-                       1, 1, 1, 2, 1, 1, 1, 2),
-    Fraction("0.4"): (1, 1, 2, 1, 1, 1, 2),
-    Fraction("0.45"): (1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2,
-                       1, 1, 2, 1, 1, 2, 1, 1, 1, 2),
-    Fraction("0.5"): (1, 1, 2),
-    Fraction("0.55"): (1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2,
-                       1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2),
-    Fraction("0.6"): (1, 2, 1, 1, 2, 1, 1, 2),
-    Fraction("0.65"): (1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1,
-                       2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 1, 2),
-    Fraction("0.7"): (1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2),
-    Fraction("0.75"): (1, 2, 1, 2, 1, 1, 2),
-    Fraction("0.8"): (1, 2, 1, 2, 1, 2, 1, 1, 2),
-    Fraction("0.85"): (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 1, 2,
-                       1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2),
-    Fraction("0.9"): (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2),
-    Fraction("0.95"): (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1,
-                       2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2),
-    Fraction(1): (1, 2),
-}
-
 
 @dataclass(frozen=True)
 class SchedulingPlan:
-    """Prefix applied once at stream start, then a repeating cycle.
+    """``prefix_length`` PDUs on ``prefix_carrier`` once at stream start
+    (``prefix_carrier`` is ``None`` iff the length is 0), then ``cycle``
+    repeated: 1 sends a PDU to carrier 1, 2 to carrier 2."""
 
-    ``alpha_used`` is the exact 2:1 ratio embodied by the cycle; it may
-    differ from the scenario's raw alpha when the planner rounded to a
-    representable ratio.
-    """
-
-    prefix: tuple[int, ...]
     cycle: tuple[int, ...]
-    alpha_used: Fraction
+    prefix_carrier: int | None = None
+    prefix_length: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
         object.__setattr__(self, "cycle", tuple(self.cycle))
-        object.__setattr__(self, "alpha_used", to_fraction(self.alpha_used))
-        if not self.cycle:
-            raise ValueError("cycle must be non-empty")
-        for entry in self.prefix + self.cycle:
-            if entry not in (1, 2):
-                raise ValueError(f"carrier indices must be 1 or 2, got {entry}")
-        ones = self.cycle.count(1)
-        twos = self.cycle.count(2)
-        if ones == 0:
-            raise ValueError("cycle must contain carrier 1")
-        if Fraction(twos, ones) != self.alpha_used:
-            raise ValueError(
-                f"cycle ratio {twos}/{ones} does not match alpha_used {self.alpha_used}")
+        if not set(self.cycle) <= {1, 2} or 1 not in self.cycle:
+            raise InvariantError(
+                f"cycle must hold carrier 1 and only indices 1 or 2, got {self.cycle}")
+        if not isinstance(self.prefix_length, int) or self.prefix_length < 0:
+            raise InvariantError(
+                f"prefix_length must be an int >= 0, got {self.prefix_length!r}")
+        expected = (None,) if self.prefix_length == 0 else (1, 2)
+        if self.prefix_carrier not in expected:
+            raise InvariantError(
+                f"a prefix of {self.prefix_length} PDUs cannot be on carrier "
+                f"{self.prefix_carrier}")
+
+    @property
+    def alpha_used(self) -> Fraction:
+        """The cycle's exact 2:1 ratio; it may differ from the scenario's raw
+        alpha, which the generator rounds to denominator <= 64."""
+        return Fraction(self.cycle.count(2), self.cycle.count(1))
 
 
 def load_balance_factor(c1: CarrierConfig, c2: CarrierConfig) -> Fraction:
@@ -121,13 +89,7 @@ def load_balance_factor(c1: CarrierConfig, c2: CarrierConfig) -> Fraction:
 
     Carrier 1 must be dominant, so the result lies in (0, 1].
     """
-    if c1.fill_rate == 0:
-        raise ZeroFillRate("carrier 1 fill rate must be nonzero")
-    numerator = c2.usable_capacity_bps()
-    denominator = c1.usable_capacity_bps()
-    if numerator == 0:
-        raise ZeroFillRate("carrier 2 has zero usable capacity (unusable)")
-    alpha = numerator / denominator
+    alpha = c2.usable_capacity_bps() / c1.usable_capacity_bps()
     if alpha > 1:
         raise DominanceViolated(
             f"alpha = {alpha} exceeds 1; carrier 1 must be the dominant carrier "
@@ -135,44 +97,32 @@ def load_balance_factor(c1: CarrierConfig, c2: CarrierConfig) -> Fraction:
     return alpha
 
 
-def nearest_table_alpha(alpha) -> Fraction:
-    """Lookup-table key nearest to ``alpha`` (ties resolve to the smaller key)."""
-    alpha = to_fraction(alpha)
-    return min(LOOKUP_TABLE, key=lambda key: (abs(key - alpha), key))
-
-
-def lookup_sequence(alpha) -> list[int]:
-    """Scheduling cycle for ``alpha`` from the lookup table.
-
-    An exact key returns its row; otherwise the nearest key's row is
-    substituted (logged) and ties go to the smaller key.
-    """
-    alpha = to_fraction(alpha)
-    if not (0 < alpha <= 1):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    key = nearest_table_alpha(alpha)
-    if key != alpha:
-        log.info("alpha %s not in lookup table; using nearest key %s", alpha, key)
-    return list(LOOKUP_TABLE[key])
+def _approx(value: Fraction) -> str:
+    """``value`` to three significant digits, however large its terms."""
+    return f"{Decimal(value.numerator) / value.denominator:.3g}"
 
 
 def generate_sequence(alpha) -> list[int]:
-    """Generate a scheduling cycle for an arbitrary ratio alpha = p/q.
+    """The scheduling cycle for a load balancing factor alpha in (0, 1].
 
-    Emits q ones and p twos with an error-accumulator rule: carrier 1 is
-    chosen unless that would leave the running count of twos more than one
-    PDU short of alpha times the count of ones.  Every prefix of the result
-    satisfies |count2 - alpha*count1| <= 1, and the output matches the
-    lookup-table rows for all of the table's ratios.
+    Alpha is first rounded to the nearest p/q with q <= 64; then q ones and
+    p twos are emitted with an error-accumulator rule: carrier 1 is chosen
+    unless that would leave the running count of twos more than one PDU
+    short of p/q times the count of ones.  Every prefix of the result
+    satisfies |count2 - (p/q)*count1| <= 1.  This is the Christoffel-word
+    (Bresenham) construction, and it reproduces every row of the paper's
+    lookup table.
     """
     alpha = to_fraction(alpha)
     if not (0 < alpha <= 1):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    p, q = alpha.numerator, alpha.denominator
-    if q > MAX_GENERATOR_DENOMINATOR:
+        raise InvariantError(f"alpha must be in (0, 1], got {_approx(alpha)}")
+    rounded = alpha.limit_denominator(MAX_GENERATOR_DENOMINATOR)
+    if rounded == 0:
         raise DenominatorTooLarge(
-            f"alpha denominator {q} exceeds {MAX_GENERATOR_DENOMINATOR}; "
-            "round alpha first (e.g. Fraction.limit_denominator)")
+            f"alpha = {_approx(alpha)} is at most 1/{2 * MAX_GENERATOR_DENOMINATOR} "
+            f"and rounds to 0 at denominator <= {MAX_GENERATOR_DENOMINATOR}; "
+            "carrier 2 is too slow to schedule")
+    p, q = rounded.numerator, rounded.denominator
     ones = twos = 0
     sequence: list[int] = []
     while ones < q or twos < p:
@@ -238,56 +188,55 @@ def initial_fast_sequence_raw(
     )
 
 
+def prefix_carriers(
+    scenario: ScenarioConfig,
+) -> tuple[int, CarrierConfig, CarrierConfig]:
+    """The multi-orbit prefix's carrier index, then the fast and the slow
+    carrier: the fast one has the shorter mean leg, carrier 1 on a tie."""
+    c1, c2 = scenario.carrier1, scenario.carrier2
+    if c1.orbit.mean_leg_distance_km <= c2.orbit.mean_leg_distance_km:
+        return 1, c1, c2
+    return 2, c2, c1
+
+
 def multi_orbit_prefix(
     fast: CarrierConfig, slow: CarrierConfig, pdu_size_bytes: int
 ) -> int:
     """How many leading PDUs to pin to the fast (lower-delay) carrier so the
     slow path's head start is absorbed.  Zero when the paths match."""
     delta_t_s = planning_differential_delay_s(fast.orbit, slow.orbit)
-    return math.floor(initial_fast_sequence_raw(fast, delta_t_s, pdu_size_bytes))
+    if delta_t_s == 0:
+        return 0
+    raw = initial_fast_sequence_raw(fast, delta_t_s, pdu_size_bytes)
+    if not math.isfinite(raw):
+        raise InvariantError(
+            f"the multi-orbit prefix is not finite ({raw} PDUs); "
+            "the leg distances differ too much")
+    return math.floor(raw)
 
 
 def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
     """Compose the scheduling plan for a scenario.
 
-    Load balancing uses the generator on alpha rounded to denominator
-    <= 64 (it reproduces every lookup-table row on the table's keys), plus
-    the multi-orbit prefix on the lower-delay carrier.  Round robin alternates
+    Load balancing takes its cycle from ``generate_sequence`` and pins the
+    multi-orbit prefix to the lower-delay carrier.  Round robin alternates
     1,2 with no prefix regardless of alpha.
     """
     if scenario.scheduler is SchedulerKind.ROUND_ROBIN:
-        return SchedulingPlan(prefix=(), cycle=(1, 2), alpha_used=Fraction(1))
+        return SchedulingPlan(cycle=(1, 2))
 
-    alpha = load_balance_factor(scenario.carrier1, scenario.carrier2)
-    rounded = alpha.limit_denominator(MAX_GENERATOR_DENOMINATOR)
-    if rounded == 0:
-        raise DenominatorTooLarge(
-            f"alpha = {Decimal(alpha.numerator) / alpha.denominator:.3g} is at most "
-            f"1/{2 * MAX_GENERATOR_DENOMINATOR} and rounds to 0 at denominator <= "
-            f"{MAX_GENERATOR_DENOMINATOR}; carrier 2 is too slow to schedule")
-    cycle = tuple(generate_sequence(rounded))
-    alpha_used = Fraction(cycle.count(2), cycle.count(1))
-
-    leg1 = scenario.carrier1.orbit.mean_leg_distance_km
-    leg2 = scenario.carrier2.orbit.mean_leg_distance_km
-    if leg1 == leg2:
-        prefix: tuple[int, ...] = ()
-    else:
-        if leg1 < leg2:
-            fast_index, fast, slow = 1, scenario.carrier1, scenario.carrier2
-        else:
-            fast_index, fast, slow = 2, scenario.carrier2, scenario.carrier1
-        length = multi_orbit_prefix(fast, slow, scenario.pdu_size_bytes)
-        prefix = (fast_index,) * length
-
-    return SchedulingPlan(prefix=prefix, cycle=cycle, alpha_used=alpha_used)
+    cycle = generate_sequence(load_balance_factor(scenario.carrier1, scenario.carrier2))
+    fast_index, fast, slow = prefix_carriers(scenario)
+    length = multi_orbit_prefix(fast, slow, scenario.pdu_size_bytes)
+    return SchedulingPlan(cycle, fast_index if length else None, length)
 
 
 def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
     """Carrier indices of the PDUs with sequence numbers 0..n-1 (int64): the
-    prefix once, then the cycle repeated."""
+    prefix carrier for the first min(prefix_length, n), then the cycle
+    repeated."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    prefix = np.array(plan.prefix[:n], dtype=np.int64)
-    cycle = np.resize(np.array(plan.cycle, dtype=np.int64), n - prefix.size)
-    return np.concatenate((prefix, cycle))
+    k = min(plan.prefix_length, n)
+    cycle = np.resize(np.array(plan.cycle, dtype=np.int64), n - k)
+    return np.concatenate((np.full(k, plan.prefix_carrier, dtype=np.int64), cycle))

@@ -7,7 +7,8 @@ computes displacement statistics by literal per-element iteration;
 `burst_report` walks a merged stream row by row to rebuild the per-burst
 ordering report.  All deliberately hardcode their constants and the
 prefix-then-cycle rule instead of importing them from the production
-modules, and use no numpy.
+modules, and use no numpy.  `PAPER_LOOKUP_TABLE` holds the paper's 17
+scheduling cycles, the reference for the cycle generator.
 """
 
 from __future__ import annotations
@@ -25,6 +26,35 @@ LIGHT_SPEED_KM_S = 299792.458
 SF_SYMBOLS = 612540
 BUNDLE_FRAMES = 9
 FEC_BITS = 64800
+
+
+# The paper's scheduling cycles by load balancing factor: 1 = PDU to
+# carrier 1, 2 = PDU to carrier 2.
+PAPER_LOOKUP_TABLE: dict[Fraction, tuple[int, ...]] = {
+    Fraction("0.2"): (1, 1, 1, 1, 1, 2),
+    Fraction("0.25"): (1, 1, 1, 1, 2),
+    Fraction("0.3"): (1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2),
+    Fraction("0.35"): (1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2,
+                       1, 1, 1, 2, 1, 1, 1, 2),
+    Fraction("0.4"): (1, 1, 2, 1, 1, 1, 2),
+    Fraction("0.45"): (1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2,
+                       1, 1, 2, 1, 1, 2, 1, 1, 1, 2),
+    Fraction("0.5"): (1, 1, 2),
+    Fraction("0.55"): (1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2,
+                       1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2),
+    Fraction("0.6"): (1, 2, 1, 1, 2, 1, 1, 2),
+    Fraction("0.65"): (1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1,
+                       2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 1, 2),
+    Fraction("0.7"): (1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 1, 2),
+    Fraction("0.75"): (1, 2, 1, 2, 1, 1, 2),
+    Fraction("0.8"): (1, 2, 1, 2, 1, 2, 1, 1, 2),
+    Fraction("0.85"): (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 1, 2,
+                       1, 2, 1, 2, 1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2),
+    Fraction("0.9"): (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2),
+    Fraction("0.95"): (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1,
+                       2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2),
+    Fraction(1): (1, 2),
+}
 
 
 def _service_ns(carrier, pdu_size_bytes: int) -> int:
@@ -56,10 +86,10 @@ def _path_delay_ns(carrier, t_ns: int) -> int:
 
 
 def _carrier_of(plan: SchedulingPlan, seq: int) -> int:
-    """Carrier of PDU ``seq``: the prefix entry, else the cycle entry."""
-    if seq < len(plan.prefix):
-        return plan.prefix[seq]
-    return plan.cycle[(seq - len(plan.prefix)) % len(plan.cycle)]
+    """Carrier of PDU ``seq``: the prefix carrier, else the cycle entry."""
+    if seq < plan.prefix_length:
+        return plan.prefix_carrier
+    return plan.cycle[(seq - plan.prefix_length) % len(plan.cycle)]
 
 
 def fluid_arrivals(

@@ -19,8 +19,8 @@ from casim.metrics import misplacement, ordering_report
 from casim.model import MODCODS, CarrierConfig, OrbitModel, SchedulerKind
 from casim.receiver import merge
 from casim.scheduler import (
-    LOOKUP_TABLE,
     build_plan,
+    generate_sequence,
     initial_fast_sequence_raw,
     load_balance_factor,
     multi_orbit_prefix,
@@ -103,15 +103,13 @@ def test_criterion_03_alpha_reproduction():
 
 
 def test_criterion_04_lookup_table_fidelity():
-    ratios_ok = all(
-        Fraction(row.count(2), row.count(1)) == key
-        for key, row in LOOKUP_TABLE.items()
-    )
+    table = oracle.PAPER_LOOKUP_TABLE
+    reproduced = [key for key, row in table.items() if tuple(generate_sequence(key)) == row]
     check(
         4,
-        "all 17 lookup rows present with exact 2:1 ratios",
-        len(LOOKUP_TABLE) == 17 and ratios_ok,
-        f"rows={len(LOOKUP_TABLE)}",
+        "the cycle generator reproduces all 17 paper lookup rows exactly",
+        len(table) == 17 and len(reproduced) == 17,
+        f"rows={len(table)}, reproduced={len(reproduced)}",
     )
 
 

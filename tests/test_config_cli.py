@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from casim.config import (
     serialize_scenario,
 )
 from casim.errors import ConfigError, DominanceViolated
+from casim.scheduler import build_plan
+from helpers import alpha_scenario
 
 BUNDLED = ("geo_ca", "geo_rr", "meo_ca", "meo_geo", "geo_meo")
 
@@ -204,10 +207,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[1,1,2,1,1,1,2]" in out
 
-    def test_plan_alpha_reports_nearest_key(self, capsys):
-        assert main(["plan", "--alpha", "0.42"]) == 0
+    def test_plan_alpha_reports_rounding(self, capsys):
+        assert main(["plan", "--alpha", "0.33"]) == 0
         out = capsys.readouterr().out
-        assert "nearest_table_alpha: 2/5" in out
+        assert "alpha: 33/100 = 0.330000" in out
+        assert "alpha_used: 21/64 = 0.328125" in out
+        assert main(["plan", "--alpha", "0.4"]) == 0
+        assert "alpha_used" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha", ["1/3", "0.33"])
+    def test_plan_alpha_matches_build_plan(self, capsys, alpha):
+        assert main(["plan", "--alpha", alpha]) == 0
+        cycle = build_plan(alpha_scenario(Fraction(alpha))).cycle
+        assert f"cycle: [{','.join(map(str, cycle))}]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "2", "1e400"])
+    def test_plan_alpha_out_of_domain_exits_3(self, capsys, alpha):
+        assert main(["plan", "--alpha", alpha]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha must be in (0, 1]")
 
     def test_plan_config_shows_prefix(self, capsys):
         assert main(["plan", "--config", str(bundled_path("meo_geo"))]) == 0
@@ -224,6 +243,30 @@ class TestCli:
         assert main(["prefix", "--config", str(bundled_path("geo_ca"))]) == 0
         out = capsys.readouterr().out
         assert "prefix_length: 0" in out
+
+    @pytest.mark.parametrize("leg_km, command, code", [
+        ("1e300", "run", 3),  # the GEO arrival times overflow int64
+        ("1e300", "plan", 0),
+        ("1e300", "prefix", 0),
+        ("1e308", "run", 3),  # the raw prefix is infinite
+        ("1e308", "plan", 3),
+        ("1e308", "prefix", 3),
+    ])
+    def test_huge_leg_distance(self, tmp_path, capsys, leg_km, command, code):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(with_value(bundled_path("meo_geo").read_text(), "carrier2.leg_km", leg_km))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out"), "--trace"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert captured.err.startswith("error:")
+            assert captured.out == ""
+            return
+        # plan prints "prefix: N x carrier 1 (MEO)", prefix "prefix_length: N"
+        length = re.search(r"^prefix(?:_length)?: (\d+)", captured.out, re.MULTILINE)[1]
+        assert int(length) > 10**290
 
 
 class TestSeedEnvVar:

@@ -176,7 +176,7 @@ class TestManualPlanRuns:
     def test_single_carrier_plan(self):
         # a carrier-1-only plan is valid when its ratio is zero
         sc = alpha_scenario(Fraction(1), bursts=(Burst(50),))
-        plan = SchedulingPlan(prefix=(), cycle=(1,), alpha_used=0)
+        plan = SchedulingPlan(cycle=(1,))
         assert (run(sc, plan).carrier == 1).all()
 
 
@@ -201,14 +201,14 @@ class TestHeapOracleEquivalence:
             Fraction(2, 5), orbit1=OrbitModel.meo(), orbit2=OrbitModel.geo(),
             bursts=(Burst(5),))
         plan = build_plan(sc)
-        assert len(plan.prefix) > 5
+        assert plan.prefix_length > 5
         trace = run(sc, plan)
         assert (trace.carrier == 1).all()
         assert rows(trace) == oracle.heap_run(sc, plan)
 
     def test_carrier_one_only_cycle(self):
         sc = alpha_scenario(Fraction(1), bursts=(Burst(30, 0.001), Burst(20)))
-        plan = SchedulingPlan(prefix=(), cycle=(1,), alpha_used=0)
+        plan = SchedulingPlan(cycle=(1,))
         trace = run(sc, plan)
         assert (trace.carrier == 1).all()
         assert rows(trace) == oracle.heap_run(sc, plan)

@@ -90,7 +90,7 @@ class TestThroughput:
             orbit2=OrbitModel.meo(amplitude_km=0.0),
             bursts=(Burst(2000),),
         )
-        plan = SchedulingPlan(prefix=(), cycle=(1,), alpha_used=0)
+        plan = SchedulingPlan(cycle=(1,))
         merged = merge(run(sc, plan))
         got = throughput_bps(merged, sc.pdu_size_bytes)
         fluid = sc.pdu_size_bytes * 8 / pdu_service_time_s(sc.carrier1, sc.pdu_size_bytes)

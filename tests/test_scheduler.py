@@ -4,44 +4,45 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from casim.errors import DenominatorTooLarge, DominanceViolated, ZeroPayload
+from casim.cli import main
+from casim.errors import DenominatorTooLarge, DominanceViolated, InvariantError, ZeroPayload
 from casim.model import MODCODS, OrbitModel, SchedulerKind
 from casim.scheduler import (
-    LOOKUP_TABLE,
     SchedulingPlan,
     assignments,
     build_plan,
     generate_sequence,
     initial_fast_sequence_raw,
     load_balance_factor,
-    lookup_sequence,
     multi_orbit_prefix,
-    nearest_table_alpha,
     pdus_per_fecframe,
     planning_differential_delay_s,
     superframes_in_interval,
 )
 from helpers import alpha_scenario, carrier
+from oracle import PAPER_LOOKUP_TABLE
 
 
 class TestLookupTable:
     def test_seventeen_rows(self):
-        assert len(LOOKUP_TABLE) == 17
+        assert len(PAPER_LOOKUP_TABLE) == 17
 
     def test_every_row_ratio_exact(self):
-        for alpha, row in LOOKUP_TABLE.items():
+        for alpha, row in PAPER_LOOKUP_TABLE.items():
             assert Fraction(row.count(2), row.count(1)) == alpha
 
     def test_rows_use_only_carrier_indices(self):
-        for row in LOOKUP_TABLE.values():
+        for row in PAPER_LOOKUP_TABLE.values():
             assert set(row) <= {1, 2}
 
     def test_reference_rows(self):
-        assert LOOKUP_TABLE[Fraction(2, 5)] == (1, 1, 2, 1, 1, 1, 2)
-        assert LOOKUP_TABLE[Fraction(1)] == (1, 2)
-        assert LOOKUP_TABLE[Fraction(1, 4)] == (1, 1, 1, 1, 2)
-        assert LOOKUP_TABLE[Fraction(1, 2)] == (1, 1, 2)
+        assert PAPER_LOOKUP_TABLE[Fraction(2, 5)] == (1, 1, 2, 1, 1, 1, 2)
+        assert PAPER_LOOKUP_TABLE[Fraction(1)] == (1, 2)
+        assert PAPER_LOOKUP_TABLE[Fraction(1, 4)] == (1, 1, 1, 1, 2)
+        assert PAPER_LOOKUP_TABLE[Fraction(1, 2)] == (1, 1, 2)
 
 
 class TestLoadBalanceFactor:
@@ -68,30 +69,6 @@ class TestLoadBalanceFactor:
             assert scaled == base
 
 
-class TestLookupSequence:
-    def test_exact_keys(self):
-        assert lookup_sequence(Fraction(2, 5)) == [1, 1, 2, 1, 1, 1, 2]
-        assert lookup_sequence(1) == [1, 2]
-        assert lookup_sequence(0.25) == [1, 1, 1, 1, 2]
-
-    def test_nearest_key(self):
-        assert nearest_table_alpha(Fraction("0.42")) == Fraction(2, 5)
-        assert lookup_sequence(Fraction("0.42")) == [1, 1, 2, 1, 1, 1, 2]
-
-    def test_tie_goes_to_smaller_key(self):
-        assert nearest_table_alpha(Fraction("0.425")) == Fraction(2, 5)
-        assert nearest_table_alpha(Fraction("0.675")) == Fraction(13, 20)
-
-    def test_below_table_range_uses_smallest_key(self):
-        assert lookup_sequence(Fraction(1, 10)) == list(LOOKUP_TABLE[Fraction(1, 5)])
-
-    def test_out_of_domain(self):
-        with pytest.raises(ValueError):
-            lookup_sequence(0)
-        with pytest.raises(ValueError):
-            lookup_sequence(Fraction(3, 2))
-
-
 class TestGenerateSequence:
     def test_one_half_matches_table_row_exactly(self):
         assert generate_sequence(Fraction(1, 2)) == [1, 1, 2]
@@ -102,10 +79,10 @@ class TestGenerateSequence:
     def test_one_fifth_counts(self):
         seq = generate_sequence(Fraction(1, 5))
         assert seq.count(1) == 5 and seq.count(2) == 1
-        assert seq.count(1) == LOOKUP_TABLE[Fraction(1, 5)].count(1)
+        assert seq.count(1) == PAPER_LOOKUP_TABLE[Fraction(1, 5)].count(1)
 
     def test_reproduces_every_table_row(self):
-        for alpha, row in LOOKUP_TABLE.items():
+        for alpha, row in PAPER_LOOKUP_TABLE.items():
             assert tuple(generate_sequence(alpha)) == row
 
     def test_counts_and_prefix_bound(self):
@@ -126,8 +103,34 @@ class TestGenerateSequence:
                 assert abs(Fraction(twos) - alpha * ones) <= 1
 
     def test_denominator_limit(self):
+        # alpha is rounded to denominator <= 64; a ratio that rounds to 0
+        # (at most 1/128) cannot be scheduled
+        assert generate_sequence(Fraction(1, 65)) == generate_sequence(Fraction(1, 64))
+        assert generate_sequence(Fraction("0.33")) == generate_sequence(Fraction(21, 64))
         with pytest.raises(DenominatorTooLarge):
-            generate_sequence(Fraction(1, 65))
+            generate_sequence(Fraction(1, 128))
+
+    def test_out_of_domain(self):
+        for alpha in (0, -1, Fraction(3, 2), 10**400):
+            with pytest.raises(InvariantError, match=r"\(0, 1\]"):
+                generate_sequence(alpha)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.fractions(min_value=0, max_value=1).filter(lambda alpha: alpha > 0))
+    def test_cycle_realises_rounded_alpha(self, alpha):
+        rounded = alpha.limit_denominator(64)
+        try:
+            cycle = generate_sequence(alpha)
+        except DenominatorTooLarge:
+            assert rounded == 0
+            return
+        alpha_used = SchedulingPlan(cycle).alpha_used
+        assert alpha_used == rounded
+        ones = twos = 0
+        for entry in cycle:
+            ones += entry == 1
+            twos += entry == 2
+            assert abs(twos - alpha_used * ones) <= 1
 
 
 class TestFrameArithmetic:
@@ -186,7 +189,7 @@ class TestMultiOrbitPrefix:
 class TestBuildPlan:
     def test_geo_ca_alpha_04(self):
         plan = build_plan(alpha_scenario(Fraction(2, 5)))
-        assert plan.prefix == ()
+        assert (plan.prefix_carrier, plan.prefix_length) == (None, 0)
         assert plan.cycle == (1, 1, 2, 1, 1, 1, 2)
         assert plan.alpha_used == Fraction(2, 5)
 
@@ -203,7 +206,7 @@ class TestBuildPlan:
                 orbit2=OrbitModel.geo(),
             )
         )
-        assert plan.prefix == (1,) * 38
+        assert (plan.prefix_carrier, plan.prefix_length) == (1, 38)
 
     def test_geo_meo_prefix_lands_on_carrier2(self):
         plan = build_plan(
@@ -213,16 +216,16 @@ class TestBuildPlan:
                 orbit2=OrbitModel.meo(amplitude_km=0.0),
             )
         )
-        assert plan.prefix and set(plan.prefix) == {2}
+        assert plan.prefix_carrier == 2 and plan.prefix_length > 0
 
     def test_round_robin_ignores_alpha(self):
         plan = build_plan(
             alpha_scenario(Fraction(2, 5), scheduler=SchedulerKind.ROUND_ROBIN))
-        assert plan.prefix == ()
+        assert (plan.prefix_carrier, plan.prefix_length) == (None, 0)
         assert plan.cycle == (1, 2)
 
     def test_table_alphas_get_the_table_rows(self):
-        for alpha, row in LOOKUP_TABLE.items():
+        for alpha, row in PAPER_LOOKUP_TABLE.items():
             plan = build_plan(alpha_scenario(alpha))
             assert plan.cycle == row
             assert plan.alpha_used == alpha
@@ -235,36 +238,56 @@ class TestBuildPlan:
 
 class TestAssign:
     def test_direct_cycle_index(self):
-        plan = SchedulingPlan(prefix=(), cycle=(1, 1, 2), alpha_used=Fraction(1, 2))
+        plan = SchedulingPlan(cycle=(1, 1, 2))
         column = assignments(plan, 3)
         assert column.dtype == np.int64
         assert column.tolist() == [1, 1, 2]
 
     def test_prefix_then_rollover(self):
-        plan = SchedulingPlan(
-            prefix=(1,) * 38, cycle=(1, 1, 2, 1, 1, 1, 2), alpha_used=Fraction(2, 5))
+        plan = SchedulingPlan(cycle=(1, 1, 2, 1, 1, 1, 2), prefix_carrier=1, prefix_length=38)
         column = assignments(plan, 50)
         assert column[:38].tolist() == [1] * 38
         assert column[38:45].tolist() == list(plan.cycle)
         assert column[45:].tolist() == list(plan.cycle[:5])
 
     def test_periodic_after_prefix(self):
-        plan = SchedulingPlan(
-            prefix=(2, 2), cycle=(1, 2, 1, 1, 2), alpha_used=Fraction(2, 3))
+        plan = SchedulingPlan(cycle=(1, 2, 1, 1, 2), prefix_carrier=2, prefix_length=2)
         column = assignments(plan, 65).tolist()
         for seq in range(2, 60):
             assert column[seq] == column[seq + 5]
 
     def test_prefix_longer_than_n(self):
-        plan = SchedulingPlan(prefix=(1,) * 38, cycle=(1, 2), alpha_used=1)
+        plan = SchedulingPlan(cycle=(1, 2), prefix_carrier=1, prefix_length=38)
         assert assignments(plan, 5).tolist() == [1] * 5
         assert assignments(plan, 0).tolist() == []
+        huge = SchedulingPlan(cycle=(1, 2), prefix_carrier=2, prefix_length=10**300)
+        assert assignments(huge, 3).tolist() == [2, 2, 2]
 
     def test_negative_seq_rejected(self):
-        plan = SchedulingPlan(prefix=(), cycle=(1, 2), alpha_used=1)
+        plan = SchedulingPlan(cycle=(1, 2))
         with pytest.raises(ValueError):
             assignments(plan, -1)
 
-    def test_plan_ratio_validation(self):
-        with pytest.raises(ValueError):
-            SchedulingPlan(prefix=(), cycle=(1, 2), alpha_used=Fraction(1, 2))
+    def test_plan_validation(self):
+        assert SchedulingPlan(cycle=(1, 2, 1, 1, 2)).alpha_used == Fraction(2, 3)
+        assert SchedulingPlan(cycle=(1,)).alpha_used == 0
+        for cycle, carrier_, length in [
+            ((), None, 0), ((2,), None, 0), ((1, 3), None, 0),
+            ((1, 2), 1, 0), ((1, 2), None, 5), ((1, 2), 3, 5), ((1, 2), 1, -1),
+            ((1, 2), 1, 2.0),
+        ]:
+            with pytest.raises(InvariantError):
+                SchedulingPlan(cycle, carrier_, length)
+
+
+ALPHA_TEXT = st.one_of(
+    st.text(),
+    st.from_regex(r"[-+]?\d{0,3}(\.\d{0,3})?(e[-+]?\d{1,3})?(/\d{1,3})?", fullmatch=True),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(ALPHA_TEXT)
+def test_plan_alpha_cli_exits_0_2_or_3(alpha_text):
+    assert main(["plan", "--alpha", alpha_text]) in (0, 2, 3)
