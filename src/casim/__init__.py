@@ -15,7 +15,6 @@ from .config import (
     parse_scenario_file,
     parse_scenario_text,
     serialize_scenario,
-    write_scenario,
 )
 from .emulator import pdu_service_time_s, run, write_trace_csv
 from .errors import (

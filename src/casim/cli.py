@@ -25,11 +25,10 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
-from .config import parse_scenario_file
+from .config import parse_fraction, parse_scenario_file
 from .emulator import run, write_trace_csv
 from .errors import CasimError, ConfigError
 from .metrics import (
@@ -211,10 +210,7 @@ def _describe_plan(plan: SchedulingPlan, scenario: ScenarioConfig) -> list[str]:
 
 def cmd_plan(args) -> int:
     if args.alpha is not None:
-        try:
-            alpha = Fraction(args.alpha)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"--alpha: not a number: {args.alpha!r}") from exc
+        alpha = parse_fraction(args.alpha, "--alpha")
         plan = SchedulingPlan(generate_sequence(alpha))
         print(f"alpha: {alpha} = {float(alpha):.6f}")
         if plan.alpha_used != alpha:

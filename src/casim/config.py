@@ -26,6 +26,7 @@ Parsing a canonical file and re-serializing it reproduces it key for key.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +45,7 @@ __all__ = [
     "parse_scenario_text",
     "parse_scenario_file",
     "serialize_scenario",
-    "write_scenario",
+    "parse_fraction",
 ]
 
 _CARRIER_KEYS = (
@@ -90,11 +91,26 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _fraction(pairs: dict[str, str], key: str) -> Fraction:
+# Fraction computes 10**exponent exactly, so its time grows with the exponent.
+# The exponent's digits are taken without leading zeros: five exceed the bound.
+MAX_DECIMAL_EXPONENT = 4000
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)\s*\Z")
+
+
+def parse_fraction(text: str, name: str) -> Fraction:
+    """Parse ``text`` as an exact Fraction.  Raises ConfigError naming ``name``
+    for malformed text or a decimal exponent beyond +-MAX_DECIMAL_EXPONENT."""
+    match = _EXPONENT.search(text)
+    if match and int(match[1].replace("_", "")[:5]) > MAX_DECIMAL_EXPONENT:
+        raise ConfigError(f"{name}: decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
     try:
-        return Fraction(pairs[key])
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{key}: not a number: {pairs[key]!r}") from exc
+        raise ConfigError(f"{name}: not a number: {text!r}") from exc
+
+
+def _fraction(pairs: dict[str, str], key: str) -> Fraction:
+    return parse_fraction(pairs[key], key)
 
 
 def _float(pairs: dict[str, str], key: str, default: float | None = None) -> float:
@@ -237,7 +253,3 @@ def serialize_scenario(scenario: ScenarioConfig) -> str:
     _serialize_carrier(lines, "carrier1", scenario.carrier1)
     _serialize_carrier(lines, "carrier2", scenario.carrier2)
     return "\n".join(lines) + "\n"
-
-
-def write_scenario(scenario: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(serialize_scenario(scenario))

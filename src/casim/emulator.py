@@ -4,14 +4,14 @@ Each carrier is a work-conserving FIFO that serializes PDUs at one effective
 per-PDU service time (frame-level encapsulation collapsed into one number),
 after which each PDU propagates for the orbit's delay at the instant it
 leaves.  Releases arrive in sequence order, so a carrier's transmission
-times follow Lindley's recursion and need no event simulation.  All times
-are integer nanoseconds: seconds are converted once with round(x * 1e9), so
-identical scenarios replay to byte-identical traces.
+times follow Lindley's recursion and need no event simulation, and its
+delays are one numpy expression over all its PDUs.  All times are integer
+nanoseconds: seconds are converted once with round(x * 1e9), so identical
+scenarios replay to byte-identical traces.
 """
 
 from __future__ import annotations
 
-import csv
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -33,10 +33,9 @@ __all__ = [
     "s_to_ns",
     "pdu_service_time_ns",
     "pdu_service_time_s",
-    "propagation_delay_ns",
+    "propagation_delays_ns",
     "run",
     "write_trace_csv",
-    "TRACE_CSV_COLUMNS",
 ]
 
 NS_PER_S = 10**9
@@ -68,9 +67,18 @@ def pdu_service_time_s(carrier: CarrierConfig, pdu_size_bytes: int) -> float:
     return pdu_service_time_ns(carrier, pdu_size_bytes) / NS_PER_S
 
 
-def propagation_delay_ns(carrier: CarrierConfig, t_ns: int) -> int:
-    """Propagation delay of ``carrier``'s orbit at engine time ``t_ns``."""
-    return s_to_ns(carrier.orbit.propagation_delay_s(t_ns / NS_PER_S))
+def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarray:
+    """Delays (int64 ns) of ``carrier``'s path for PDUs leaving at int64 ``t_ns``:
+    ``OrbitModel.propagation_delay_s`` at float(t_ns) / 1e9, rounded as in
+    ``s_to_ns``.  Raises InvariantError unless every delay fits int64."""
+    # Overflow and sin(inf) leave inf or nan, which the range check rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delay_s = carrier.orbit.propagation_delay_s(t_ns / NS_PER_S)
+        # a constant path gives one float, which ``out`` repeats for every PDU
+        delay_ns = np.rint(np.multiply(delay_s, NS_PER_S, out=np.empty(t_ns.shape)))
+    if not (np.abs(delay_ns) < 2.0**63).all():
+        raise InvariantError("arrival times exceed the int64 range")
+    return delay_ns.astype(np.int64)
 
 
 def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
@@ -79,8 +87,8 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     On a carrier with service time s, the k-th PDU (k = 0, 1, ...) released at
     r_k starts when both it and the carrier are ready, so
     end_k = max(r_k, end_{k-1}) + s = (k+1)·s + max_{j<=k}(r_j - j·s).
-    It arrives after the path delay at end_k: one delay for a constant path,
-    one per PDU for a varying one.
+    It arrives after its path's delay at end_k, taken for all of a carrier's
+    PDUs at once (so never for a carrier that carries none).
     """
     n = scenario.total_pdus
     carriers = (scenario.carrier1, scenario.carrier2)
@@ -96,15 +104,10 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
         rows = np.flatnonzero(carrier == idx)
         queued_ns = np.arange(rows.size, dtype=np.int64) * service
         end = queued_ns + service + np.maximum.accumulate(release[rows] - queued_ns)
-        tx_start[rows], tx_end[rows] = end - service, end
-        try:
-            if cfg.orbit.variation_amplitude_km == 0.0:
-                # A sum past the int64 range wraps negative, which RunTrace rejects.
-                arrival[rows] = end + propagation_delay_ns(cfg, 0)
-            else:
-                arrival[rows] = [t + propagation_delay_ns(cfg, t) for t in end.tolist()]
-        except OverflowError as exc:
-            raise InvariantError("arrival times exceed the int64 range") from exc
+        delay = propagation_delays_ns(cfg, end)
+        if (delay > np.iinfo(np.int64).max - end).any():  # end + delay would wrap
+            raise InvariantError("arrival times exceed the int64 range")
+        tx_start[rows], tx_end[rows], arrival[rows] = end - service, end, end + delay
 
     return RunTrace(
         seq=np.arange(n),
@@ -116,20 +119,14 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     )
 
 
-TRACE_CSV_COLUMNS = (
-    "seq",
-    "carrier",
-    "t_scheduled",
-    "t_tx_start",
-    "t_tx_end",
-    "t_arrival",
-)
+_CSV_CHUNK_ROWS = 1 << 16  # rows per write, which bounds the Python ints held at once
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
     """Dump a run as CSV (times in integer nanoseconds), one row per PDU,
-    in the record's row order."""
+    in the record's row order, with CRLF line ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_COLUMNS)
-        writer.writerows(zip(*(column.tolist() for column in trace.columns())))
+        fh.write("seq,carrier,t_scheduled,t_tx_start,t_tx_end,t_arrival\r\n")
+        for start in range(0, len(trace), _CSV_CHUNK_ROWS):
+            chunk = np.stack([c[start:start + _CSV_CHUNK_ROWS] for c in trace.columns()], axis=1)
+            fh.write("%d,%d,%d,%d,%d,%d\r\n" * len(chunk) % tuple(chunk.ravel().tolist()))

@@ -101,12 +101,6 @@ class ModCod:
             raise InvariantError(
                 f"code_rate denominator must be <= 36, got {self.code_rate}")
 
-    @property
-    def bits_per_symbol_effective(self) -> Fraction:
-        """Information bits per channel symbol (M * CR)."""
-        return self.bits_per_symbol * self.code_rate
-
-
 
 MODCODS: dict[str, ModCod] = {
     mc.name: mc
@@ -189,17 +183,18 @@ class OrbitModel:
     ) -> "OrbitModel":
         return cls(OrbitKind.MEO, leg_km, amplitude_km, period_s, phase_rad)
 
-    def leg_distance_km(self, t_s: float) -> float:
-        """Slant-leg distance at time ``t_s`` (seconds)."""
+    def leg_distance_km(self, t_s):
+        """Slant-leg distance at time ``t_s`` (seconds, a float or an array)."""
         if self.variation_amplitude_km == 0.0:
             return self.mean_leg_distance_km
-        phase = 2.0 * math.pi * t_s / self.variation_period_s + self.variation_phase_rad
-        return self.mean_leg_distance_km + self.variation_amplitude_km * math.sin(phase)
+        phase = 2.0 * np.pi * t_s / self.variation_period_s + self.variation_phase_rad
+        return self.mean_leg_distance_km + self.variation_amplitude_km * np.sin(phase)
 
-    def propagation_delay_s(self, t_s: float) -> float:
-        """One-trip (two-leg) propagation delay at time ``t_s``."""
-        if t_s < 0:
-            raise ValueError(f"t_s must be >= 0, got {t_s}")
+    def propagation_delay_s(self, t_s):
+        """One-trip (two-leg) propagation delay at time ``t_s`` (seconds, a
+        float or an array; a constant path gives one float)."""
+        if (np.asarray(t_s) < 0).any():
+            raise ValueError("t_s must be >= 0")
         return 2.0 * self.leg_distance_km(t_s) / SPEED_OF_LIGHT_KM_S
 
     def mean_propagation_delay_s(self) -> float:

@@ -238,5 +238,6 @@ def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     k = min(plan.prefix_length, n)
-    cycle = np.resize(np.array(plan.cycle, dtype=np.int64), n - k)
+    repeats = -(-(n - k) // len(plan.cycle))
+    cycle = np.tile(np.array(plan.cycle, dtype=np.int64), repeats)[:n - k]
     return np.concatenate((np.full(k, plan.prefix_carrier, dtype=np.int64), cycle))

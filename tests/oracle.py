@@ -80,7 +80,7 @@ def _path_delay_ns(carrier, t_ns: int) -> int:
     orbit = carrier.orbit
     leg_km = orbit.mean_leg_distance_km
     if orbit.variation_amplitude_km != 0.0:
-        phase = 2.0 * math.pi * (t_ns / NS_PER_S) / orbit.variation_period_s
+        phase = 2.0 * math.pi * (float(t_ns) / NS_PER_S) / orbit.variation_period_s
         leg_km += orbit.variation_amplitude_km * math.sin(phase + orbit.variation_phase_rad)
     return round(2.0 * leg_km / LIGHT_SPEED_KM_S * NS_PER_S)
 

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,6 +229,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: alpha must be in (0, 1]")
 
+    @pytest.mark.parametrize("value", ["1e999999999", "1e-999999999"])
+    @pytest.mark.parametrize("name", ["carrier1.symbol_rate_sym_s", "--alpha"])
+    def test_huge_decimal_exponent_exits_2_quickly(self, tmp_path, capsys, name, value):
+        # Fraction would compute 10**999999999 exactly, which takes hours
+        if name == "--alpha":
+            argv = ["plan", "--alpha", value]
+        else:
+            cfg = tmp_path / "huge.cfg"
+            cfg.write_text(with_value(bundled_path("meo_geo").read_text(), name, value))
+            argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        started = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err.startswith(f"error: {name}: decimal exponent beyond")
+
     def test_plan_config_shows_prefix(self, capsys):
         assert main(["plan", "--config", str(bundled_path("meo_geo"))]) == 0
         out = capsys.readouterr().out
@@ -245,7 +261,7 @@ class TestCli:
         assert "prefix_length: 0" in out
 
     @pytest.mark.parametrize("leg_km, command, code", [
-        ("1e300", "run", 3),  # the GEO arrival times overflow int64
+        ("1e300", "run", 0),  # the prefix covers the run; GEO carries nothing
         ("1e300", "plan", 0),
         ("1e300", "prefix", 0),
         ("1e308", "run", 3),  # the raw prefix is infinite
@@ -264,8 +280,13 @@ class TestCli:
             assert captured.err.startswith("error:")
             assert captured.out == ""
             return
-        # plan prints "prefix: N x carrier 1 (MEO)", prefix "prefix_length: N"
-        length = re.search(r"^prefix(?:_length)?: (\d+)", captured.out, re.MULTILINE)[1]
+        if command == "run":
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert (report["prefix_carrier"], report["metrics"]["n_pdus"]) == (1, 5000)
+            length = report["prefix_length"]
+        else:
+            # plan prints "prefix: N x carrier 1 (MEO)", prefix "prefix_length: N"
+            length = re.search(r"^prefix(?:_length)?: (\d+)", captured.out, re.MULTILINE)[1]
         assert int(length) > 10**290
 
 

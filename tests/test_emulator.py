@@ -106,10 +106,12 @@ class TestRun:
         (OrbitModel.geo(1e308), (Burst(5),)),  # delay overflows to inf
         (OrbitModel.meo(1e300), (Burst(5),)),
         (OrbitModel.geo(1.35e15), (Burst(5, 3e8), Burst(5))),  # in range, sum past
+        (OrbitModel.meo(1e308), (Burst(5),)),  # varying delay overflows to inf
+        (OrbitModel.meo(period_s=1e-320), (Burst(5),)),  # phase inf, sin nan
     ])
     def test_times_past_int64_rejected(self, orbit, bursts):
         sc = alpha_scenario(Fraction(1), orbit1=orbit, orbit2=orbit, bursts=bursts)
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="int64 range"):
             run(sc, build_plan(sc))
 
     def test_queue_carries_across_overlapping_bursts(self):
@@ -211,6 +213,15 @@ class TestHeapOracleEquivalence:
         plan = SchedulingPlan(cycle=(1,))
         trace = run(sc, plan)
         assert (trace.carrier == 1).all()
+        assert rows(trace) == oracle.heap_run(sc, plan)
+
+    def test_send_times_past_2_pow_53_ns(self):
+        # the second burst leaves ~1.2e16 ns in, where float(t_ns) rounds
+        sc = alpha_scenario(
+            Fraction(1, 2), orbit1=OrbitModel.meo(), bursts=(Burst(50, 1.2e7), Burst(50)))
+        plan = build_plan(sc)
+        trace = run(sc, plan)
+        assert trace.t_tx_end_ns.max() > 2**53
         assert rows(trace) == oracle.heap_run(sc, plan)
 
     def test_release_on_a_tx_end(self):

@@ -4,16 +4,19 @@ Scenarios come from the parameter space of ``helpers``' random builders:
 any bundled MODCOD and fill rate whose frame share holds the PDU, symbol
 rates of 0.5-8 Msym/s, constant or sinusoidally varying paths, 1-4 bursts
 whose gaps may be shorter than the time a burst needs to drain, and either
-scheduler.  Examples are derandomized, so the suite stays deterministic.
+scheduler.  The vectorised path delay is checked on its own against the
+scalar oracle over random orbits and send times up to 2**62 ns.  Examples
+are derandomized, so the suite stays deterministic.
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casim.emulator import pdu_service_time_ns, pdu_service_time_s, run
+from casim.emulator import pdu_service_time_ns, pdu_service_time_s, propagation_delays_ns, run
 from casim.model import MODCODS, Burst, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.scheduler import build_plan
 from helpers import rows
@@ -85,3 +88,34 @@ def test_engine_invariants_and_heap_oracle(sc):
         last_end[carrier] = tx_end
 
     assert trace_rows == oracle.heap_run(sc, plan)
+
+
+@st.composite
+def orbits(draw) -> OrbitModel:
+    leg = draw(st.floats(1.0, 1e9))
+    if draw(st.booleans()):
+        return OrbitModel.geo(leg)
+    return OrbitModel.meo(
+        leg,
+        amplitude_km=draw(st.floats(0.0, leg)),
+        period_s=draw(st.floats(1e-3, 1e7)),
+        phase_rad=draw(st.floats(-10.0, 10.0)),
+    )
+
+
+# Times past 2**53 ns are where float(t_ns) / 1e9 is not t_ns / 10**9.
+send_times = st.lists(
+    st.one_of(st.integers(0, 2**53), st.integers(2**53, 2**62)), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(orbits(), send_times)
+# float(t_ns) / 1e9 and t_ns / 10**9 give delays 1 ns apart at this time
+@example(OrbitModel.meo(), [163639291176357672])
+def test_path_delays_match_scalar_oracle(orbit, times):
+    cfg = CarrierConfig(
+        symbol_rate_sym_s=1_000_000, modcod=MODCODS["QPSK 1/2"], fill_rate=1,
+        snr_db=10.0, orbit=orbit)
+    delays = propagation_delays_ns(cfg, np.array(times, dtype=np.int64))
+    assert delays.dtype == np.int64
+    assert delays.tolist() == [oracle._path_delay_ns(cfg, t) for t in times]

@@ -62,7 +62,8 @@ class TestModCod:
     def test_snr_selection_monotone_in_efficiency(self):
         last = Fraction(0)
         for snr in (0.0, 1.0, 4.0, 7.9, 10.0, 10.2):
-            eff = modcod_for_snr(snr).bits_per_symbol_effective
+            modcod = modcod_for_snr(snr)
+            eff = modcod.bits_per_symbol * modcod.code_rate
             assert eff >= last
             last = eff
 
