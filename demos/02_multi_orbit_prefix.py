@@ -9,7 +9,8 @@ carrier; this walks through that computation step by step.
 
 from fractions import Fraction
 
-from casim import MODCODS, CarrierConfig, OrbitModel, build_plan, multi_orbit_prefix
+from casim import (MODCODS, CarrierConfig, OrbitModel, build_plan, multi_orbit_prefix,
+                   pdus_per_fecframe)
 from casim.model import Burst, ScenarioConfig, SchedulerKind
 from casim.scheduler import (
     initial_fast_sequence_raw,
@@ -36,8 +37,9 @@ fast = CarrierConfig(4_640_000, modcod, Fraction(1, 4), 10.0, meo)
 slow = CarrierConfig(1_856_000, modcod, Fraction(1, 4), 10.0, geo)
 
 n_sf = superframes_in_interval(delta_t, fast.symbol_rate_sym_s)
-raw = initial_fast_sequence_raw(fast, delta_t, pdu_size_bytes=1500)
-prefix_len = multi_orbit_prefix(fast, slow, pdu_size_bytes=1500)
+n_pdu = pdus_per_fecframe(1500, fast.modcod, fast.fill_rate)
+raw = initial_fast_sequence_raw(fast, delta_t, n_pdu)
+prefix_len = multi_orbit_prefix(fast, slow, n_pdu)
 print(f"superframes in the differential window: {n_sf:.4f}")
 print(f"raw initial-sequence length:            {raw:.4f}")
 print(f"prefix (floored):                       {prefix_len} PDUs")

@@ -16,7 +16,7 @@ from .config import (
     parse_scenario_text,
     serialize_scenario,
 )
-from .emulator import pdu_service_time_s, run, write_trace_csv
+from .emulator import run, write_trace_csv
 from .errors import (
     CasimError,
     ConfigError,
@@ -49,7 +49,9 @@ from .model import (
     RunTrace,
     ScenarioConfig,
     SchedulerKind,
+    load_balance_factor,
     modcod_for_snr,
+    pdus_per_fecframe,
 )
 from .receiver import merge
 from .scheduler import (
@@ -57,9 +59,7 @@ from .scheduler import (
     assignments,
     build_plan,
     generate_sequence,
-    load_balance_factor,
     multi_orbit_prefix,
-    pdus_per_fecframe,
     superframes_in_interval,
 )
 

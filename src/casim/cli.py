@@ -44,9 +44,7 @@ from .scheduler import (
     build_plan,
     generate_sequence,
     initial_fast_sequence_raw,
-    load_balance_factor,
     multi_orbit_prefix,
-    pdus_per_fecframe,
     planning_differential_delay_s,
     prefix_carriers,
     superframes_in_interval,
@@ -194,20 +192,6 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def _describe_plan(plan: SchedulingPlan, scenario: ScenarioConfig) -> list[str]:
-    lines = [
-        f"alpha_used: {plan.alpha_used} = {float(plan.alpha_used):.6f}",
-        f"cycle: [{','.join(str(c) for c in plan.cycle)}]",
-    ]
-    if plan.prefix_carrier is None:
-        lines.append("prefix: (empty)")
-    else:
-        carrier = plan.prefix_carrier
-        orbit = (scenario.carrier1 if carrier == 1 else scenario.carrier2).orbit
-        lines.append(f"prefix: {plan.prefix_length} x carrier {carrier} ({orbit.kind.value})")
-    return lines
-
-
 def cmd_plan(args) -> int:
     if args.alpha is not None:
         alpha = parse_fraction(args.alpha, "--alpha")
@@ -223,9 +207,15 @@ def cmd_plan(args) -> int:
     plan = build_plan(scenario)
     print(f"label: {scenario.label}")
     print(f"scheduler: {scenario.scheduler.value}")
-    print(f"alpha: {load_balance_factor(scenario.carrier1, scenario.carrier2)}")
-    for line in _describe_plan(plan, scenario):
-        print(line)
+    print(f"alpha: {scenario.alpha}")
+    print(f"alpha_used: {plan.alpha_used} = {float(plan.alpha_used):.6f}")
+    print(f"cycle: [{','.join(str(c) for c in plan.cycle)}]")
+    if plan.prefix_carrier is None:
+        print("prefix: (empty)")
+    else:
+        carrier = plan.prefix_carrier
+        orbit = (scenario.carrier1, scenario.carrier2)[carrier - 1].orbit
+        print(f"prefix: {plan.prefix_length} x carrier {carrier} ({orbit.kind.value})")
     return 0
 
 
@@ -235,9 +225,9 @@ def cmd_prefix(args) -> int:
     slow_index = 3 - fast_index
 
     delta_t = planning_differential_delay_s(fast.orbit, slow.orbit)
-    n_pdu = pdus_per_fecframe(scenario.pdu_size_bytes, fast.modcod, fast.fill_rate)
-    raw = initial_fast_sequence_raw(fast, delta_t, scenario.pdu_size_bytes)
-    prefix_length = multi_orbit_prefix(fast, slow, scenario.pdu_size_bytes)
+    n_pdu = scenario.pdus_per_frame[fast_index - 1]
+    raw = initial_fast_sequence_raw(fast, delta_t, n_pdu)
+    prefix_length = multi_orbit_prefix(fast, slow, n_pdu)
 
     print(f"fast_carrier: {fast_index} ({fast.orbit.kind.value}, "
           f"leg {fast.orbit.mean_leg_distance_km} km)")

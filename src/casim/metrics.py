@@ -9,8 +9,7 @@ The mean is taken over misplaced PDUs only; the max over all PDUs.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -62,12 +61,12 @@ def _burst_figures(merged: RunTrace, burst_sizes: Sequence[int] | None) -> _Burs
     n = len(merged)
     if burst_sizes is None:
         burst_sizes = (n,) if n else ()
-    sizes = np.asarray(burst_sizes, dtype=np.int64)
-    if sizes.sum() != n:
+    if sum(burst_sizes) != n:
         raise InvariantError(
-            f"burst sizes sum to {sizes.sum()} but the stream has {n} PDUs")
-    if (sizes <= 0).any():
+            f"burst sizes sum to {sum(burst_sizes)} but the stream has {n} PDUs")
+    if any(size <= 0 for size in burst_sizes):
         raise InvariantError("burst sizes must be > 0")
+    sizes = np.asarray(burst_sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     burst_of_seq = np.repeat(np.arange(sizes.size), sizes)
     grouped = np.argsort(burst_of_seq[merged.seq], kind="stable")
@@ -152,10 +151,8 @@ class OrderingReport:
             raise InvariantError("misplaced_count cannot exceed n_pdus")
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "per_burst": [asdict(b) for b in self.per_burst]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        """The report's fields, each burst's as a dict of its own."""
+        return {**vars(self), "per_burst": [dict(vars(b)) for b in self.per_burst]}
 
 
 def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingReport:

@@ -10,13 +10,15 @@ holds a run's per-PDU times as integer nanoseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import DominanceViolated, InvariantError
+from .errors import DominanceViolated, InvariantError, ZeroPayload
 
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
@@ -25,13 +27,21 @@ __all__ = [
     "DEFAULT_PDU_SIZE_BYTES",
     "DEFAULT_MEO_VARIATION_AMPLITUDE_KM",
     "DEFAULT_MEO_VARIATION_PERIOD_S",
+    "SUPERFRAME_SYMBOLS",
+    "FRAMES_PER_SUPERFRAME_BUNDLE",
+    "FECFRAME_BITS",
+    "NS_PER_S",
+    "MAX_TOTAL_PDUS",
     "to_fraction",
+    "approx",
     "ModCod",
     "MODCODS",
     "modcod_for_snr",
     "OrbitKind",
     "OrbitModel",
     "CarrierConfig",
+    "load_balance_factor",
+    "pdus_per_fecframe",
     "SchedulerKind",
     "Burst",
     "ScenarioConfig",
@@ -47,6 +57,18 @@ MEO_LEG_KM = 11933.0
 DEFAULT_PDU_SIZE_BYTES = 1500
 DEFAULT_MEO_VARIATION_AMPLITUDE_KM = 300.0
 DEFAULT_MEO_VARIATION_PERIOD_S = 600.0
+
+# Physical-layer container sizes (normal FEC frames, bundle format 2).
+SUPERFRAME_SYMBOLS = 612540
+FRAMES_PER_SUPERFRAME_BUNDLE = 9
+FECFRAME_BITS = 64800
+
+NS_PER_S = 10**9
+
+# The most PDUs one scenario may offer: far above any bundled or benchmark
+# scenario, and low enough that a run's arrays fit in memory (run, merge and
+# report peak at ~130 B per PDU, so ~1.3 GB at the ceiling).
+MAX_TOTAL_PDUS = 10**7
 
 
 def to_fraction(value) -> Fraction:
@@ -67,6 +89,11 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot convert {type(value).__name__} to a fraction")
+
+
+def approx(value: Fraction) -> str:
+    """``value`` to three significant digits, however large its terms."""
+    return f"{Decimal(value.numerator) / value.denominator:.3g}"
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -183,19 +210,16 @@ class OrbitModel:
     ) -> "OrbitModel":
         return cls(OrbitKind.MEO, leg_km, amplitude_km, period_s, phase_rad)
 
-    def leg_distance_km(self, t_s):
-        """Slant-leg distance at time ``t_s`` (seconds, a float or an array)."""
-        if self.variation_amplitude_km == 0.0:
-            return self.mean_leg_distance_km
-        phase = 2.0 * np.pi * t_s / self.variation_period_s + self.variation_phase_rad
-        return self.mean_leg_distance_km + self.variation_amplitude_km * np.sin(phase)
-
     def propagation_delay_s(self, t_s):
         """One-trip (two-leg) propagation delay at time ``t_s`` (seconds, a
         float or an array; a constant path gives one float)."""
-        if (np.asarray(t_s) < 0).any():
+        if np.count_nonzero(np.asarray(t_s) < 0):
             raise ValueError("t_s must be >= 0")
-        return 2.0 * self.leg_distance_km(t_s) / SPEED_OF_LIGHT_KM_S
+        leg_km = self.mean_leg_distance_km
+        if self.variation_amplitude_km != 0.0:
+            leg_km = leg_km + self.variation_amplitude_km * np.sin(
+                2.0 * np.pi * t_s / self.variation_period_s + self.variation_phase_rad)
+        return 2.0 * leg_km / SPEED_OF_LIGHT_KM_S
 
     def mean_propagation_delay_s(self) -> float:
         """Amplitude-free one-trip delay (two mean legs)."""
@@ -242,13 +266,45 @@ class CarrierConfig:
         symbol_rate = to_fraction(bandwidth_hz) / (1 + to_fraction(rolloff))
         return cls(symbol_rate, modcod, to_fraction(fill_rate), snr_db, orbit)
 
-    def capacity_bps(self) -> Fraction:
-        """Raw carrier capacity: symbol rate x bits/symbol x code rate."""
-        return self.symbol_rate_sym_s * self.modcod.bits_per_symbol * self.modcod.code_rate
-
     def usable_capacity_bps(self) -> Fraction:
-        """Capacity share available to the studied user (capacity x fill rate)."""
-        return self.capacity_bps() * self.fill_rate
+        """Capacity share available to the studied user: symbol rate x
+        bits/symbol x code rate x fill rate."""
+        return Fraction(*self._usable_terms())
+
+    def _usable_terms(self) -> tuple[int, int]:
+        """Usable capacity as an unreduced numerator and denominator."""
+        rate, code_rate, fill = self.symbol_rate_sym_s, self.modcod.code_rate, self.fill_rate
+        return (rate.numerator * self.modcod.bits_per_symbol * code_rate.numerator
+                * fill.numerator, rate.denominator * code_rate.denominator * fill.denominator)
+
+
+def load_balance_factor(c1: CarrierConfig, c2: CarrierConfig) -> Fraction:
+    """Exact ratio alpha of carrier 2's usable capacity to carrier 1's, in
+    (0, 1]: carrier 1 must be dominant."""
+    (num1, den1), (num2, den2) = c1._usable_terms(), c2._usable_terms()
+    if num2 * den1 > num1 * den2:
+        raise DominanceViolated(
+            "carrier 1 must be dominant: usable capacity "
+            f"{approx(Fraction(num1, den1))} bps < carrier 2's "
+            f"{approx(Fraction(num2, den2))} bps (swap carrier1 and carrier2)")
+    return Fraction(num2 * den1, den2 * num1)
+
+
+def pdus_per_fecframe(pdu_size_bytes: int, modcod: ModCod, fill_rate) -> int:
+    """Whole PDUs that fit into one FEC frame's per-user share (PDUs are never
+    fragmented across frames, so this floors); a PDU larger than the share
+    is an error."""
+    if pdu_size_bytes <= 0:
+        raise ValueError(f"pdu_size_bytes must be > 0, got {pdu_size_bytes}")
+    fill_rate = to_fraction(fill_rate)
+    share_bits = FECFRAME_BITS * modcod.code_rate.numerator * fill_rate.numerator
+    share_den = modcod.code_rate.denominator * fill_rate.denominator
+    count = share_bits // (8 * pdu_size_bytes * share_den)
+    if count == 0:
+        raise ZeroPayload(
+            f"PDU of {pdu_size_bytes} B exceeds the per-frame share of "
+            f"{share_bits / (8 * share_den):.1f} B")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +338,9 @@ class ScenarioConfig:
     burst pattern of the offered traffic.
 
     Carrier 1 must be dominant (usable capacity at least carrier 2's);
-    otherwise construction fails with a hint to swap the carriers.
+    otherwise construction fails with a hint to swap the carriers.  Later
+    stages read the link numbers derived here once, exactly: ``alpha``, and
+    per carrier the PDUs per FEC frame and the per-PDU service time in ns.
     """
 
     carrier1: CarrierConfig
@@ -291,6 +349,9 @@ class ScenarioConfig:
     pdu_size_bytes: int = DEFAULT_PDU_SIZE_BYTES
     bursts: tuple[Burst, ...] = (Burst(1),)
     label: str = ""
+    alpha: Fraction = field(init=False, repr=False, compare=False)
+    pdus_per_frame: tuple[int, int] = field(init=False, repr=False, compare=False)
+    service_ns: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scheduler", SchedulerKind(self.scheduler))
@@ -300,13 +361,22 @@ class ScenarioConfig:
                 f"pdu_size_bytes must be > 0, got {self.pdu_size_bytes}")
         if not self.bursts:
             raise InvariantError("a scenario needs at least one burst")
-        u1 = self.carrier1.usable_capacity_bps()
-        u2 = self.carrier2.usable_capacity_bps()
-        if u1 < u2:
-            raise DominanceViolated(
-                "carrier 1 must be dominant: usable capacity "
-                f"{float(u1):.6g} bps < carrier 2's {float(u2):.6g} bps "
-                "(swap carrier1 and carrier2)")
+        if self.total_pdus > MAX_TOTAL_PDUS:
+            raise InvariantError(
+                f"a scenario offers at most {MAX_TOTAL_PDUS} PDUs, got {self.total_pdus}")
+        object.__setattr__(self, "alpha", load_balance_factor(self.carrier1, self.carrier2))
+        per_frame, service_ns = [], []
+        for c in (self.carrier1, self.carrier2):
+            n_pdu = pdus_per_fecframe(self.pdu_size_bytes, c.modcod, c.fill_rate)
+            # One FEC frame lasts 612540 / (9 M R_s) s and carries n_pdu PDUs;
+            # the quotient is rounded once to integer ns, ties to even.
+            rate = c.symbol_rate_sym_s
+            per_frame.append(n_pdu)
+            service_ns.append(round(Fraction(
+                SUPERFRAME_SYMBOLS * NS_PER_S * rate.denominator,
+                FRAMES_PER_SUPERFRAME_BUNDLE * c.modcod.bits_per_symbol * rate.numerator * n_pdu)))
+        object.__setattr__(self, "pdus_per_frame", tuple(per_frame))
+        object.__setattr__(self, "service_ns", tuple(service_ns))
 
     @property
     def burst_sizes(self) -> tuple[int, ...]:
@@ -321,6 +391,11 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 #  Run record
 # ---------------------------------------------------------------------------
+
+_TRACE_COLUMNS = ("seq", "carrier", "t_scheduled_ns", "t_tx_start_ns",
+                  "t_tx_end_ns", "t_arrival_ns")
+_trace_columns = attrgetter(*_TRACE_COLUMNS)
+
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
@@ -342,20 +417,22 @@ class RunTrace:
     t_arrival_ns: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
+        for name in _TRACE_COLUMNS:
+            value = getattr(self, name)
             try:
-                column = np.asarray(getattr(self, f.name), dtype=np.int64)
+                column = np.asarray(value, dtype=np.int64)
             except OverflowError as exc:
-                raise InvariantError(f"{f.name} exceeds the int64 range") from exc
-            object.__setattr__(self, f.name, column)
-        if any(c.ndim != 1 or c.shape != self.seq.shape for c in self.columns()):
+                raise InvariantError(f"{name} exceeds the int64 range") from exc
+            if column is not value:
+                object.__setattr__(self, name, column)
+        seq, carrier, _, tx_start, tx_end, arrival = columns = self.columns()
+        if seq.ndim != 1 or len({c.shape for c in columns}) != 1:
             raise InvariantError("columns must be one-dimensional and of equal length")
-        if (self.seq < 0).any():
+        if seq.size and seq.min() < 0:
             raise InvariantError("seq must be >= 0")
-        if ((self.carrier != 1) & (self.carrier != 2)).any():
+        if carrier.size and (carrier.min() < 1 or carrier.max() > 2):
             raise InvariantError("carrier must be 1 or 2")
-        if ((self.t_tx_start_ns > self.t_tx_end_ns)
-                | (self.t_tx_end_ns > self.t_arrival_ns)).any():
+        if np.count_nonzero(tx_start > tx_end) or np.count_nonzero(tx_end > arrival):
             raise InvariantError(
                 "trace times must satisfy tx_start <= tx_end <= arrival")
 
@@ -364,4 +441,4 @@ class RunTrace:
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The six columns, in field order."""
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return _trace_columns(self)

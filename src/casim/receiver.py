@@ -24,12 +24,10 @@ def merge(trace: RunTrace) -> RunTrace:
     """
     n = len(trace)
     counts = np.bincount(trace.seq[trace.seq < n], minlength=n)
-    duplicated = np.flatnonzero(counts > 1)
-    if duplicated.size:
-        raise DuplicateSeq(f"sequence number {duplicated[0]} appears more than once")
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise MissingSeq(f"sequence number {missing[0]} missing from traces")
+    if np.count_nonzero(counts > 1):
+        raise DuplicateSeq(f"sequence number {np.argmax(counts > 1)} appears more than once")
+    if np.count_nonzero(counts == 0):
+        raise MissingSeq(f"sequence number {np.argmax(counts == 0)} missing from traces")
 
     order = np.lexsort((trace.seq, trace.carrier, trace.t_arrival_ns))
     return RunTrace(*(column[order] for column in trace.columns()))

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DenominatorTooLarge, DominanceViolated, InvariantError, ZeroPayload
-from .model import CarrierConfig, ModCod, OrbitModel, ScenarioConfig, SchedulerKind, to_fraction
+from .errors import DenominatorTooLarge, InvariantError
+from .model import (FECFRAME_BITS, FRAMES_PER_SUPERFRAME_BUNDLE, SUPERFRAME_SYMBOLS,
+                    CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind, approx,
+                    load_balance_factor, pdus_per_fecframe, to_fraction)
 
 __all__ = [
     "SUPERFRAME_SYMBOLS",
@@ -40,11 +41,6 @@ __all__ = [
     "build_plan",
     "assignments",
 ]
-
-# Physical-layer container sizes (normal FEC frames, bundle format 2).
-SUPERFRAME_SYMBOLS = 612540
-FRAMES_PER_SUPERFRAME_BUNDLE = 9
-FECFRAME_BITS = 64800
 
 # The planner's delay arithmetic uses the nominal light-speed constant;
 # the link emulator uses the exact value (model.SPEED_OF_LIGHT_KM_S).
@@ -84,24 +80,6 @@ class SchedulingPlan:
         return Fraction(self.cycle.count(2), self.cycle.count(1))
 
 
-def load_balance_factor(c1: CarrierConfig, c2: CarrierConfig) -> Fraction:
-    """Exact ratio of carrier 2's usable capacity to carrier 1's.
-
-    Carrier 1 must be dominant, so the result lies in (0, 1].
-    """
-    alpha = c2.usable_capacity_bps() / c1.usable_capacity_bps()
-    if alpha > 1:
-        raise DominanceViolated(
-            f"alpha = {alpha} exceeds 1; carrier 1 must be the dominant carrier "
-            "(swap carrier1 and carrier2)")
-    return alpha
-
-
-def _approx(value: Fraction) -> str:
-    """``value`` to three significant digits, however large its terms."""
-    return f"{Decimal(value.numerator) / value.denominator:.3g}"
-
-
 def generate_sequence(alpha) -> list[int]:
     """The scheduling cycle for a load balancing factor alpha in (0, 1].
 
@@ -115,11 +93,11 @@ def generate_sequence(alpha) -> list[int]:
     """
     alpha = to_fraction(alpha)
     if not (0 < alpha <= 1):
-        raise InvariantError(f"alpha must be in (0, 1], got {_approx(alpha)}")
+        raise InvariantError(f"alpha must be in (0, 1], got {approx(alpha)}")
     rounded = alpha.limit_denominator(MAX_GENERATOR_DENOMINATOR)
     if rounded == 0:
         raise DenominatorTooLarge(
-            f"alpha = {_approx(alpha)} is at most 1/{2 * MAX_GENERATOR_DENOMINATOR} "
+            f"alpha = {approx(alpha)} is at most 1/{2 * MAX_GENERATOR_DENOMINATOR} "
             f"and rounds to 0 at denominator <= {MAX_GENERATOR_DENOMINATOR}; "
             "carrier 2 is too slow to schedule")
     p, q = rounded.numerator, rounded.denominator
@@ -143,23 +121,6 @@ def superframes_in_interval(interval_s: float, symbol_rate_sym_s) -> float:
     return interval_s * float(symbol_rate) / SUPERFRAME_SYMBOLS
 
 
-def pdus_per_fecframe(pdu_size_bytes: int, modcod: ModCod, fill_rate) -> int:
-    """Whole PDUs that fit into one FEC frame's per-user share.
-
-    PDUs are never fragmented across frames, so this floors; a PDU larger
-    than the share is an error.
-    """
-    if pdu_size_bytes <= 0:
-        raise ValueError(f"pdu_size_bytes must be > 0, got {pdu_size_bytes}")
-    share_bits = FECFRAME_BITS * modcod.code_rate * to_fraction(fill_rate)
-    count = int(share_bits / (8 * pdu_size_bytes))
-    if count == 0:
-        raise ZeroPayload(
-            f"PDU of {pdu_size_bytes} B exceeds the per-frame share of "
-            f"{float(share_bits) / 8:.1f} B")
-    return count
-
-
 def planning_differential_delay_s(fast: OrbitModel, slow: OrbitModel) -> float:
     """Differential one-trip delay between the slow and fast paths, computed
     with the planner's nominal light-speed constant."""
@@ -170,14 +131,13 @@ def planning_differential_delay_s(fast: OrbitModel, slow: OrbitModel) -> float:
     return 2.0 * delta_leg_km / NOMINAL_LIGHT_SPEED_KM_S
 
 
-def initial_fast_sequence_raw(
-    fast: CarrierConfig, delta_t_s: float, pdu_size_bytes: int
-) -> float:
+def initial_fast_sequence_raw(fast: CarrierConfig, delta_t_s: float, n_pdu: int) -> float:
     """Unfloored number of PDUs the fast carrier emits during ``delta_t_s``:
-    PDUs/frame x 9 bundled frames x M x symbol rate x delta_t / superframe symbols."""
+    n_pdu x 9 bundled frames x M x symbol rate x delta_t / superframe symbols,
+    where ``n_pdu`` is the fast carrier's PDUs per FEC frame
+    (``ScenarioConfig.pdus_per_frame`` holds it)."""
     if delta_t_s < 0:
         raise ValueError(f"delta_t_s must be >= 0, got {delta_t_s}")
-    n_pdu = pdus_per_fecframe(pdu_size_bytes, fast.modcod, fast.fill_rate)
     return (
         n_pdu
         * FRAMES_PER_SUPERFRAME_BUNDLE
@@ -199,15 +159,14 @@ def prefix_carriers(
     return 2, c2, c1
 
 
-def multi_orbit_prefix(
-    fast: CarrierConfig, slow: CarrierConfig, pdu_size_bytes: int
-) -> int:
+def multi_orbit_prefix(fast: CarrierConfig, slow: CarrierConfig, n_pdu: int) -> int:
     """How many leading PDUs to pin to the fast (lower-delay) carrier so the
-    slow path's head start is absorbed.  Zero when the paths match."""
+    slow path's head start is absorbed.  Zero when the paths match.
+    ``n_pdu`` is as in ``initial_fast_sequence_raw``."""
     delta_t_s = planning_differential_delay_s(fast.orbit, slow.orbit)
     if delta_t_s == 0:
         return 0
-    raw = initial_fast_sequence_raw(fast, delta_t_s, pdu_size_bytes)
+    raw = initial_fast_sequence_raw(fast, delta_t_s, n_pdu)
     if not math.isfinite(raw):
         raise InvariantError(
             f"the multi-orbit prefix is not finite ({raw} PDUs); "
@@ -225,9 +184,9 @@ def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
     if scenario.scheduler is SchedulerKind.ROUND_ROBIN:
         return SchedulingPlan(cycle=(1, 2))
 
-    cycle = generate_sequence(load_balance_factor(scenario.carrier1, scenario.carrier2))
+    cycle = generate_sequence(scenario.alpha)
     fast_index, fast, slow = prefix_carriers(scenario)
-    length = multi_orbit_prefix(fast, slow, scenario.pdu_size_bytes)
+    length = multi_orbit_prefix(fast, slow, scenario.pdus_per_frame[fast_index - 1])
     return SchedulingPlan(cycle, fast_index if length else None, length)
 
 

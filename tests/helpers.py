@@ -6,7 +6,6 @@ import math
 import random
 from fractions import Fraction
 
-from casim.emulator import pdu_service_time_s
 from casim.model import (
     MODCODS,
     Burst,
@@ -16,6 +15,7 @@ from casim.model import (
     ScenarioConfig,
     SchedulerKind,
 )
+import oracle
 
 EIGHT_PSK_56 = MODCODS["8PSK 5/6"]
 
@@ -28,6 +28,12 @@ def rows(trace: RunTrace) -> list[tuple[int, ...]]:
 def record(trace_rows) -> RunTrace:
     """A RunTrace from (seq, carrier, scheduled, tx_start, tx_end, arrival) rows."""
     return RunTrace(*(list(column) for column in zip(*trace_rows, strict=True)))
+
+
+def service_ns(c: CarrierConfig, pdu_size: int = 1500) -> int:
+    """``c``'s per-PDU service time, as a scenario with ``c`` on both carriers
+    derives it."""
+    return ScenarioConfig(c, c, SchedulerKind.LOAD_BALANCING, pdu_size).service_ns[0]
 
 
 def carrier(
@@ -140,7 +146,7 @@ def random_overlapping_meo_scenario(rng: random.Random) -> ScenarioConfig:
     b = _random_carrier(rng, pdu_size, varying_meo=rng.random() < 0.5)
     if a.usable_capacity_bps() < b.usable_capacity_bps():
         a, b = b, a
-    service_s = min(pdu_service_time_s(c, pdu_size) for c in (a, b))
+    service_s = min(oracle._service_ns(c, pdu_size) for c in (a, b)) / 1e9
 
     n_bursts = rng.randint(1, 4)
     sizes = _random_sizes(rng, n_bursts, rng.randint(max(n_bursts, 2), 300))

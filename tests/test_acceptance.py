@@ -24,6 +24,7 @@ from casim.scheduler import (
     initial_fast_sequence_raw,
     load_balance_factor,
     multi_orbit_prefix,
+    pdus_per_fecframe,
     planning_differential_delay_s,
     superframes_in_interval,
 )
@@ -57,8 +58,9 @@ def test_criterion_01_prefix_reproduction():
     fast = carrier(orbit=OrbitModel.meo(amplitude_km=0.0))
     slow = carrier(1_856_000, orbit=OrbitModel.geo())
     delta = planning_differential_delay_s(fast.orbit, slow.orbit)
-    raw = initial_fast_sequence_raw(fast, delta, 1500)
-    floored = multi_orbit_prefix(fast, slow, 1500)
+    n_pdu = pdus_per_fecframe(1500, fast.modcod, fast.fill_rate)
+    raw = initial_fast_sequence_raw(fast, delta, n_pdu)
+    floored = multi_orbit_prefix(fast, slow, n_pdu)
     elapsed = time.perf_counter() - started
     check(
         1,

@@ -13,6 +13,7 @@ from casim.config import (
     serialize_scenario,
 )
 from casim.errors import ConfigError, DominanceViolated
+from casim.model import MAX_TOTAL_PDUS
 from casim.scheduler import build_plan
 from helpers import alpha_scenario
 
@@ -179,6 +180,34 @@ class TestCli:
     def test_alpha_below_one_in_128_exits_3(self, tmp_path, capsys, key, value):
         err = assert_run_exits_3(tmp_path, capsys, "geo_ca", key, value)
         assert "1/128" in err
+
+    def test_huge_dominated_capacity_exits_3(self, tmp_path, capsys):
+        # carrier 2's ~6e399 bps capacity dominates; no float can hold it
+        err = assert_run_exits_3(
+            tmp_path, capsys, "meo_geo", "carrier2.symbol_rate_sym_s", "1e400")
+        assert "< carrier 2's 6.25e+399 bps" in err
+        assert "Traceback" not in err
+
+    def test_pdu_ceiling_exits_3_before_allocating(self, tmp_path, capsys):
+        started = time.perf_counter()
+        err = assert_run_exits_3(tmp_path, capsys, "meo_geo", "bursts", "100000000000:0.0")
+        assert time.perf_counter() - started < 1.0
+        assert f"at most {MAX_TOTAL_PDUS} PDUs" in err
+
+    @pytest.mark.parametrize("name, key, value, command", [
+        ("geo_rr", "pdu_size_bytes", "10000", "plan"),  # round robin: no prefix
+        ("geo_ca", "carrier2.fill_rate", "0.01", "plan"),  # not the prefix carrier
+        ("geo_ca", "carrier2.fill_rate", "0.01", "prefix"),
+    ])
+    def test_pdu_no_frame_holds_exits_3(self, tmp_path, capsys, name, key, value, command):
+        # the scenario derives both carriers' PDUs per frame when it is built
+        cfg = tmp_path / "no_fit.cfg"
+        cfg.write_text(with_value(bundled_path(name).read_text(), key, value))
+        assert main([command, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: PDU of ")
+        assert "exceeds the per-frame share" in captured.err
+        assert captured.out == ""
 
     def test_failed_write_leaves_no_files(self, tmp_path):
         target = tmp_path / "report.json"

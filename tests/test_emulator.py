@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from casim.emulator import pdu_service_time_ns, pdu_service_time_s, run, s_to_ns
+from casim.emulator import run, s_to_ns
 from casim.errors import InvariantError, ZeroPayload
 from casim.model import Burst, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
@@ -15,28 +15,29 @@ from helpers import (
     random_constant_delay_scenario,
     random_overlapping_meo_scenario,
     rows,
+    service_ns,
 )
 import oracle
 
 
 class TestServiceTime:
     def test_reference_value(self):
-        service = pdu_service_time_s(carrier(4_640_000), 1500)
+        service = service_ns(carrier(4_640_000)) / 1e9
         assert math.isclose(service, 612540 / (27 * 4_640_000), rel_tol=1e-6)
 
     def test_doubling_rate_halves_service(self):
-        s1 = pdu_service_time_s(carrier(4_640_000), 1500)
-        s2 = pdu_service_time_s(carrier(9_280_000), 1500)
+        s1 = service_ns(carrier(4_640_000))
+        s2 = service_ns(carrier(9_280_000))
         assert math.isclose(s2, s1 / 2, rel_tol=1e-6)
 
     def test_full_fill_divides_by_pdus_per_frame(self):
-        quarter = pdu_service_time_s(carrier(fill_rate=Fraction(1, 4)), 1500)
-        full = pdu_service_time_s(carrier(fill_rate=1), 1500)
+        quarter = service_ns(carrier(fill_rate=Fraction(1, 4)))
+        full = service_ns(carrier(fill_rate=1))
         assert math.isclose(full, quarter / 4, rel_tol=1e-6)
 
     def test_oversized_pdu_propagates(self):
         with pytest.raises(ZeroPayload):
-            pdu_service_time_s(carrier(), 10_000)
+            service_ns(carrier(), 10_000)
 
 
 class TestRun:
@@ -44,7 +45,7 @@ class TestRun:
         sc = alpha_scenario(Fraction(1), bursts=(Burst(1),))
         plan = build_plan(sc)
         ((_, _, _, tx_start, tx_end, arrival),) = rows(run(sc, plan))
-        service = pdu_service_time_ns(sc.carrier1, sc.pdu_size_bytes)
+        service = sc.service_ns[0]
         prop = round(sc.carrier1.orbit.propagation_delay_s(service / 1e9) * 1e9)
         assert tx_start == 0
         assert tx_end == service
@@ -107,11 +108,17 @@ class TestRun:
         (OrbitModel.meo(1e300), (Burst(5),)),
         (OrbitModel.geo(1.35e15), (Burst(5, 3e8), Burst(5))),  # in range, sum past
         (OrbitModel.meo(1e308), (Burst(5),)),  # varying delay overflows to inf
-        (OrbitModel.meo(period_s=1e-320), (Burst(5),)),  # phase inf, sin nan
     ])
     def test_times_past_int64_rejected(self, orbit, bursts):
         sc = alpha_scenario(Fraction(1), orbit1=orbit, orbit2=orbit, bursts=bursts)
         with pytest.raises(InvariantError, match="int64 range"):
+            run(sc, build_plan(sc))
+
+    def test_nan_delay_rejected(self):
+        # the phase overflows to inf, so sin, and the delay, is nan
+        orbit = OrbitModel.meo(period_s=1e-320)
+        sc = alpha_scenario(Fraction(1), orbit1=orbit, orbit2=orbit, bursts=(Burst(5),))
+        with pytest.raises(InvariantError, match="propagation delay is not finite"):
             run(sc, build_plan(sc))
 
     def test_queue_carries_across_overlapping_bursts(self):
@@ -123,8 +130,7 @@ class TestRun:
         assert len(traces) == 400
         for carrier_idx in (1, 2):
             ends = traces.t_tx_end_ns[traces.carrier == carrier_idx].tolist()
-            service = pdu_service_time_ns(
-                sc.carrier1 if carrier_idx == 1 else sc.carrier2, sc.pdu_size_bytes)
+            service = sc.service_ns[carrier_idx - 1]
             diffs = [b - a for a, b in zip(sorted(ends), sorted(ends)[1:])]
             assert all(d >= service for d in diffs)
 
@@ -149,8 +155,7 @@ class TestFluidOracleEquivalence:
         sc = alpha_scenario(Fraction(1, 2), bursts=(Burst(3),))
         plan = build_plan(sc)
         rows = oracle.fluid_arrivals(sc, plan)
-        s1 = pdu_service_time_ns(sc.carrier1, 1500)
-        s2 = pdu_service_time_ns(sc.carrier2, 1500)
+        s1, s2 = sc.service_ns
         by_seq = {row[0]: row for row in rows}
         assert by_seq[0][4] == s1
         assert by_seq[1][4] == 2 * s1
@@ -228,7 +233,7 @@ class TestHeapOracleEquivalence:
         # cycle (1,1,2) at alpha 1/2: the first burst's four carrier-1 PDUs
         # drain exactly when the second burst is released
         sc = alpha_scenario(Fraction(1, 2), bursts=(Burst(6), Burst(6)))
-        s1 = pdu_service_time_ns(sc.carrier1, sc.pdu_size_bytes)
+        s1 = sc.service_ns[0]
         drain_s = 4 * s1 / 1e9
         assert s_to_ns(drain_s) == 4 * s1
         sc = alpha_scenario(Fraction(1, 2), bursts=(Burst(6, drain_s), Burst(6)))

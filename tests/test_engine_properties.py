@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casim.emulator import pdu_service_time_ns, pdu_service_time_s, propagation_delays_ns, run
+from casim.emulator import propagation_delays_ns, run
 from casim.model import MODCODS, Burst, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.scheduler import build_plan
 from helpers import rows
@@ -55,7 +55,7 @@ def scenarios(draw) -> ScenarioConfig:
     a, b = draw(carriers(pdu_size)), draw(carriers(pdu_size))
     if a.usable_capacity_bps() < b.usable_capacity_bps():
         a, b = b, a
-    service_s = max(pdu_service_time_s(c, pdu_size) for c in (a, b))
+    service_s = max(oracle._service_ns(c, pdu_size) for c in (a, b)) / 1e9
     sizes = draw(st.lists(st.integers(1, 80), min_size=1, max_size=4))
     # gaps up to the slower carrier's time for a whole burst: some bursts
     # overlap, some drain first
@@ -77,8 +77,7 @@ def test_engine_invariants_and_heap_oracle(sc):
     trace_rows = rows(run(sc, plan))
     assert [row[0] for row in trace_rows] == list(range(sc.total_pdus))
 
-    service = {1: pdu_service_time_ns(sc.carrier1, sc.pdu_size_bytes),
-               2: pdu_service_time_ns(sc.carrier2, sc.pdu_size_bytes)}
+    service = dict(zip((1, 2), sc.service_ns))
     last_end = {1: 0, 2: 0}
     for _, carrier, release, tx_start, tx_end, arrival in trace_rows:
         assert tx_start >= last_end[carrier]  # each carrier sends in seq order

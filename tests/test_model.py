@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from casim.errors import DominanceViolated, InvariantError
+from casim.errors import DominanceViolated, InvariantError, ZeroPayload
 from casim.model import (
+    MAX_TOTAL_PDUS,
     MODCODS,
     SPEED_OF_LIGHT_KM_S,
     Burst,
@@ -21,6 +24,7 @@ from casim.model import (
     to_fraction,
 )
 from helpers import carrier, record
+import oracle
 
 
 class TestToFraction:
@@ -71,12 +75,12 @@ class TestModCod:
 class TestCapacity:
     def test_worked_product(self):
         c = carrier(4_640_000)
-        assert c.capacity_bps() == Fraction(4_640_000) * 3 * Fraction(5, 6)
-        assert c.capacity_bps() == 11_600_000
+        assert c.usable_capacity_bps() == Fraction(4_640_000) * 3 * Fraction(5, 6) / 4
+        assert carrier(4_640_000, fill_rate=1).usable_capacity_bps() == 11_600_000
 
     def test_identity_modcod(self):
         c = carrier(1_000_000, modcod=ModCod("ident", 1, Fraction(1)), fill_rate=1)
-        assert c.capacity_bps() == 1_000_000
+        assert c.usable_capacity_bps() == 1_000_000
 
     def test_zero_rate_rejected_at_construction(self):
         with pytest.raises(InvariantError):
@@ -85,14 +89,15 @@ class TestCapacity:
     def test_monotone_in_each_factor(self):
         rng = random.Random(7)
         base = carrier(2_000_000, modcod=ModCod("m", 2, Fraction(1, 2)))
+        usable = base.usable_capacity_bps()
         for _ in range(50):
             k = 1 + rng.random()
             higher_rate = carrier(to_fraction(k) * 2_000_000, modcod=base.modcod)
-            assert higher_rate.capacity_bps() > base.capacity_bps()
-        assert carrier(2_000_000, modcod=ModCod("m", 3, Fraction(1, 2))).capacity_bps() \
-            > base.capacity_bps()
-        assert carrier(2_000_000, modcod=ModCod("m", 2, Fraction(3, 4))).capacity_bps() \
-            > base.capacity_bps()
+            assert higher_rate.usable_capacity_bps() > usable
+        for better in (carrier(2_000_000, modcod=ModCod("m", 3, Fraction(1, 2))),
+                       carrier(2_000_000, modcod=ModCod("m", 2, Fraction(3, 4))),
+                       carrier(2_000_000, modcod=base.modcod, fill_rate=Fraction(1, 2))):
+            assert better.usable_capacity_bps() > usable
 
     def test_from_bandwidth(self):
         c = CarrierConfig.from_bandwidth(
@@ -182,6 +187,56 @@ class TestScenarioConfig:
         with pytest.raises(InvariantError):
             Burst(10, -1.0)
 
+    def test_pdu_ceiling(self):
+        def scenario(*sizes):
+            return ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN,
+                                  bursts=[Burst(size) for size in sizes])
+        assert scenario(MAX_TOTAL_PDUS - 1, 1).total_pdus == MAX_TOTAL_PDUS
+        with pytest.raises(InvariantError, match=f"at most {MAX_TOTAL_PDUS} PDUs"):
+            scenario(MAX_TOTAL_PDUS, 1)
+
+    def test_huge_dominant_capacity_in_message(self):
+        expected = r"2\.90e\+6 bps < carrier 2's 6\.25e\+399 bps"
+        with pytest.raises(DominanceViolated, match=expected):
+            ScenarioConfig(carrier(), carrier(Fraction(10**400)), SchedulerKind.ROUND_ROBIN)
+
+
+# Symbol rates up to 1e30, as integers or as p/q.
+_RATES = st.one_of(
+    st.integers(1, 10**30).map(Fraction),
+    st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30)))
+_FILLS = st.integers(1, 10**6).flatmap(
+    lambda den: st.integers(1, den).map(lambda num: Fraction(num, den)))
+_CARRIERS = st.builds(
+    lambda rate, modcod, fill: CarrierConfig(rate, modcod, fill, 10.0, OrbitModel.geo()),
+    _RATES, st.sampled_from(list(MODCODS.values())), _FILLS)
+
+
+def _usable(c: CarrierConfig) -> Fraction:
+    return c.symbol_rate_sym_s * c.modcod.bits_per_symbol * c.modcod.code_rate * c.fill_rate
+
+
+class TestDerivedNumbers:
+    # 612540e9 / (9 * 2 * 13612e9) ns per frame: one 4050 B PDU takes exactly
+    # 2.5 ns, which rounds half to even, to 2
+    @example(carrier(13_612_000_000_000, MODCODS["QPSK 1/2"], 1),
+             carrier(13_612_000_000_000, MODCODS["QPSK 1/2"], 1), 4050)
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_CARRIERS, _CARRIERS, st.integers(1, 8000))
+    def test_against_exact_fractions(self, a, b, pdu_size):
+        c1, c2 = (a, b) if _usable(a) >= _usable(b) else (b, a)
+        per_frame = [int(Fraction(64800) * c.modcod.code_rate * c.fill_rate / (8 * pdu_size))
+                     for c in (c1, c2)]
+        if 0 in per_frame:
+            with pytest.raises(ZeroPayload):
+                ScenarioConfig(c1, c2, SchedulerKind.LOAD_BALANCING, pdu_size)
+            return
+        sc = ScenarioConfig(c1, c2, SchedulerKind.LOAD_BALANCING, pdu_size)
+        assert sc.alpha == _usable(c2) / _usable(c1)
+        assert list(sc.pdus_per_frame) == per_frame
+        assert sc.service_ns == (oracle._service_ns(c1, pdu_size),
+                                 oracle._service_ns(c2, pdu_size))
+
 
 class TestRunTrace:
     def test_trace_time_ordering(self):
@@ -190,8 +245,13 @@ class TestRunTrace:
             record([(0, 1, 0, 0, 5, 10), (1, 1, 0, 5, 4, 10)])
         with pytest.raises(InvariantError):
             record([(0, 1, 0, 0, 11, 10)])
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="carrier must be 1 or 2"):
             record([(0, 3, 0, 0, 5, 10)])
+        with pytest.raises(InvariantError, match="carrier must be 1 or 2"):
+            record([(0, 0, 0, 0, 5, 10)])
+
+    def test_empty_trace(self):
+        assert len(RunTrace(*[[]] * 6)) == 0
 
     def test_columns_are_equal_length_int64(self):
         trace = record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])

@@ -26,6 +26,11 @@ from helpers import alpha_scenario, carrier
 from oracle import PAPER_LOOKUP_TABLE
 
 
+def n_pdu(c):
+    """PDUs per FEC frame for a 1500 B PDU on carrier ``c``."""
+    return pdus_per_fecframe(1500, c.modcod, c.fill_rate)
+
+
 class TestLookupTable:
     def test_seventeen_rows(self):
         assert len(PAPER_LOOKUP_TABLE) == 17
@@ -158,26 +163,26 @@ class TestFrameArithmetic:
 
 class TestMultiOrbitPrefix:
     def test_reference_raw_value_with_explicit_delay(self):
-        raw = initial_fast_sequence_raw(
-            carrier(orbit=OrbitModel.meo(amplitude_km=0.0)), 0.1881, 1500)
+        fast = carrier(orbit=OrbitModel.meo(amplitude_km=0.0))
+        raw = initial_fast_sequence_raw(fast, 0.1881, n_pdu(fast))
         assert abs(raw - 38.4712) < 5e-4
         assert math.floor(raw) == 38
 
     def test_geometry_based_prefix(self):
         fast = carrier(orbit=OrbitModel.meo(amplitude_km=0.0))
         slow = carrier(1_856_000, orbit=OrbitModel.geo())
-        assert multi_orbit_prefix(fast, slow, 1500) == 38
+        assert multi_orbit_prefix(fast, slow, n_pdu(fast)) == 38
 
     def test_same_orbit_gives_zero(self):
         geo1, geo2 = carrier(), carrier(1_856_000)
-        assert multi_orbit_prefix(geo1, geo2, 1500) == 0
+        assert multi_orbit_prefix(geo1, geo2, n_pdu(geo1)) == 0
 
     def test_doubling_rate_doubles_raw(self):
         fast = carrier(orbit=OrbitModel.meo(amplitude_km=0.0))
         double = carrier(2 * 4_640_000, orbit=OrbitModel.meo(amplitude_km=0.0))
         delta = planning_differential_delay_s(fast.orbit, OrbitModel.geo())
-        raw = initial_fast_sequence_raw(fast, delta, 1500)
-        raw2 = initial_fast_sequence_raw(double, delta, 1500)
+        raw = initial_fast_sequence_raw(fast, delta, n_pdu(fast))
+        raw2 = initial_fast_sequence_raw(double, delta, n_pdu(double))
         assert math.isclose(raw2, 2 * raw, rel_tol=1e-12)
         assert math.floor(raw2) == 76
 
