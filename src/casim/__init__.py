@@ -30,13 +30,9 @@ from .errors import (
 )
 from .metrics import (
     BurstStats,
-    Misplacement,
     OrderingReport,
-    compare,
     format_comparison,
-    misplacement,
     ordering_report,
-    throughput_bps,
     write_comparison_csv,
 )
 from .model import (

@@ -200,7 +200,7 @@ def parse_scenario_file(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_scenario_text(text)
 

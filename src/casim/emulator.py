@@ -22,7 +22,6 @@ from .model import NS_PER_S, CarrierConfig, RunTrace, ScenarioConfig
 from .scheduler import SchedulingPlan, assignments
 
 __all__ = [
-    "NS_PER_S",
     "s_to_ns",
     "propagation_delays_ns",
     "run",
@@ -63,9 +62,13 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     """
     n = scenario.total_pdus
     carriers = (scenario.carrier1, scenario.carrier2)
-    burst_start_ns = list(accumulate(
-        (s_to_ns(burst.inter_burst_gap_s) for burst in scenario.bursts[:-1]), initial=0))
-    if burst_start_ns[-1] + n * max(scenario.service_ns) > INT64_MAX:
+    try:
+        burst_start_ns = list(accumulate(
+            (s_to_ns(burst.inter_burst_gap_s) for burst in scenario.bursts[:-1]), initial=0))
+        fits = burst_start_ns[-1] + n * max(scenario.service_ns) <= INT64_MAX
+    except OverflowError:  # a gap so long its ns count is an infinite float
+        fits = False
+    if not fits:
         raise InvariantError("transmission times exceed the int64 range")
     release = np.repeat(burst_start_ns, scenario.burst_sizes)
     carrier = assignments(plan, n)

@@ -4,6 +4,7 @@ Misplacement distance is the absolute difference between a PDU's position
 in the merged receive order and its original sequence position, with
 sequence numbering restarted per burst (each burst is an independent ramp).
 The mean is taken over misplaced PDUs only; the max over all PDUs.
+``ordering_report`` is the one place these figures are computed.
 """
 
 from __future__ import annotations
@@ -11,113 +12,21 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .emulator import NS_PER_S
 from .errors import DegenerateWindow, InvariantError
-from .model import RunTrace, ScenarioConfig
+from .model import NS_PER_S, RunTrace, ScenarioConfig
 
 __all__ = [
-    "Misplacement",
     "BurstStats",
     "OrderingReport",
-    "misplacement",
-    "throughput_bps",
     "ordering_report",
-    "compare",
     "format_comparison",
     "write_comparison_csv",
     "COMPARISON_CSV_COLUMNS",
 ]
-
-
-class Misplacement(NamedTuple):
-    misplaced_count: int
-    mean: float
-    max: int
-
-
-class _BurstFigures(NamedTuple):
-    """Per-burst sums, one entry per burst, as Python ints."""
-
-    n_pdus: list[int]
-    misplaced_count: list[int]
-    distance_sum: list[int]
-    max_distance: list[int]
-    window_ns: list[int]
-
-
-def _burst_figures(merged: RunTrace, burst_sizes: Sequence[int] | None) -> _BurstFigures:
-    """Each burst's misplacement and active window (first tx start to last
-    arrival), from one grouping of the merged stream by burst.
-
-    Grouping keeps merge order within a burst, so a burst's k-th merged PDU
-    lands at index start + k of the grouped stream, while its sequence
-    number is start + its local sequence position: the burst start cancels
-    out of the displacement.
-    """
-    n = len(merged)
-    if burst_sizes is None:
-        burst_sizes = (n,) if n else ()
-    if sum(burst_sizes) != n:
-        raise InvariantError(
-            f"burst sizes sum to {sum(burst_sizes)} but the stream has {n} PDUs")
-    if any(size <= 0 for size in burst_sizes):
-        raise InvariantError("burst sizes must be > 0")
-    sizes = np.asarray(burst_sizes, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    burst_of_seq = np.repeat(np.arange(sizes.size), sizes)
-    grouped = np.argsort(burst_of_seq[merged.seq], kind="stable")
-    distance = np.abs(np.arange(n) - merged.seq[grouped])
-    window_ns = (np.maximum.reduceat(merged.t_arrival_ns[grouped], starts)
-                 - np.minimum.reduceat(merged.t_tx_start_ns[grouped], starts))
-    return _BurstFigures(
-        n_pdus=sizes.tolist(),
-        misplaced_count=np.add.reduceat(distance > 0, starts).tolist(),
-        distance_sum=np.add.reduceat(distance, starts).tolist(),
-        max_distance=np.maximum.reduceat(distance, starts).tolist(),
-        window_ns=window_ns.tolist(),
-    )
-
-
-def _rate_bps(n_pdus: int, pdu_size_bytes: int, window_ns: int) -> float:
-    return n_pdus * pdu_size_bytes * 8 * NS_PER_S / window_ns
-
-
-def _overall_misplacement(figures: _BurstFigures) -> Misplacement:
-    count = sum(figures.misplaced_count)
-    mean = sum(figures.distance_sum) / count if count else 0.0
-    return Misplacement(count, mean, max(figures.max_distance, default=0))
-
-
-def _overall_throughput_bps(figures: _BurstFigures, pdu_size_bytes: int) -> float:
-    n = sum(figures.n_pdus)
-    if n < 2:
-        raise DegenerateWindow(f"throughput needs at least 2 PDUs, got {n}")
-    total_ns = sum(figures.window_ns)
-    if total_ns <= 0:
-        raise DegenerateWindow("total active time is zero")
-    return _rate_bps(n, pdu_size_bytes, total_ns)
-
-
-def misplacement(
-    merged: RunTrace, burst_sizes: Sequence[int] | None = None
-) -> Misplacement:
-    """Misplaced-PDU count, mean displacement over misplaced PDUs, and the
-    maximum displacement over all PDUs (0 everywhere for a perfect stream)."""
-    return _overall_misplacement(_burst_figures(merged, burst_sizes))
-
-
-def throughput_bps(
-    merged: RunTrace,
-    pdu_size_bytes: int,
-    burst_sizes: Sequence[int] | None = None,
-) -> float:
-    """Aggregated delivered rate: total bits over total per-burst active time
-    (first tx start to last arrival per burst; inter-burst gaps excluded)."""
-    return _overall_throughput_bps(_burst_figures(merged, burst_sizes), pdu_size_bytes)
 
 
 @dataclass(frozen=True)
@@ -155,27 +64,55 @@ class OrderingReport:
         return {**vars(self), "per_burst": [dict(vars(b)) for b in self.per_burst]}
 
 
+def _rate_bps(n_pdus: int, pdu_size_bytes: int, window_ns: int) -> float:
+    return n_pdus * pdu_size_bytes * 8 * NS_PER_S / window_ns
+
+
 def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingReport:
-    """Full report for one scenario run, including the per-burst breakdown."""
-    figures = _burst_figures(merged, scenario.burst_sizes)
-    overall = _overall_misplacement(figures)
+    """Misplacement and throughput of one scenario run, overall and per burst.
+
+    One grouping of the merged stream by burst gives every figure.  Grouping
+    keeps merge order within a burst, so a burst's k-th merged PDU lands at
+    index start + k of the grouped stream, while its sequence number is
+    start + its local sequence position: the burst start cancels out of the
+    distance.  Throughput is total bits over the summed per-burst active
+    windows (first tx start to last arrival), so inter-burst gaps are
+    excluded; a burst with a zero window reports 0.0.
+    """
+    n = len(merged)
+    burst_sizes = scenario.burst_sizes
+    if sum(burst_sizes) != n:
+        raise InvariantError(
+            f"burst sizes sum to {sum(burst_sizes)} but the stream has {n} PDUs")
+    if n < 2:
+        raise DegenerateWindow(f"throughput needs at least 2 PDUs, got {n}")
+    sizes = np.asarray(burst_sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    burst_of_seq = np.repeat(np.arange(sizes.size), sizes)
+    grouped = np.argsort(burst_of_seq[merged.seq], kind="stable")
+    distance = np.abs(np.arange(n) - merged.seq[grouped])
+    counts = np.add.reduceat(distance > 0, starts).tolist()
+    sums = np.add.reduceat(distance, starts).tolist()
+    worst = np.maximum.reduceat(distance, starts).tolist()
+    windows = (np.maximum.reduceat(merged.t_arrival_ns[grouped], starts)
+               - np.minimum.reduceat(merged.t_tx_start_ns[grouped], starts)).tolist()
+    total_ns = sum(windows)
+    if total_ns <= 0:
+        raise DegenerateWindow("total active time is zero")
+
+    pdu_size = scenario.pdu_size_bytes
     per_burst = tuple(
-        BurstStats(
-            n_pdus=n,
-            misplaced_count=count,
-            mean_misplace=distance_sum / count if count else 0.0,
-            max_misplace=worst,
-            throughput_bps=_rate_bps(n, scenario.pdu_size_bytes, window_ns)
-            if window_ns > 0 else 0.0,
-        )
-        for n, count, distance_sum, worst, window_ns in zip(*figures)
-    )
+        BurstStats(size, count, distance_sum / count if count else 0.0, max_distance,
+                   _rate_bps(size, pdu_size, window_ns) if window_ns > 0 else 0.0)
+        for size, count, distance_sum, max_distance, window_ns
+        in zip(burst_sizes, counts, sums, worst, windows))
+    misplaced = sum(counts)
     return OrderingReport(
-        n_pdus=len(merged),
-        misplaced_count=overall.misplaced_count,
-        mean_misplace=overall.mean,
-        max_misplace=overall.max,
-        throughput_bps=_overall_throughput_bps(figures, scenario.pdu_size_bytes),
+        n_pdus=n,
+        misplaced_count=misplaced,
+        mean_misplace=sum(sums) / misplaced if misplaced else 0.0,
+        max_misplace=max(worst),
+        throughput_bps=_rate_bps(n, pdu_size, total_ns),
         per_burst=per_burst,
     )
 
@@ -190,26 +127,15 @@ COMPARISON_CSV_COLUMNS = (
 )
 
 
-def compare(labeled_reports: Sequence[tuple[str, OrderingReport]]) -> list[dict]:
-    """Flatten (label, report) pairs into comparison rows, one per scenario."""
-    if not labeled_reports:
-        raise ValueError("compare needs at least one report")
-    return [
-        {"label": label} | {key: getattr(report, key) for key in COMPARISON_CSV_COLUMNS[1:]}
-        for label, report in labeled_reports
-    ]
-
-
 def format_comparison(labeled_reports: Sequence[tuple[str, OrderingReport]]) -> str:
     """Aligned text table of max/mean misplacement and throughput per scenario."""
-    rows = compare(labeled_reports)
     header = f"{'scenario':<12} {'n_pdus':>7} {'misplaced':>9} {'mean':>9} {'max':>6} {'Mbps':>8}"
     lines = [header, "-" * len(header)]
-    for r in rows:
+    for label, r in labeled_reports:
         lines.append(
-            f"{r['label']:<12} {r['n_pdus']:>7} {r['misplaced_count']:>9} "
-            f"{r['mean_misplace']:>9.2f} {r['max_misplace']:>6} "
-            f"{r['throughput_bps'] / 1e6:>8.3f}"
+            f"{label:<12} {r.n_pdus:>7} {r.misplaced_count:>9} "
+            f"{r.mean_misplace:>9.2f} {r.max_misplace:>6} "
+            f"{r.throughput_bps / 1e6:>8.3f}"
         )
     return "\n".join(lines)
 
@@ -217,9 +143,11 @@ def format_comparison(labeled_reports: Sequence[tuple[str, OrderingReport]]) -> 
 def write_comparison_csv(
     labeled_reports: Sequence[tuple[str, OrderingReport]], path: str | Path
 ) -> None:
-    """Write the flat comparison table, one scenario per row."""
-    rows = compare(labeled_reports)
+    """Write the flat comparison table (``COMPARISON_CSV_COLUMNS``), one
+    scenario per row."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=COMPARISON_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(COMPARISON_CSV_COLUMNS)
+        writer.writerows(
+            (label, *(getattr(report, key) for key in COMPARISON_CSV_COLUMNS[1:]))
+            for label, report in labeled_reports)

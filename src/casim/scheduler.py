@@ -19,21 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DenominatorTooLarge, InvariantError
-from .model import (FECFRAME_BITS, FRAMES_PER_SUPERFRAME_BUNDLE, SUPERFRAME_SYMBOLS,
-                    CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind, approx,
-                    load_balance_factor, pdus_per_fecframe, to_fraction)
+from .model import (FRAMES_PER_SUPERFRAME_BUNDLE, SUPERFRAME_SYMBOLS, CarrierConfig,
+                    OrbitModel, ScenarioConfig, SchedulerKind, approx, to_fraction)
 
 __all__ = [
-    "SUPERFRAME_SYMBOLS",
-    "FRAMES_PER_SUPERFRAME_BUNDLE",
-    "FECFRAME_BITS",
     "NOMINAL_LIGHT_SPEED_KM_S",
     "MAX_GENERATOR_DENOMINATOR",
     "SchedulingPlan",
-    "load_balance_factor",
     "generate_sequence",
     "superframes_in_interval",
-    "pdus_per_fecframe",
     "planning_differential_delay_s",
     "initial_fast_sequence_raw",
     "prefix_carriers",
@@ -113,12 +107,22 @@ def generate_sequence(alpha) -> list[int]:
     return sequence
 
 
+def _rate_float(symbol_rate: Fraction) -> float:
+    """``symbol_rate`` as a float; InvariantError, naming it, if none holds it."""
+    try:
+        return float(symbol_rate)
+    except OverflowError:
+        raise InvariantError(
+            f"symbol_rate_sym_s {approx(symbol_rate)} exceeds the float range "
+            "of the multi-orbit prefix arithmetic") from None
+
+
 def superframes_in_interval(interval_s: float, symbol_rate_sym_s) -> float:
     """Number of superframes a carrier emits in ``interval_s`` seconds."""
     symbol_rate = to_fraction(symbol_rate_sym_s)
     if symbol_rate <= 0:
         raise ValueError(f"symbol_rate_sym_s must be > 0, got {symbol_rate_sym_s}")
-    return interval_s * float(symbol_rate) / SUPERFRAME_SYMBOLS
+    return interval_s * _rate_float(symbol_rate) / SUPERFRAME_SYMBOLS
 
 
 def planning_differential_delay_s(fast: OrbitModel, slow: OrbitModel) -> float:
@@ -142,7 +146,7 @@ def initial_fast_sequence_raw(fast: CarrierConfig, delta_t_s: float, n_pdu: int)
         n_pdu
         * FRAMES_PER_SUPERFRAME_BUNDLE
         * fast.modcod.bits_per_symbol
-        * float(fast.symbol_rate_sym_s)
+        * _rate_float(fast.symbol_rate_sym_s)
         * delta_t_s
         / SUPERFRAME_SYMBOLS
     )

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+from casim.metrics import OrderingReport, ordering_report
 from casim.model import (
     MODCODS,
     Burst,
@@ -28,6 +29,16 @@ def rows(trace: RunTrace) -> list[tuple[int, ...]]:
 def record(trace_rows) -> RunTrace:
     """A RunTrace from (seq, carrier, scheduled, tx_start, tx_end, arrival) rows."""
     return RunTrace(*(list(column) for column in zip(*trace_rows, strict=True)))
+
+
+def synthetic_report(merged: RunTrace, burst_sizes=None) -> OrderingReport:
+    """The ordering report of a synthetic merged stream, taken as the run of a
+    1500 B PDU scenario with ``burst_sizes`` (default: one burst of the whole
+    stream)."""
+    sizes = (len(merged),) if burst_sizes is None else burst_sizes
+    scenario = ScenarioConfig(carrier(), carrier(), SchedulerKind.LOAD_BALANCING,
+                              bursts=tuple(Burst(size) for size in sizes))
+    return ordering_report(merged, scenario)
 
 
 def service_ns(c: CarrierConfig, pdu_size: int = 1500) -> int:

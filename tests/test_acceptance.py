@@ -15,20 +15,20 @@ import pytest
 from casim.cli import bundled_scenario_dir, main
 from casim.config import parse_scenario_file
 from casim.emulator import run
-from casim.metrics import misplacement, ordering_report
-from casim.model import MODCODS, CarrierConfig, OrbitModel, SchedulerKind
+from casim.metrics import ordering_report
+from casim.model import (MODCODS, CarrierConfig, OrbitModel, SchedulerKind,
+                         load_balance_factor, pdus_per_fecframe)
 from casim.receiver import merge
 from casim.scheduler import (
     build_plan,
     generate_sequence,
     initial_fast_sequence_raw,
-    load_balance_factor,
     multi_orbit_prefix,
-    pdus_per_fecframe,
     planning_differential_delay_s,
     superframes_in_interval,
 )
-from helpers import alpha_scenario, carrier, random_constant_delay_scenario, record, rows
+from helpers import (alpha_scenario, carrier, random_constant_delay_scenario, record, rows,
+                     synthetic_report)
 import oracle
 
 
@@ -157,11 +157,11 @@ def test_criterion_06_rr_mean_monotone_in_alpha():
     lb_means = []
     for alpha in alphas:
         rr_sc = alpha_scenario(alpha, scheduler=SchedulerKind.ROUND_ROBIN)
-        rr_means.append(misplacement(
-            merge(run(rr_sc, build_plan(rr_sc))), rr_sc.burst_sizes).mean)
+        rr_means.append(ordering_report(
+            merge(run(rr_sc, build_plan(rr_sc))), rr_sc).mean_misplace)
         lb_sc = alpha_scenario(alpha, scheduler=SchedulerKind.LOAD_BALANCING)
-        lb_means.append(misplacement(
-            merge(run(lb_sc, build_plan(lb_sc))), lb_sc.burst_sizes).mean)
+        lb_means.append(ordering_report(
+            merge(run(lb_sc, build_plan(lb_sc))), lb_sc).mean_misplace)
     monotone = all(a <= b + 1e-12 for a, b in zip(rr_means, rr_means[1:]))
     lb_small = all(m <= 10 for m in lb_means)
     check(
@@ -177,12 +177,13 @@ def test_criterion_07_alpha_one_exactness():
     lb_sc = alpha_scenario(Fraction(1))
     rr_sc = alpha_scenario(Fraction(1), scheduler=SchedulerKind.ROUND_ROBIN)
     lb_plan, rr_plan = build_plan(lb_sc), build_plan(rr_sc)
-    stats = misplacement(merge(run(lb_sc, lb_plan)), lb_sc.burst_sizes)
+    report = ordering_report(merge(run(lb_sc, lb_plan)), lb_sc)
+    stats = (report.misplaced_count, report.mean_misplace, report.max_misplace)
     check(
         7,
         "alpha=1 balanced carriers: identical plans, zero misplacement",
         lb_plan == rr_plan and stats == (0, 0.0, 0),
-        f"plan cycle={list(lb_plan.cycle)}, misplacement={tuple(stats)}",
+        f"plan cycle={list(lb_plan.cycle)}, misplacement={stats}",
     )
 
 
@@ -234,11 +235,11 @@ def test_criterion_10_oracle_equivalence():
         seqs = list(range(n))
         rng.shuffle(seqs)
         stream = record((s, 1, 0, j, j + 1, j + 1) for j, s in enumerate(seqs))
-        got = misplacement(stream)
+        got = synthetic_report(stream)
         want = oracle.brute_displacement(seqs)
         assert got.misplaced_count == want[0]
-        assert math.isclose(got.mean, want[1], rel_tol=1e-12, abs_tol=1e-12)
-        assert got.max == want[2]
+        assert math.isclose(got.mean_misplace, want[1], rel_tol=1e-12, abs_tol=1e-12)
+        assert got.max_misplace == want[2]
     check(
         10,
         "emulator matches fluid oracle (50 runs); metrics match brute force (100 perms)",

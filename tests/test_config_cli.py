@@ -1,10 +1,13 @@
 import json
 import re
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casim.cli import _atomic_write, bundled_scenario_dir, main
 from casim.config import (
@@ -188,6 +191,38 @@ class TestCli:
         assert "< carrier 2's 6.25e+399 bps" in err
         assert "Traceback" not in err
 
+    def test_huge_burst_gap_exits_3(self, tmp_path, capsys):
+        # 1e308 s is an infinite float count of ns
+        err = assert_run_exits_3(tmp_path, capsys, "meo_geo", "bursts", "10:1e308,10:0")
+        assert "transmission times exceed the int64 range" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, values", [
+        ("run", {"carrier1.symbol_rate_sym_s": "1e400",  # alpha 2/5: the cycle is fine
+                 "carrier2.symbol_rate_sym_s": "4e399"}),
+        ("prefix", {"carrier1.symbol_rate_sym_s": "1e400"}),
+    ])
+    def test_rate_past_float_range_exits_3(self, tmp_path, capsys, command, values):
+        text = bundled_path("meo_geo").read_text()
+        for key, value in values.items():
+            text = with_value(text, key, value)
+        cfg = tmp_path / "huge_rate.cfg"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: symbol_rate_sym_s 1.00e+400 exceeds the float range")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(bundled_path("geo_ca").read_bytes().replace(b"label=geo_ca", b"label=\xe9"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
     def test_pdu_ceiling_exits_3_before_allocating(self, tmp_path, capsys):
         started = time.perf_counter()
         err = assert_run_exits_3(tmp_path, capsys, "meo_geo", "bursts", "100000000000:0.0")
@@ -317,6 +352,51 @@ class TestCli:
             # plan prints "prefix: N x carrier 1 (MEO)", prefix "prefix_length: N"
             length = re.search(r"^prefix(?:_length)?: (\d+)", captured.out, re.MULTILINE)[1]
         assert int(length) > 10**290
+
+
+# Values for one mutated key: out of range, non-finite, signed zero, huge,
+# malformed and empty.  The base bursts offer 2000 PDUs, and drawn burst
+# counts keep a valid scenario at 3 x 666 = 1998 PDUs or fewer, or put it past
+# MAX_TOTAL_PDUS (refused before anything is allocated): the cap that keeps
+# an example to milliseconds.
+_NASTY = ("1e308", "1e400", "-1e400", "1e-400", "-0", "0", "-1", "nan", "inf", "-inf",
+          str(10**30), str(-10**30), "1/0", "0/0", "3/7", "1_000", "0x10", "", " ", "garbage")
+_VALUES = st.one_of(
+    st.sampled_from(_NASTY),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+_BURST_COUNTS = st.one_of(
+    st.integers(-3, 666).map(str),
+    st.sampled_from((str(MAX_TOTAL_PDUS + 1), str(10**30), "", "x", "1e3", "nan")),
+)
+_BURSTS = st.lists(
+    st.tuples(_BURST_COUNTS, st.one_of(st.sampled_from(_NASTY), st.floats().map(repr))),
+    min_size=1, max_size=3,
+).map(lambda entries: ",".join(f"{count}:{gap}" for count, gap in entries))
+
+
+@st.composite
+def _mutated_configs(draw) -> str:
+    """A bundled config, its bursts cut to 1000:20.0,1000:0.0, with one key's
+    value replaced."""
+    text = with_value(bundled_path(draw(st.sampled_from(BUNDLED))).read_text(),
+                      "bursts", "1000:20.0,1000:0.0")
+    key = draw(st.sampled_from(sorted(pairs_of(text))))
+    return with_value(text, key, draw(_BURSTS if key == "bursts" else _VALUES))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_mutated_configs())
+@example(with_value(bundled_path("meo_geo").read_text(), "bursts", "10:1e308,10:0"))
+@example(with_value(bundled_path("meo_geo").read_text(), "carrier1.symbol_rate_sym_s", "1e400"))
+def test_mutated_config_exits_0_2_or_3(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "mutated.cfg"
+        cfg.write_text(text)
+        for argv in (["run", "--out", str(Path(tmp) / "out"), "--trace"], ["plan"], ["prefix"]):
+            assert main([*argv, "--config", str(cfg)]) in (0, 2, 3)
 
 
 class TestSeedEnvVar:

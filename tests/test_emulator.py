@@ -108,6 +108,7 @@ class TestRun:
         (OrbitModel.meo(1e300), (Burst(5),)),
         (OrbitModel.geo(1.35e15), (Burst(5, 3e8), Burst(5))),  # in range, sum past
         (OrbitModel.meo(1e308), (Burst(5),)),  # varying delay overflows to inf
+        (OrbitModel.geo(), (Burst(5, 1e308), Burst(5))),  # gap in ns overflows to inf
     ])
     def test_times_past_int64_rejected(self, orbit, bursts):
         sc = alpha_scenario(Fraction(1), orbit1=orbit, orbit2=orbit, bursts=bursts)

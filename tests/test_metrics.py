@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import random
@@ -7,18 +8,18 @@ import pytest
 
 from casim.errors import DegenerateWindow, InvariantError
 from casim.metrics import (
+    COMPARISON_CSV_COLUMNS,
     OrderingReport,
-    compare,
     format_comparison,
-    misplacement,
     ordering_report,
-    throughput_bps,
+    write_comparison_csv,
 )
-from casim.model import Burst, RunTrace
+from casim.model import Burst
 from casim.receiver import merge
 from casim.emulator import run
 from casim.scheduler import SchedulingPlan, build_plan
-from helpers import alpha_scenario, random_overlapping_meo_scenario, record, rows
+from helpers import (alpha_scenario, random_overlapping_meo_scenario, record, rows,
+                     synthetic_report)
 import oracle
 
 
@@ -30,19 +31,25 @@ def stream_from_seqs(seqs, arrival_step=100):
     )
 
 
+def misplacement_stats(seqs, burst_sizes=None):
+    """(misplaced count, mean, max) of a stream receiving ``seqs`` in order."""
+    report = synthetic_report(stream_from_seqs(seqs), burst_sizes)
+    return report.misplaced_count, report.mean_misplace, report.max_misplace
+
+
 class TestMisplacement:
     def test_identity(self):
-        assert misplacement(stream_from_seqs(range(10))) == (0, 0.0, 0)
+        assert misplacement_stats(range(10)) == (0, 0.0, 0)
 
     def test_adjacent_swap(self):
-        got = misplacement(stream_from_seqs([0, 2, 1, 3]))
+        got = misplacement_stats([0, 2, 1, 3])
         assert got == (2, 1.0, 1)
 
     def test_window_reversal_max(self):
         for k in (3, 5, 9):
             seqs = list(range(20))
             seqs[4:4 + k] = reversed(seqs[4:4 + k])
-            assert misplacement(stream_from_seqs(seqs)).max == k - 1
+            assert misplacement_stats(seqs)[2] == k - 1
 
     def test_mean_le_max_on_random_permutations(self):
         rng = random.Random(31)
@@ -50,8 +57,8 @@ class TestMisplacement:
             n = rng.randint(2, 500)
             seqs = list(range(n))
             rng.shuffle(seqs)
-            got = misplacement(stream_from_seqs(seqs))
-            assert got.mean <= got.max <= n - 1
+            _, mean, worst = misplacement_stats(seqs)
+            assert mean <= worst <= n - 1
 
     def test_matches_brute_force(self):
         rng = random.Random(77)
@@ -59,23 +66,23 @@ class TestMisplacement:
             n = rng.randint(1, 2000)
             seqs = list(range(n))
             rng.shuffle(seqs)
-            got = misplacement(stream_from_seqs(seqs))
+            count, mean, worst = misplacement_stats(seqs)
             want = oracle.brute_displacement(seqs)
-            assert got.misplaced_count == want[0]
-            assert math.isclose(got.mean, want[1], rel_tol=1e-12, abs_tol=1e-12)
-            assert got.max == want[2]
+            assert count == want[0]
+            assert math.isclose(mean, want[1], rel_tol=1e-12, abs_tol=1e-12)
+            assert worst == want[2]
 
     def test_per_burst_seq_restart(self):
         # burst 2 in perfect order internally: no misplacement even though
         # its global positions trail burst 1
         seqs = [1, 0, 2, 3, 4, 5]
-        whole = misplacement(stream_from_seqs(seqs))
-        per_burst = misplacement(stream_from_seqs(seqs), burst_sizes=(3, 3))
+        whole = misplacement_stats(seqs)
+        per_burst = misplacement_stats(seqs, burst_sizes=(3, 3))
         assert whole == per_burst == (2, 1.0, 1)
 
     def test_burst_sizes_must_cover_stream(self):
         with pytest.raises(InvariantError):
-            misplacement(stream_from_seqs(range(6)), burst_sizes=(3, 2))
+            misplacement_stats(range(6), burst_sizes=(3, 2))
 
 
 class TestThroughput:
@@ -92,7 +99,7 @@ class TestThroughput:
         )
         plan = SchedulingPlan(cycle=(1,))
         merged = merge(run(sc, plan))
-        got = throughput_bps(merged, sc.pdu_size_bytes)
+        got = ordering_report(merged, sc).throughput_bps
         fluid = sc.pdu_size_bytes * 8 * 1e9 / sc.service_ns[0]
         assert got <= float(sc.carrier1.usable_capacity_bps())
         assert math.isclose(got, fluid, rel_tol=0.02)
@@ -106,17 +113,13 @@ class TestThroughput:
             bursts=(Burst(4000),),
         )
         merged = merge(run(sc, build_plan(sc)))
-        got = throughput_bps(merged, sc.pdu_size_bytes)
+        got = ordering_report(merged, sc).throughput_bps
         fluid = sc.pdu_size_bytes * 8 * 1e9 / sc.service_ns[0]
         assert math.isclose(got, 2 * fluid, rel_tol=0.02)
 
-    def test_empty_stream_rejected(self):
-        with pytest.raises(DegenerateWindow):
-            throughput_bps(RunTrace(*[[]] * 6), 1500)
-
     def test_single_pdu_rejected(self):
         with pytest.raises(DegenerateWindow):
-            throughput_bps(stream_from_seqs([0]), 1500)
+            synthetic_report(stream_from_seqs([0]))
 
     def test_gaps_excluded_from_active_time(self):
         # two identical bursts far apart: aggregated throughput equals the
@@ -125,10 +128,8 @@ class TestThroughput:
         sc_one = alpha_scenario(Fraction(2, 5), bursts=(Burst(490),))
         sc_two = alpha_scenario(
             Fraction(2, 5), bursts=(Burst(490, 100.0), Burst(490, 0.0)))
-        tp_one = throughput_bps(
-            merge(run(sc_one, build_plan(sc_one))), 1500, sc_one.burst_sizes)
-        tp_two = throughput_bps(
-            merge(run(sc_two, build_plan(sc_two))), 1500, sc_two.burst_sizes)
+        tp_one = ordering_report(merge(run(sc_one, build_plan(sc_one))), sc_one).throughput_bps
+        tp_two = ordering_report(merge(run(sc_two, build_plan(sc_two))), sc_two).throughput_bps
         assert math.isclose(tp_one, tp_two, rel_tol=1e-6)
 
 
@@ -175,26 +176,30 @@ class TestOrderingReport:
 
 
 class TestCompare:
-    def _report(self, seed=0):
+    def _report(self):
         sc = alpha_scenario(Fraction(2, 5), bursts=(Burst(300),))
         merged = merge(run(sc, build_plan(sc)))
         return ordering_report(merged, sc)
 
-    def test_single_row(self):
-        rows = compare([("solo", self._report())])
-        assert len(rows) == 1
-        assert rows[0]["label"] == "solo"
+    def _csv_rows(self, labeled, tmp_path):
+        path = tmp_path / "comparison.csv"
+        write_comparison_csv(labeled, path)
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
 
-    def test_identical_reports_identical_rows(self):
+    def test_single_row(self, tmp_path):
+        report = self._report()
+        header, *body = self._csv_rows([("solo", report)], tmp_path)
+        assert tuple(header) == COMPARISON_CSV_COLUMNS
+        assert body == [["solo"] + [str(getattr(report, key))
+                                    for key in COMPARISON_CSV_COLUMNS[1:]]]
+
+    def test_identical_reports_identical_rows(self, tmp_path):
         r = self._report()
-        rows = compare([("a", r), ("b", r)])
-        assert {k: v for k, v in rows[0].items() if k != "label"} \
-            == {k: v for k, v in rows[1].items() if k != "label"}
+        _, row_a, row_b = self._csv_rows([("a", r), ("b", r)], tmp_path)
+        assert row_a[0] == "a" and row_b[0] == "b"
+        assert row_a[1:] == row_b[1:]
 
     def test_format_contains_labels_and_header(self):
         text = format_comparison([("alpha04", self._report())])
         assert "alpha04" in text and "mean" in text and "Mbps" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compare([])

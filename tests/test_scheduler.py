@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from casim.cli import main
 from casim.errors import DenominatorTooLarge, DominanceViolated, InvariantError, ZeroPayload
-from casim.model import MODCODS, OrbitModel, SchedulerKind
+from casim.model import MODCODS, OrbitModel, SchedulerKind, load_balance_factor, pdus_per_fecframe
 from casim.scheduler import (
     SchedulingPlan,
     assignments,
     build_plan,
     generate_sequence,
     initial_fast_sequence_raw,
-    load_balance_factor,
     multi_orbit_prefix,
-    pdus_per_fecframe,
     planning_differential_delay_s,
     superframes_in_interval,
 )
