@@ -35,10 +35,11 @@ for scenario in (lb_scenario, rr_scenario):
     # Sample the received-vs-expected ramp: with round robin the received
     # sequence number drifts away from the slot index and snaps back when
     # the slower carrier finally drains; with load balancing it hugs it.
-    # Row i of the merged record is the i-th PDU the terminal received.
+    # merged.order[i] is the sequence number of the i-th PDU the terminal
+    # received.
     print("merged slot -> received seq (burst 1 samples):")
     for slot in (0, 500, 1000, 1500, 2000, 2400, 2499):
-        seq = int(merged.seq[slot])
+        seq = int(merged.order[slot])
         print(f"  slot {slot:>4}: seq {seq:>4}  (drift {seq - slot:+d})")
     print()
 

@@ -7,8 +7,8 @@ held as its carrier and length), a link emulator computes each carrier's FIFO
 transmission times in closed form (Lindley's recursion) and propagates each
 PDU, a naive FIFO receiver merges the two arrival streams,
 and the metrics layer reports misplacement distances and aggregated
-throughput.  One columnar record, ``RunTrace``, carries a run from the
-emulator through the merge to the metrics and ``trace.csv``.
+throughput.  One columnar record, ``RunTrace``, stores a run once, indexed
+by sequence number; the merge gives it a receive order and copies nothing.
 """
 
 from .config import (

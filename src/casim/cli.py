@@ -7,9 +7,10 @@ Subcommands:
     plan    --alpha F | --config PATH           print the scheduling plan
     prefix  --config PATH                       print the multi-orbit prefix math
 
-Exit codes: 0 success, 2 config parse error, 3 scenario invariant violation.
-Output files are written atomically (temp file + rename), so failures leave
-no partial outputs.  The CASIM_SEED environment variable, when set, draws a
+Exit codes: 0 success, 2 config parse error or an output directory that
+cannot be created or written, 3 scenario invariant violation.  Output files
+are written atomically (temp file + rename), so failures leave no partial
+outputs.  The CASIM_SEED environment variable, when set, draws a
 random phase offset for orbits with nonzero sinusoidal variation; runs stay
 deterministic for a fixed seed.
 """
@@ -286,6 +287,9 @@ def main(argv=None) -> int:
     except CasimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a config read raises ConfigError: this is an output
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarra
 
 
 def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
-    """Transport every PDU; return one row per PDU, in sequence order.
+    """Transport every PDU; return their record, listed in sequence order.
 
     On a carrier with service time s, the k-th PDU (k = 0, 1, ...) released at
     r_k starts when both it and the carrier are ready, so
@@ -83,12 +83,12 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
         tx_start[rows], tx_end[rows], arrival[rows] = end - service, end, end + delay
 
     return RunTrace(
-        seq=np.arange(n),
         carrier=carrier,
         t_scheduled_ns=release,
         t_tx_start_ns=tx_start,
         t_tx_end_ns=tx_end,
         t_arrival_ns=arrival,
+        order=np.arange(n),
     )
 
 
@@ -97,9 +97,11 @@ _CSV_CHUNK_ROWS = 1 << 16  # rows per write, which bounds the Python ints held a
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
     """Dump a run as CSV (times in integer nanoseconds), one row per PDU,
-    in the record's row order, with CRLF line ends."""
+    in the record's listed order, with CRLF line ends."""
+    columns = trace.seq_columns()
     with open(path, "w", newline="") as fh:
         fh.write("seq,carrier,t_scheduled,t_tx_start,t_tx_end,t_arrival\r\n")
         for start in range(0, len(trace), _CSV_CHUNK_ROWS):
-            chunk = np.stack([c[start:start + _CSV_CHUNK_ROWS] for c in trace.columns()], axis=1)
+            seqs = trace.order[start:start + _CSV_CHUNK_ROWS]
+            chunk = np.stack([seqs, *(column[seqs] for column in columns)], axis=1)
             fh.write("%d,%d,%d,%d,%d,%d\r\n" * len(chunk) % tuple(chunk.ravel().tolist()))

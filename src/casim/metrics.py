@@ -71,13 +71,15 @@ def _rate_bps(n_pdus: int, pdu_size_bytes: int, window_ns: int) -> float:
 def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingReport:
     """Misplacement and throughput of one scenario run, overall and per burst.
 
-    One grouping of the merged stream by burst gives every figure.  Grouping
-    keeps merge order within a burst, so a burst's k-th merged PDU lands at
-    index start + k of the grouped stream, while its sequence number is
-    start + its local sequence position: the burst start cancels out of the
-    distance.  Throughput is total bits over the summed per-burst active
-    windows (first tx start to last arrival), so inter-burst gaps are
-    excluded; a burst with a zero window reports 0.0.
+    Distances come from ``merged.order``, the sequence numbers in receive
+    order.  Grouping that order by burst keeps receive order within a
+    burst, so a burst's k-th received PDU lands at index start + k of the
+    grouped order, while its sequence number is start + its local sequence
+    position: the burst start cancels out of the distance.  A burst is a
+    contiguous range of sequence numbers, so its active window (first tx
+    start to last arrival) is one reduction over each sequence-indexed
+    column.  Throughput is total bits over the summed per-burst windows, so
+    inter-burst gaps are excluded; a burst with a zero window reports 0.0.
     """
     n = len(merged)
     burst_sizes = scenario.burst_sizes
@@ -88,14 +90,18 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
         raise DegenerateWindow(f"throughput needs at least 2 PDUs, got {n}")
     sizes = np.asarray(burst_sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    burst_of_seq = np.repeat(np.arange(sizes.size), sizes)
-    grouped = np.argsort(burst_of_seq[merged.seq], kind="stable")
-    distance = np.abs(np.arange(n) - merged.seq[grouped])
+    order = merged.order
+    # The smallest label type and an in-place distance keep the temporaries
+    # of a long run few and small.
+    burst_of_seq = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)
+    distance = np.arange(n)
+    distance -= order[np.argsort(burst_of_seq[order], kind="stable")]
+    np.abs(distance, out=distance)
     counts = np.add.reduceat(distance > 0, starts).tolist()
     sums = np.add.reduceat(distance, starts).tolist()
     worst = np.maximum.reduceat(distance, starts).tolist()
-    windows = (np.maximum.reduceat(merged.t_arrival_ns[grouped], starts)
-               - np.minimum.reduceat(merged.t_tx_start_ns[grouped], starts)).tolist()
+    windows = (np.maximum.reduceat(merged.t_arrival_ns, starts)
+               - np.minimum.reduceat(merged.t_tx_start_ns, starts)).tolist()
     total_ns = sum(windows)
     if total_ns <= 0:
         raise DegenerateWindow("total active time is zero")

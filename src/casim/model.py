@@ -18,7 +18,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DominanceViolated, InvariantError, ZeroPayload
+from .errors import DominanceViolated, DuplicateSeq, InvariantError, MissingSeq, ZeroPayload
 
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
@@ -67,7 +67,7 @@ NS_PER_S = 10**9
 
 # The most PDUs one scenario may offer: far above any bundled or benchmark
 # scenario, and low enough that a run's arrays fit in memory (run, merge and
-# report peak at ~130 B per PDU, so ~1.3 GB at the ceiling).
+# report peak at ~75 B per PDU, so ~0.75 GB at the ceiling).
 MAX_TOTAL_PDUS = 10**7
 
 
@@ -392,32 +392,35 @@ class ScenarioConfig:
 #  Run record
 # ---------------------------------------------------------------------------
 
-_TRACE_COLUMNS = ("seq", "carrier", "t_scheduled_ns", "t_tx_start_ns",
-                  "t_tx_end_ns", "t_arrival_ns")
-_trace_columns = attrgetter(*_TRACE_COLUMNS)
+_SEQ_COLUMNS = ("carrier", "t_scheduled_ns", "t_tx_start_ns", "t_tx_end_ns",
+                "t_arrival_ns")
+_seq_columns = attrgetter(*_SEQ_COLUMNS)
 
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """One run as columns: row i is one PDU's journey (times in integer ns).
+    """One run, stored once: five columns indexed by sequence number, plus
+    the order in which the record lists its PDUs (times in integer ns).
 
-    ``t_scheduled_ns`` is the generator release instant, ``t_tx_start_ns`` /
-    ``t_tx_end_ns`` bracket serialization on ``carrier``, and
-    ``t_arrival_ns`` is delivery after propagation.  The emulator emits rows
-    in sequence order; the receiver-side merge reorders them so that a row's
-    index is its position in the merged stream.  Every column is converted
-    to a one-dimensional int64 array of the same length.
+    ``carrier[s]`` carries PDU ``s``; ``t_scheduled_ns[s]`` is its generator
+    release instant, ``t_tx_start_ns[s]`` / ``t_tx_end_ns[s]`` bracket its
+    serialization, and ``t_arrival_ns[s]`` is its delivery after
+    propagation.  ``order`` lists the sequence numbers: the emulator lists
+    them in sequence order, and the receiver-side merge lists them in
+    receive order, sharing the columns.  Every field is converted to a
+    one-dimensional int64 array of the same length, and ``order`` must be
+    a permutation of 0..N-1.
     """
 
-    seq: np.ndarray
     carrier: np.ndarray
     t_scheduled_ns: np.ndarray
     t_tx_start_ns: np.ndarray
     t_tx_end_ns: np.ndarray
     t_arrival_ns: np.ndarray
+    order: np.ndarray
 
     def __post_init__(self):
-        for name in _TRACE_COLUMNS:
+        for name in (*_SEQ_COLUMNS, "order"):
             value = getattr(self, name)
             try:
                 column = np.asarray(value, dtype=np.int64)
@@ -425,20 +428,34 @@ class RunTrace:
                 raise InvariantError(f"{name} exceeds the int64 range") from exc
             if column is not value:
                 object.__setattr__(self, name, column)
-        seq, carrier, _, tx_start, tx_end, arrival = columns = self.columns()
-        if seq.ndim != 1 or len({c.shape for c in columns}) != 1:
+        carrier, _, tx_start, tx_end, arrival = columns = self.seq_columns()
+        order = self.order
+        if order.ndim != 1 or len({c.shape for c in columns} | {order.shape}) != 1:
             raise InvariantError("columns must be one-dimensional and of equal length")
-        if seq.size and seq.min() < 0:
+        n = order.size
+        if n and order.min() < 0:
             raise InvariantError("seq must be >= 0")
-        if carrier.size and (carrier.min() < 1 or carrier.max() > 2):
+        if n and (carrier.min() < 1 or carrier.max() > 2):
             raise InvariantError("carrier must be 1 or 2")
         if np.count_nonzero(tx_start > tx_end) or np.count_nonzero(tx_end > arrival):
             raise InvariantError(
                 "trace times must satisfy tx_start <= tx_end <= arrival")
+        counts = np.bincount(order if not n or order.max() < n else order[order < n],
+                             minlength=n)
+        if np.count_nonzero(counts != 1):
+            if np.count_nonzero(counts > 1):
+                raise DuplicateSeq(
+                    f"sequence number {np.argmax(counts > 1)} appears more than once")
+            raise MissingSeq(f"sequence number {np.argmax(counts == 0)} missing from traces")
 
     def __len__(self) -> int:
-        return self.seq.size
+        return self.order.size
+
+    def seq_columns(self) -> tuple[np.ndarray, ...]:
+        """The five per-PDU columns, indexed by sequence number, in field order."""
+        return _seq_columns(self)
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        """The six columns, in field order."""
-        return _trace_columns(self)
+        """The six columns of the listed rows: ``order`` (the sequence
+        numbers), then each per-PDU column gathered in that order."""
+        return (self.order, *(column[self.order] for column in self.seq_columns()))

@@ -7,9 +7,10 @@ gateway scheduler failed to prevent surface directly in the merged stream.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .errors import DuplicateSeq, MissingSeq
 from .model import RunTrace
 
 __all__ = ["merge"]
@@ -18,16 +19,13 @@ __all__ = ["merge"]
 def merge(trace: RunTrace) -> RunTrace:
     """Combine per-carrier arrivals into one FIFO stream.
 
-    Rows are sorted by arrival time (ties: carrier 1 first, then lower seq),
-    so a row's index in the result is its merge position.  The input must
-    be a permutation of sequence numbers 0..N-1.
+    The result shares ``trace``'s columns and lists its PDUs in receive
+    order: by arrival time, ties to carrier 1 and then to the lower
+    sequence number, whatever order ``trace`` lists them in.  A stable sort
+    of the arrivals of carrier 1's sequence numbers followed by carrier 2's,
+    each ascending, gives exactly that order.
     """
-    n = len(trace)
-    counts = np.bincount(trace.seq[trace.seq < n], minlength=n)
-    if np.count_nonzero(counts > 1):
-        raise DuplicateSeq(f"sequence number {np.argmax(counts > 1)} appears more than once")
-    if np.count_nonzero(counts == 0):
-        raise MissingSeq(f"sequence number {np.argmax(counts == 0)} missing from traces")
-
-    order = np.lexsort((trace.seq, trace.carrier, trace.t_arrival_ns))
-    return RunTrace(*(column[order] for column in trace.columns()))
+    carrier = trace.carrier
+    order = np.concatenate((np.flatnonzero(carrier == 1), np.flatnonzero(carrier == 2)))
+    order = order[np.argsort(trace.t_arrival_ns[order], kind="stable")]
+    return replace(trace, order=order)

@@ -22,13 +22,26 @@ EIGHT_PSK_56 = MODCODS["8PSK 5/6"]
 
 
 def rows(trace: RunTrace) -> list[tuple[int, ...]]:
-    """A record's rows as (seq, carrier, scheduled, tx_start, tx_end, arrival)."""
+    """A record's listed rows as (seq, carrier, scheduled, tx_start, tx_end, arrival)."""
     return list(zip(*(column.tolist() for column in trace.columns())))
 
 
 def record(trace_rows) -> RunTrace:
-    """A RunTrace from (seq, carrier, scheduled, tx_start, tx_end, arrival) rows."""
-    return RunTrace(*(list(column) for column in zip(*trace_rows, strict=True)))
+    """The RunTrace listing (seq, carrier, scheduled, tx_start, tx_end, arrival)
+    rows in the given order.
+
+    Each row's values are stored at its seq.  A seq outside 0..N-1 is listed
+    but stored nowhere, and a seq that no row names keeps carrier 1 and zero
+    times, so RunTrace's own checks judge the listed sequence numbers.
+    """
+    listed = [tuple(row) for row in trace_rows]
+    n = len(listed)
+    columns = [[1] * n, *([0] * n for _ in range(4))]
+    for seq, *values in listed:
+        if 0 <= seq < n:
+            for column, value in zip(columns, values, strict=True):
+                column[seq] = value
+    return RunTrace(*columns, order=[row[0] for row in listed])
 
 
 def synthetic_report(merged: RunTrace, burst_sizes=None) -> OrderingReport:

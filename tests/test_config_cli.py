@@ -159,6 +159,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert "dominant" in err
 
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, command, out):
+        (tmp_path / "file").write_text("")
+        argv = [command, "--out", str(tmp_path / out)]
+        if command == "run":
+            argv += ["--config", str(bundled_path("geo_ca"))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == ""
+
     def test_no_partial_outputs_on_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("label=x\n")

@@ -54,7 +54,7 @@ class TestRun:
     def test_balanced_alternation_arrives_in_seq_order(self):
         sc = alpha_scenario(Fraction(1), bursts=(Burst(400),))
         merged = merge(run(sc, build_plan(sc)))
-        assert merged.seq.tolist() == list(range(400))
+        assert merged.order.tolist() == list(range(400))
 
     def test_two_burst_scenario_yields_all_traces(self):
         sc = alpha_scenario(Fraction(2, 5))
@@ -64,13 +64,13 @@ class TestRun:
     def test_conservation(self):
         sc = alpha_scenario(Fraction(2, 5), bursts=(Burst(777),))
         traces = run(sc, build_plan(sc))
-        assert sorted(traces.seq.tolist()) == list(range(777))
+        assert sorted(traces.order.tolist()) == list(range(777))
 
     def test_per_carrier_fifo(self):
         sc = alpha_scenario(Fraction(2, 5))
         merged = merge(run(sc, build_plan(sc)))
         for carrier_idx in (1, 2):
-            seqs = merged.seq[merged.carrier == carrier_idx].tolist()
+            seqs = merged.order[merged.carrier[merged.order] == carrier_idx].tolist()
             assert seqs == sorted(seqs)
 
     def test_determinism(self):

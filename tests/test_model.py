@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casim.errors import DominanceViolated, InvariantError, ZeroPayload
+from casim.errors import DominanceViolated, DuplicateSeq, InvariantError, MissingSeq, ZeroPayload
 from casim.model import (
     MAX_TOTAL_PDUS,
     MODCODS,
@@ -23,7 +23,7 @@ from casim.model import (
     modcod_for_snr,
     to_fraction,
 )
-from helpers import carrier, record
+from helpers import carrier, record, rows
 import oracle
 
 
@@ -258,7 +258,24 @@ class TestRunTrace:
         assert len(trace) == 2
         assert all(c.dtype == np.int64 and c.shape == (2,) for c in trace.columns())
         with pytest.raises(InvariantError):
-            RunTrace([0, 1], [1, 1], [0, 0], [0, 0], [5, 5], [10])
+            RunTrace([1, 1], [0, 0], [0, 0], [5, 5], [10], order=[0, 1])
+        with pytest.raises(InvariantError):
+            RunTrace([1, 1], [0, 0], [0, 0], [5, 5], [10, 10], order=[0])
+
+    def test_columns_list_rows_in_order(self):
+        listed = [(2, 2, 0, 1, 4, 9), (0, 1, 0, 0, 5, 10), (1, 1, 0, 5, 6, 11)]
+        trace = record(listed)
+        assert trace.order.tolist() == [2, 0, 1]
+        assert trace.carrier.tolist() == [1, 1, 2]
+        assert rows(trace) == listed
+
+    def test_order_lists_each_seq_once(self):
+        by_seq = ([1, 2], [0, 0], [0, 0], [5, 5], [10, 10])
+        assert len(RunTrace(*by_seq, order=[1, 0])) == 2
+        with pytest.raises(DuplicateSeq, match="sequence number 0 appears more than once"):
+            RunTrace(*by_seq, order=[0, 0])
+        with pytest.raises(MissingSeq, match="sequence number 1 missing"):
+            RunTrace(*by_seq, order=[0, 2])
 
     def test_negative_seq_rejected(self):
         with pytest.raises(InvariantError):

@@ -1,10 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casim.errors import DuplicateSeq, MissingSeq
-from casim.model import Burst
+from casim.model import Burst, RunTrace
 from casim.receiver import merge
 from casim.scheduler import build_plan
 from casim.emulator import run
@@ -19,22 +23,28 @@ class TestMerge:
     def test_in_order_arrivals_give_identity(self):
         traces = [trace(i, 1, 100 * (i + 1)) for i in range(10)]
         merged = merge(record(traces))
-        assert merged.seq.tolist() == list(range(10))
+        assert merged.order.tolist() == list(range(10))
 
     def test_swapped_arrivals_follow_arrival_not_seq(self):
         traces = [trace(0, 1, 200), trace(1, 2, 100)]
         merged = merge(record(traces))
-        assert merged.seq.tolist() == [1, 0]
+        assert merged.order.tolist() == [1, 0]
 
     def test_tie_break_carrier_then_seq(self):
         traces = [trace(2, 2, 100), trace(0, 1, 100), trace(1, 1, 100)]
         merged = merge(record(traces))
-        assert merged.seq.tolist() == [0, 1, 2]
+        assert merged.order.tolist() == [0, 1, 2]
 
     def test_no_resequencing_by_seq(self):
         # a naive receiver must not repair ordering the scheduler got wrong
         traces = [trace(3, 2, 10), trace(0, 1, 20), trace(1, 1, 30), trace(2, 1, 40)]
-        assert merge(record(traces)).seq.tolist() == [3, 0, 1, 2]
+        assert merge(record(traces)).order.tolist() == [3, 0, 1, 2]
+
+    def test_shares_the_columns(self):
+        listed = record([trace(1, 2, 100), trace(0, 1, 200)])
+        merged = merge(listed)
+        assert merged.order.tolist() == [1, 0]
+        assert all(a is b for a, b in zip(merged.seq_columns(), listed.seq_columns()))
 
     def test_duplicate_seq_rejected(self):
         with pytest.raises(DuplicateSeq):
@@ -63,9 +73,27 @@ class TestMerge:
                 trace(i, rng.choice((1, 2)), arrivals[i]) for i in range(n)
             ]
             merged = merge(record(traces))
-            assert merged.seq.tolist() == list(range(n))
+            assert merged.order.tolist() == list(range(n))
 
     def test_end_to_end_alpha_one_is_identity(self):
         sc = alpha_scenario(Fraction(1), bursts=(Burst(200),))
         merged = merge(run(sc, build_plan(sc)))
-        assert merged.seq.tolist() == list(range(200))
+        assert merged.order.tolist() == list(range(200))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_merge_is_arrival_carrier_seq_order(data):
+    """The receive order is a lexsort by (arrival, carrier, seq), whatever
+    order the input lists its PDUs in; arrivals come from a small range and
+    one carrier-1 and one carrier-2 PDU always tie."""
+    n = data.draw(st.integers(2, 40))
+    carrier = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+    arrival = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    carrier[i], carrier[j], arrival[j] = 1, 2, arrival[i]
+    trace = RunTrace(carrier, [0] * n, [0] * n, [0] * n, arrival, order=range(n))
+    expected = np.lexsort((np.arange(n), carrier, arrival)).tolist()
+    assert merge(trace).order.tolist() == expected
+    shuffled = replace(trace, order=data.draw(st.permutations(range(n))))
+    assert merge(shuffled).order.tolist() == expected
