@@ -3,7 +3,8 @@
 Subcommands:
 
     run     --config PATH --out DIR [--trace]   run one scenario, write reports
-    suite   [--dir DIR] --out DIR               run every *.cfg in a directory
+    suite   [--dir DIR] --out DIR               run every *.cfg in a directory;
+                                                each X.cfg writes X.report.json
     plan    --alpha F | --config PATH           print the scheduling plan
     prefix  --config PATH                       print the multi-orbit prefix math
 
@@ -182,7 +183,7 @@ def cmd_suite(args) -> int:
         labeled.append((scenario.label, report))
         report_text = _report_json(scenario, plan, report)
         _atomic_write(
-            out_dir / f"{scenario.label}.report.json",
+            out_dir / f"{path.stem}.report.json",
             lambda p: p.write_text(report_text),
         )
 

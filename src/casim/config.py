@@ -16,29 +16,37 @@ ignored.  Keys (all required unless noted):
     carrier1.snr_db                 float label, drives MODCOD selection
     carrier1.orbit                  GEO | MEO
     carrier1.leg_km                 mean one-leg slant distance, km
-    carrier1.variation_amplitude_km peak sinusoidal leg deviation (0 = constant)
-    carrier1.variation_period_s     sinusoid period, seconds
+    carrier1.variation_amplitude_km peak sinusoidal leg deviation, at most
+                                    leg_km (optional; 0 = constant)
+    carrier1.variation_period_s     sinusoid period, seconds (optional;
+                                    DEFAULT_MEO_VARIATION_PERIOD_S = 600)
     carrier1.variation_phase_rad    optional phase, omitted when 0
     carrier2.*                      same keys for the second carrier
 
-Parsing a canonical file and re-serializing it reproduces it key for key.
+Rates and fill rates are read by ``model.to_fraction``, as ``casim plan
+--alpha`` is: malformed text or a decimal exponent beyond +-4000 is a
+ConfigError naming the key.  Parsing a canonical file and re-serializing it
+reproduces it key for key; ``serialize_scenario`` refuses a label that would
+not read back (one with a ``#``, a line break or surrounding whitespace).
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import (
+    DEFAULT_MEO_VARIATION_PERIOD_S,
     MODCODS,
     Burst,
     CarrierConfig,
+    OrbitKind,
     OrbitModel,
     ScenarioConfig,
     SchedulerKind,
     modcod_for_snr,
+    to_fraction,
 )
 
 __all__ = [
@@ -68,6 +76,9 @@ _REQUIRED_KEYS = set(_TOP_KEYS) | {
     for i in (1, 2)
     for key in ("symbol_rate_sym_s", "fill_rate", "snr_db", "orbit", "leg_km")
 }
+# Built once: iterating an Enum on every parse costs more than the lookup.
+_ORBIT_KINDS = tuple(kind.value for kind in OrbitKind)
+_SCHEDULERS = tuple(kind.value for kind in SchedulerKind)
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -91,22 +102,14 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-# Fraction computes 10**exponent exactly, so its time grows with the exponent.
-# The exponent's digits are taken without leading zeros: five exceed the bound.
-MAX_DECIMAL_EXPONENT = 4000
-_EXPONENT = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)\s*\Z")
-
-
 def parse_fraction(text: str, name: str) -> Fraction:
-    """Parse ``text`` as an exact Fraction.  Raises ConfigError naming ``name``
-    for malformed text or a decimal exponent beyond +-MAX_DECIMAL_EXPONENT."""
-    match = _EXPONENT.search(text)
-    if match and int(match[1].replace("_", "")[:5]) > MAX_DECIMAL_EXPONENT:
-        raise ConfigError(f"{name}: decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
+    """Parse ``text`` with ``model.to_fraction``; its ValueError (malformed
+    text, or a decimal exponent beyond +-MAX_DECIMAL_EXPONENT) becomes a
+    ConfigError naming ``name``."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{name}: not a number: {text!r}") from exc
+        return to_fraction(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _fraction(pairs: dict[str, str], key: str) -> Fraction:
@@ -149,13 +152,15 @@ def _parse_bursts(value: str) -> tuple[Burst, ...]:
 
 def _parse_carrier(pairs: dict[str, str], prefix: str) -> CarrierConfig:
     orbit_kind = pairs[f"{prefix}.orbit"]
-    if orbit_kind not in ("GEO", "MEO"):
-        raise ConfigError(f"{prefix}.orbit: must be GEO or MEO, got {orbit_kind!r}")
+    if orbit_kind not in _ORBIT_KINDS:
+        raise ConfigError(
+            f"{prefix}.orbit: must be {' or '.join(_ORBIT_KINDS)}, got {orbit_kind!r}")
     orbit = OrbitModel(
         kind=orbit_kind,
         mean_leg_distance_km=_float(pairs, f"{prefix}.leg_km"),
         variation_amplitude_km=_float(pairs, f"{prefix}.variation_amplitude_km", 0.0),
-        variation_period_s=_float(pairs, f"{prefix}.variation_period_s", 600.0),
+        variation_period_s=_float(pairs, f"{prefix}.variation_period_s",
+                                  DEFAULT_MEO_VARIATION_PERIOD_S),
         variation_phase_rad=_float(pairs, f"{prefix}.variation_phase_rad", 0.0),
     )
     snr_db = _float(pairs, f"{prefix}.snr_db")
@@ -182,10 +187,8 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     and InvariantError for semantically invalid scenarios."""
     pairs = _parse_pairs(text)
     scheduler = pairs["scheduler"]
-    if scheduler not in (k.value for k in SchedulerKind):
-        raise ConfigError(
-            f"scheduler: must be one of {', '.join(k.value for k in SchedulerKind)}; "
-            f"got {scheduler!r}")
+    if scheduler not in _SCHEDULERS:
+        raise ConfigError(f"scheduler: must be one of {', '.join(_SCHEDULERS)}; got {scheduler!r}")
     return ScenarioConfig(
         carrier1=_parse_carrier(pairs, "carrier1"),
         carrier2=_parse_carrier(pairs, "carrier2"),
@@ -240,12 +243,20 @@ def _serialize_carrier(lines: list[str], prefix: str, carrier: CarrierConfig) ->
 
 
 def serialize_scenario(scenario: ScenarioConfig) -> str:
-    """Render a scenario in canonical key order (floats via repr, exact)."""
+    """Render a scenario in canonical key order (floats via repr, exact).
+
+    Raises ValueError for a label the format cannot hold: one with a ``#``,
+    a line break (any that ``str.splitlines`` breaks on) or surrounding
+    whitespace would not read back as written.
+    """
+    label = scenario.label
+    if "#" in label or label != label.strip() or "".join(label.splitlines()) != label:
+        raise ValueError(f"a scenario file cannot hold the label {label!r}")
     bursts = ",".join(
         f"{b.pdu_count}:{b.inter_burst_gap_s!r}" for b in scenario.bursts
     )
     lines = [
-        f"label={scenario.label}",
+        f"label={label}",
         f"scheduler={scenario.scheduler.value}",
         f"pdu_size_bytes={scenario.pdu_size_bytes}",
         f"bursts={bursts}",

@@ -10,7 +10,7 @@ The mean is taken over misplaced PDUs only; the max over all PDUs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -41,14 +41,10 @@ class BurstStats:
 
 
 @dataclass(frozen=True)
-class OrderingReport:
-    """Scenario-level evaluation: misplacement statistics and throughput."""
+class OrderingReport(BurstStats):
+    """Scenario-level evaluation: the figures of ``BurstStats`` over the whole
+    run, plus each burst's own."""
 
-    n_pdus: int
-    misplaced_count: int
-    mean_misplace: float
-    max_misplace: int
-    throughput_bps: float
     per_burst: tuple[BurstStats, ...]
 
     def __post_init__(self):
@@ -64,8 +60,12 @@ class OrderingReport:
         return {**vars(self), "per_burst": [dict(vars(b)) for b in self.per_burst]}
 
 
-def _rate_bps(n_pdus: int, pdu_size_bytes: int, window_ns: int) -> float:
-    return n_pdus * pdu_size_bytes * 8 * NS_PER_S / window_ns
+def _figures(n_pdus: int, misplaced: int, distance_sum: int, max_distance: int,
+             window_ns: int, pdu_size_bytes: int) -> tuple:
+    """The fields of ``BurstStats``: the mean is over misplaced PDUs only, and
+    a zero window gives a throughput of 0.0."""
+    return (n_pdus, misplaced, distance_sum / misplaced if misplaced else 0.0, max_distance,
+            n_pdus * pdu_size_bytes * 8 * NS_PER_S / window_ns if window_ns > 0 else 0.0)
 
 
 def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingReport:
@@ -107,30 +107,13 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
         raise DegenerateWindow("total active time is zero")
 
     pdu_size = scenario.pdu_size_bytes
-    per_burst = tuple(
-        BurstStats(size, count, distance_sum / count if count else 0.0, max_distance,
-                   _rate_bps(size, pdu_size, window_ns) if window_ns > 0 else 0.0)
-        for size, count, distance_sum, max_distance, window_ns
-        in zip(burst_sizes, counts, sums, worst, windows))
-    misplaced = sum(counts)
+    per_burst = tuple(BurstStats(*_figures(*burst, pdu_size))
+                      for burst in zip(burst_sizes, counts, sums, worst, windows))
     return OrderingReport(
-        n_pdus=n,
-        misplaced_count=misplaced,
-        mean_misplace=sum(sums) / misplaced if misplaced else 0.0,
-        max_misplace=max(worst),
-        throughput_bps=_rate_bps(n, pdu_size, total_ns),
-        per_burst=per_burst,
-    )
+        *_figures(n, sum(counts), sum(sums), max(worst), total_ns, pdu_size), per_burst)
 
 
-COMPARISON_CSV_COLUMNS = (
-    "label",
-    "n_pdus",
-    "misplaced_count",
-    "mean_misplace",
-    "max_misplace",
-    "throughput_bps",
-)
+COMPARISON_CSV_COLUMNS = ("label", *(f.name for f in fields(BurstStats)))
 
 
 def format_comparison(labeled_reports: Sequence[tuple[str, OrderingReport]]) -> str:

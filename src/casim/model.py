@@ -10,6 +10,7 @@ holds a run's per-PDU times as integer nanoseconds.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -71,12 +72,20 @@ NS_PER_S = 10**9
 MAX_TOTAL_PDUS = 10**7
 
 
+# Fraction computes 10**exponent exactly, so its time grows with the exponent.
+# The exponent's digits are taken without leading zeros: five exceed the bound.
+MAX_DECIMAL_EXPONENT = 4000
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)\s*\Z")
+
+
 def to_fraction(value) -> Fraction:
     """Coerce int/float/str/Fraction to an exact Fraction.
 
     Floats are converted through their decimal repr so that e.g. ``0.25``
     becomes 1/4 and ``0.1`` becomes 1/10 (the value the caller wrote), not
-    the binary expansion of the float.
+    the binary expansion of the float.  Text is an integer, decimal or
+    ``p/q``; ValueError names text that is none of these, or whose decimal
+    exponent is beyond +-MAX_DECIMAL_EXPONENT.
     """
     if isinstance(value, Fraction):
         return value
@@ -85,10 +94,16 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"cannot convert {value!r} to a fraction")
-        return Fraction(repr(value))
-    if isinstance(value, str):
+        value = repr(value)
+    elif not isinstance(value, str):
+        raise TypeError(f"cannot convert {type(value).__name__} to a fraction")
+    match = _EXPONENT.search(value)
+    if match and int(match[1].replace("_", "")[:5]) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {value!r}")
+    try:
         return Fraction(value)
-    raise TypeError(f"cannot convert {type(value).__name__} to a fraction")
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a number: {value!r}") from None
 
 
 def approx(value: Fraction) -> str:
@@ -188,8 +203,10 @@ class OrbitModel:
         if self.mean_leg_distance_km <= 0:
             raise InvariantError(
                 f"mean_leg_distance_km must be > 0, got {self.mean_leg_distance_km}")
-        if self.variation_amplitude_km < 0:
-            raise InvariantError("variation_amplitude_km must be >= 0")
+        if not (0 <= self.variation_amplitude_km <= self.mean_leg_distance_km):
+            raise InvariantError(
+                f"variation_amplitude_km must be in [0, mean_leg_distance_km = "
+                f"{self.mean_leg_distance_km}], got {self.variation_amplitude_km}")
         if self.kind is OrbitKind.GEO and self.variation_amplitude_km != 0:
             raise InvariantError(
                 "GEO orbits are constant: variation_amplitude_km must be 0")

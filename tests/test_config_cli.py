@@ -2,6 +2,7 @@ import json
 import re
 import tempfile
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,15 @@ from casim.config import (
     serialize_scenario,
 )
 from casim.errors import ConfigError, DominanceViolated
-from casim.model import MAX_TOTAL_PDUS
+from casim.model import (
+    MAX_TOTAL_PDUS,
+    MODCODS,
+    Burst,
+    CarrierConfig,
+    OrbitModel,
+    ScenarioConfig,
+    SchedulerKind,
+)
 from casim.scheduler import build_plan
 from helpers import alpha_scenario
 
@@ -88,6 +97,66 @@ class TestConfigRoundTrip:
             line for line in text.splitlines() if ".modcod=" not in line)
         sc = parse_scenario_text(stripped)
         assert sc.carrier1.modcod.name == "8PSK 5/6"
+
+    # read back as "a" and "padded"; the third gave text the parser refuses
+    @pytest.mark.parametrize("label", ["a#b", " padded ", "two\nlines"])
+    def test_label_the_format_cannot_hold_is_refused(self, label):
+        scenario = replace(parse_scenario_file(bundled_path("geo_ca")), label=label)
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            serialize_scenario(scenario)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _orbits(draw) -> OrbitModel:
+    leg = draw(_POSITIVE)
+    if draw(st.booleans()):
+        return OrbitModel.geo(leg)
+    return OrbitModel.meo(leg, draw(st.floats(0.0, leg)), draw(_POSITIVE), draw(_FINITE))
+
+
+@st.composite
+def _carriers(draw) -> CarrierConfig:
+    # a fill rate of at least 1/10 gives every MODCOD a frame share of 405 B
+    return CarrierConfig(
+        symbol_rate_sym_s=draw(st.fractions(min_value=Fraction(1, 1000), max_denominator=10**6)),
+        modcod=draw(st.sampled_from(list(MODCODS.values()))),
+        fill_rate=draw(st.fractions(Fraction(1, 10), 1, max_denominator=1000)),
+        snr_db=draw(_FINITE),
+        orbit=draw(_orbits()),
+    )
+
+
+@st.composite
+def _scenarios(draw) -> ScenarioConfig:
+    """Valid scenarios of any label: carrier 1 dominates and a PDU of at
+    most 400 B fits every frame share."""
+    a, b = draw(_carriers()), draw(_carriers())
+    if a.usable_capacity_bps() < b.usable_capacity_bps():
+        a, b = b, a
+    bursts = st.builds(Burst, st.integers(1, 10**6), st.floats(0.0, allow_infinity=False))
+    return ScenarioConfig(
+        carrier1=a,
+        carrier2=b,
+        scheduler=draw(st.sampled_from(list(SchedulerKind))),
+        pdu_size_bytes=draw(st.integers(1, 400)),
+        bursts=draw(st.lists(bursts, min_size=1, max_size=4)),
+        label=draw(st.text()),
+    )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_scenarios())
+def test_serialize_round_trips_or_refuses(scenario):
+    try:
+        text = serialize_scenario(scenario)
+    except ValueError:
+        return
+    assert parse_scenario_text(text) == scenario
+    assert serialize_scenario(parse_scenario_text(text)) == text
 
 
 class TestConfigErrors:
@@ -278,6 +347,45 @@ class TestCli:
         for name in BUNDLED:
             assert (out / f"{name}.report.json").exists()
             assert any(line.startswith(name + ",") for line in lines[1:])
+
+    def test_suite_names_reports_after_config_files(self, tmp_path, capsys):
+        # named after labels, "../escaped" wrote beside --out and "dup" once
+        text = bundled_path("geo_ca").read_text()
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for stem, label in (("one", "dup"), ("two", "dup"), ("three", "../escaped")):
+            (configs / f"{stem}.cfg").write_text(with_value(text, "label", label))
+        out = tmp_path / "out" / "x"
+        assert main(["suite", "--dir", str(configs), "--out", str(out)]) == 0
+        assert sorted(str(p.relative_to(tmp_path / "out")) for p in (tmp_path / "out").rglob("*")) \
+            == ["x", "x/comparison.csv", "x/one.report.json", "x/three.report.json",
+                "x/two.report.json"]
+        for stem, label in (("one", "dup"), ("two", "dup"), ("three", "../escaped")):
+            assert json.loads((out / f"{stem}.report.json").read_text())["label"] == label
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["dup", "../escaped", "dup"]
+
+    @pytest.mark.parametrize("seed", [None, "2"])
+    @pytest.mark.parametrize("command", ["run", "plan", "prefix"])
+    def test_amplitude_beyond_mean_leg_exits_3(self, tmp_path, capsys, monkeypatch,
+                                               command, seed):
+        # meo_geo's MEO leg is 11933 km: unseeded this exited 0, with seed 2
+        # it exited 3 naming the trace times
+        if seed is None:
+            monkeypatch.delenv("CASIM_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CASIM_SEED", seed)
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(with_value(bundled_path("meo_geo").read_text(),
+                                  "carrier1.variation_amplitude_km", "20000"))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: variation_amplitude_km must be in [0, ")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_plan_alpha(self, capsys):
         assert main(["plan", "--alpha", "0.4"]) == 0

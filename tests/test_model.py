@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from casim.model import (
     modcod_for_snr,
     to_fraction,
 )
+from casim.scheduler import generate_sequence
 from helpers import carrier, record, rows
 import oracle
 
@@ -41,6 +43,21 @@ class TestToFraction:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             to_fraction(float("nan"))
+
+    @pytest.mark.parametrize("text", ["abc", "1/0"])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ValueError, match=f"^not a number: '{text}'$"):
+            to_fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1e-999999999"])
+    @pytest.mark.parametrize("parse", [to_fraction, generate_sequence,
+                                       lambda text: carrier(symbol_rate=text)])
+    def test_huge_decimal_exponent_rejected_quickly(self, parse, text):
+        # Fraction would compute 10**999999999 exactly, which takes hours
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^decimal exponent beyond \\+-4000: '{text}'$"):
+            parse(text)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestModCod:
@@ -151,6 +168,12 @@ class TestOrbitModel:
         hi = 2 * (11933.0 + 300.0) / SPEED_OF_LIGHT_KM_S
         for t in range(0, 1200, 7):
             assert lo <= meo.propagation_delay_s(float(t)) <= hi
+
+    def test_amplitude_at_most_mean_leg(self):
+        # a larger amplitude would give negative slant distances
+        OrbitModel.meo(11933.0, amplitude_km=11933.0)
+        with pytest.raises(InvariantError, match="variation_amplitude_km must be in"):
+            OrbitModel.meo(11933.0, amplitude_km=11933.001)
 
     def test_geo_variation_rejected(self):
         with pytest.raises(InvariantError):
