@@ -26,8 +26,8 @@ ignored.  Keys (all required unless noted):
 Rates and fill rates are read by ``model.to_fraction``, as ``casim plan
 --alpha`` is: malformed text or a decimal exponent beyond +-4000 is a
 ConfigError naming the key.  Parsing a canonical file and re-serializing it
-reproduces it key for key; ``serialize_scenario`` refuses a label that would
-not read back (one with a ``#``, a line break or surrounding whitespace).
+reproduces it key for key; ``serialize_scenario`` refuses a label or a
+MODCOD that would not read back as written.
 """
 
 from __future__ import annotations
@@ -84,12 +84,11 @@ _SCHEDULERS = tuple(kind.value for kind in SchedulerKind)
 def _parse_pairs(text: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        key, sep, value = raw.partition("#")[0].partition("=")
+        if not sep:
+            if key.strip():
+                raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -230,6 +229,8 @@ def _fraction_str(value: Fraction) -> str:
 
 def _serialize_carrier(lines: list[str], prefix: str, carrier: CarrierConfig) -> None:
     orbit = carrier.orbit
+    if MODCODS.get(carrier.modcod.name) != carrier.modcod:
+        raise ValueError(f"a scenario file names only MODCODS entries, not {carrier.modcod}")
     lines.append(f"{prefix}.symbol_rate_sym_s={_fraction_str(carrier.symbol_rate_sym_s)}")
     lines.append(f"{prefix}.modcod={carrier.modcod.name}")
     lines.append(f"{prefix}.fill_rate={_fraction_str(carrier.fill_rate)}")
@@ -245,9 +246,9 @@ def _serialize_carrier(lines: list[str], prefix: str, carrier: CarrierConfig) ->
 def serialize_scenario(scenario: ScenarioConfig) -> str:
     """Render a scenario in canonical key order (floats via repr, exact).
 
-    Raises ValueError for a label the format cannot hold: one with a ``#``,
-    a line break (any that ``str.splitlines`` breaks on) or surrounding
-    whitespace would not read back as written.
+    Raises ValueError for what would not read back as written: a label with
+    a ``#``, a line break (any that ``str.splitlines`` breaks on) or
+    surrounding whitespace, and a MODCOD not the ``MODCODS`` entry of its name.
     """
     label = scenario.label
     if "#" in label or label != label.strip() or "".join(label.splitlines()) != label:

@@ -37,13 +37,20 @@ def s_to_ns(seconds: float) -> int:
 
 
 def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarray:
-    """Delays (int64 ns) of ``carrier``'s path for PDUs leaving at int64 ``t_ns``:
-    ``OrbitModel.propagation_delay_s`` at float(t_ns) / 1e9, rounded as in
+    """Delays (int64 ns) of ``carrier``'s path for PDUs leaving at int64 ``t_ns``
+    >= 0: ``OrbitModel.propagation_delay_s`` at float(t_ns) / 1e9, rounded as in
     ``s_to_ns``.  Raises InvariantError unless every delay is a number in int64."""
+    orbit = carrier.orbit
+    if orbit.variation_amplitude_km == 0.0:  # a constant path: one delay, never nan
+        if not t_ns.size:  # no PDU takes it, so it is not evaluated
+            return np.empty(0, dtype=np.int64)
+        delay_ns = orbit.mean_propagation_delay_s() * NS_PER_S
+        if not delay_ns < 2.0**63:
+            raise InvariantError("arrival times exceed the int64 range")
+        return np.full(t_ns.shape, round(delay_ns), dtype=np.int64)
     # Overflow leaves inf and sin(inf) nan, which the range check rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        delay_s = carrier.orbit.propagation_delay_s(t_ns / NS_PER_S)
-        # a constant path gives one float, which ``out`` repeats for every PDU
+        delay_s = orbit.propagation_delay_s(t_ns / NS_PER_S)
         delay_ns = np.rint(np.multiply(delay_s, NS_PER_S, out=np.empty(t_ns.shape)))
     if not (np.abs(delay_ns) < 2.0**63).all():
         raise InvariantError("propagation delay is not finite" if np.isnan(delay_ns).any()
@@ -82,14 +89,7 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
             raise InvariantError("arrival times exceed the int64 range")
         tx_start[rows], tx_end[rows], arrival[rows] = end - service, end, end + delay
 
-    return RunTrace(
-        carrier=carrier,
-        t_scheduled_ns=release,
-        t_tx_start_ns=tx_start,
-        t_tx_end_ns=tx_end,
-        t_arrival_ns=arrival,
-        order=np.arange(n),
-    )
+    return RunTrace._of_run(carrier, release, tx_start, tx_end, arrival)
 
 
 _CSV_CHUNK_ROWS = 1 << 16  # rows per write, which bounds the Python ints held at once

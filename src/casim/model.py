@@ -100,8 +100,8 @@ def to_fraction(value) -> Fraction:
     match = _EXPONENT.search(value)
     if match and int(match[1].replace("_", "")[:5]) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {value!r}")
-    try:
-        return Fraction(value)
+    try:  # plain ASCII digits skip Fraction's text grammar
+        return Fraction(int(value) if value.isascii() and value.isdigit() else value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a number: {value!r}") from None
 
@@ -388,10 +388,10 @@ class ScenarioConfig:
             # One FEC frame lasts 612540 / (9 M R_s) s and carries n_pdu PDUs;
             # the quotient is rounded once to integer ns, ties to even.
             rate = c.symbol_rate_sym_s
+            den = FRAMES_PER_SUPERFRAME_BUNDLE * c.modcod.bits_per_symbol * rate.numerator * n_pdu
+            ns, rest = divmod(SUPERFRAME_SYMBOLS * NS_PER_S * rate.denominator, den)
             per_frame.append(n_pdu)
-            service_ns.append(round(Fraction(
-                SUPERFRAME_SYMBOLS * NS_PER_S * rate.denominator,
-                FRAMES_PER_SUPERFRAME_BUNDLE * c.modcod.bits_per_symbol * rate.numerator * n_pdu)))
+            service_ns.append(ns + (2 * rest + ns % 2 > den))
         object.__setattr__(self, "pdus_per_frame", tuple(per_frame))
         object.__setattr__(self, "service_ns", tuple(service_ns))
 
@@ -409,9 +409,8 @@ class ScenarioConfig:
 #  Run record
 # ---------------------------------------------------------------------------
 
-_SEQ_COLUMNS = ("carrier", "t_scheduled_ns", "t_tx_start_ns", "t_tx_end_ns",
-                "t_arrival_ns")
-_seq_columns = attrgetter(*_SEQ_COLUMNS)
+_FIELDS = ("carrier", "t_scheduled_ns", "t_tx_start_ns", "t_tx_end_ns", "t_arrival_ns", "order")
+_seq_columns = attrgetter(*_FIELDS[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,9 +423,10 @@ class RunTrace:
     serialization, and ``t_arrival_ns[s]`` is its delivery after
     propagation.  ``order`` lists the sequence numbers: the emulator lists
     them in sequence order, and the receiver-side merge lists them in
-    receive order, sharing the columns.  Every field is converted to a
-    one-dimensional int64 array of the same length, and ``order`` must be
-    a permutation of 0..N-1.
+    receive order, sharing the columns.  The constructor makes every field a
+    one-dimensional int64 array of one length and checks carriers of 1 or 2,
+    ``tx_start <= tx_end <= arrival`` and ``order`` permuting 0..N-1; the
+    emulator checks only the columns it made, the merge (a permutation) nothing.
     """
 
     carrier: np.ndarray
@@ -437,33 +437,45 @@ class RunTrace:
     order: np.ndarray
 
     def __post_init__(self):
-        for name in (*_SEQ_COLUMNS, "order"):
-            value = getattr(self, name)
-            try:
-                column = np.asarray(value, dtype=np.int64)
-            except OverflowError as exc:
-                raise InvariantError(f"{name} exceeds the int64 range") from exc
-            if column is not value:
-                object.__setattr__(self, name, column)
-        carrier, _, tx_start, tx_end, arrival = columns = self.seq_columns()
-        order = self.order
-        if order.ndim != 1 or len({c.shape for c in columns} | {order.shape}) != 1:
-            raise InvariantError("columns must be one-dimensional and of equal length")
-        n = order.size
+        self._check_columns()
+        order, n = self.order, self.order.size
         if n and order.min() < 0:
             raise InvariantError("seq must be >= 0")
-        if n and (carrier.min() < 1 or carrier.max() > 2):
-            raise InvariantError("carrier must be 1 or 2")
-        if np.count_nonzero(tx_start > tx_end) or np.count_nonzero(tx_end > arrival):
-            raise InvariantError(
-                "trace times must satisfy tx_start <= tx_end <= arrival")
-        counts = np.bincount(order if not n or order.max() < n else order[order < n],
-                             minlength=n)
+        counts = np.bincount(order if not n or order.max() < n else order[order < n], minlength=n)
         if np.count_nonzero(counts != 1):
             if np.count_nonzero(counts > 1):
                 raise DuplicateSeq(
                     f"sequence number {np.argmax(counts > 1)} appears more than once")
             raise MissingSeq(f"sequence number {np.argmax(counts == 0)} missing from traces")
+
+    @classmethod
+    def _of_run(cls, *seq_columns: np.ndarray) -> RunTrace:
+        """The emulator's record: its columns checked, listed 0..N-1."""
+        trace = object.__new__(cls)
+        vars(trace).update(zip(_FIELDS, (*seq_columns, np.arange(seq_columns[0].size))))
+        trace._check_columns()
+        return trace
+
+    def _listed_in(self, order: np.ndarray) -> RunTrace:
+        """This run's columns, not checked again, listed in the permutation ``order``."""
+        trace = object.__new__(type(self))
+        vars(trace).update(vars(self), order=order)
+        return trace
+
+    def _check_columns(self) -> None:
+        """Every field to int64, then the shapes, carriers and time order."""
+        for name in _FIELDS:
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+            except OverflowError as exc:
+                raise InvariantError(f"{name} exceeds the int64 range") from exc
+        carrier, _, tx_start, tx_end, arrival = columns = self.seq_columns()
+        if self.order.ndim != 1 or len({c.shape for c in columns} | {self.order.shape}) != 1:
+            raise InvariantError("columns must be one-dimensional and of equal length")
+        if self.order.size and (carrier.min() < 1 or carrier.max() > 2):
+            raise InvariantError("carrier must be 1 or 2")
+        if np.count_nonzero(tx_start > tx_end) or np.count_nonzero(tx_end > arrival):
+            raise InvariantError("trace times must satisfy tx_start <= tx_end <= arrival")
 
     def __len__(self) -> int:
         return self.order.size
@@ -471,8 +483,3 @@ class RunTrace:
     def seq_columns(self) -> tuple[np.ndarray, ...]:
         """The five per-PDU columns, indexed by sequence number, in field order."""
         return _seq_columns(self)
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The six columns of the listed rows: ``order`` (the sequence
-        numbers), then each per-PDU column gathered in that order."""
-        return (self.order, *(column[self.order] for column in self.seq_columns()))

@@ -77,13 +77,12 @@ class SchedulingPlan:
 def generate_sequence(alpha) -> list[int]:
     """The scheduling cycle for a load balancing factor alpha in (0, 1].
 
-    Alpha is first rounded to the nearest p/q with q <= 64; then q ones and
-    p twos are emitted with an error-accumulator rule: carrier 1 is chosen
-    unless that would leave the running count of twos more than one PDU
-    short of p/q times the count of ones.  Every prefix of the result
-    satisfies |count2 - (p/q)*count1| <= 1.  This is the Christoffel-word
-    (Bresenham) construction, and it reproduces every row of the paper's
-    lookup table.
+    Alpha is first rounded to the nearest p/q with q <= 64.  The cycle holds
+    q ones and p twos, the j-th one after ceil(p j / q) - 1 twos: carrier 1
+    comes next unless that would leave the count of twos more than one PDU
+    short of p/q times the count of ones, so every prefix satisfies
+    |count2 - (p/q)*count1| <= 1.  This is the Christoffel-word (Bresenham)
+    construction, and it reproduces every row of the paper's lookup table.
     """
     alpha = to_fraction(alpha)
     if not (0 < alpha <= 1):
@@ -95,15 +94,9 @@ def generate_sequence(alpha) -> list[int]:
             f"and rounds to 0 at denominator <= {MAX_GENERATOR_DENOMINATOR}; "
             "carrier 2 is too slow to schedule")
     p, q = rounded.numerator, rounded.denominator
-    ones = twos = 0
-    sequence: list[int] = []
-    while ones < q or twos < p:
-        if ones < q and q * (twos + 1) >= p * (ones + 1):
-            sequence.append(1)
-            ones += 1
-        else:
-            sequence.append(2)
-            twos += 1
+    sequence = [2] * (p + q)
+    for j in range(1, q + 1):
+        sequence[j - 2 - (-p * j // q)] = 1
     return sequence
 
 

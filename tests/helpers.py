@@ -23,7 +23,8 @@ EIGHT_PSK_56 = MODCODS["8PSK 5/6"]
 
 def rows(trace: RunTrace) -> list[tuple[int, ...]]:
     """A record's listed rows as (seq, carrier, scheduled, tx_start, tx_end, arrival)."""
-    return list(zip(*(column.tolist() for column in trace.columns())))
+    order = trace.order
+    return list(zip(order.tolist(), *(column[order].tolist() for column in trace.seq_columns())))
 
 
 def record(trace_rows) -> RunTrace:

@@ -8,7 +8,8 @@ computes displacement statistics by literal per-element iteration;
 ordering report.  All deliberately hardcode their constants and the
 prefix-then-cycle rule instead of importing them from the production
 modules, and use no numpy.  `PAPER_LOOKUP_TABLE` holds the paper's 17
-scheduling cycles, the reference for the cycle generator.
+scheduling cycles and `christoffel_cycle` builds any cycle PDU by PDU: the
+references for the cycle generator.
 """
 
 from __future__ import annotations
@@ -55,6 +56,22 @@ PAPER_LOOKUP_TABLE: dict[Fraction, tuple[int, ...]] = {
                        2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 2),
     Fraction(1): (1, 2),
 }
+
+
+def christoffel_cycle(p: int, q: int) -> list[int]:
+    """The cycle of q ones and p twos for a reduced alpha = p/q <= 1, built
+    PDU by PDU: carrier 1 unless that would leave the count of twos more
+    than one short of p/q times the count of ones."""
+    ones = twos = 0
+    cycle: list[int] = []
+    while ones < q or twos < p:
+        if ones < q and q * (twos + 1) >= p * (ones + 1):
+            cycle.append(1)
+            ones += 1
+        else:
+            cycle.append(2)
+            twos += 1
+    return cycle
 
 
 def _service_ns(carrier, pdu_size_bytes: int) -> int:

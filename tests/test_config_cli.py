@@ -22,6 +22,7 @@ from casim.model import (
     MODCODS,
     Burst,
     CarrierConfig,
+    ModCod,
     OrbitModel,
     ScenarioConfig,
     SchedulerKind,
@@ -97,6 +98,23 @@ class TestConfigRoundTrip:
             line for line in text.splitlines() if ".modcod=" not in line)
         sc = parse_scenario_text(stripped)
         assert sc.carrier1.modcod.name == "8PSK 5/6"
+
+    # the first gave text the parser refuses, the second read back as the
+    # table's QPSK 1/2 (2 bits per symbol), which holds no PDU here
+    @pytest.mark.parametrize("modcod", [ModCod("custom", 3, Fraction(5, 6)),
+                                        ModCod("QPSK 1/2", 3, Fraction(5, 6))])
+    def test_modcod_the_format_cannot_name_is_refused(self, modcod):
+        scenario = parse_scenario_file(bundled_path("geo_ca"))
+        scenario = replace(scenario, carrier1=replace(scenario.carrier1, modcod=modcod))
+        with pytest.raises(ValueError, match="MODCODS"):
+            serialize_scenario(scenario)
+
+    def test_modcod_equal_to_its_table_entry_round_trips(self):
+        scenario = parse_scenario_file(bundled_path("geo_ca"))
+        copy = ModCod("8PSK 5/6", 3, Fraction(5, 6))
+        assert copy is not MODCODS["8PSK 5/6"]
+        scenario = replace(scenario, carrier1=replace(scenario.carrier1, modcod=copy))
+        assert parse_scenario_text(serialize_scenario(scenario)) == scenario
 
     # read back as "a" and "padded"; the third gave text the parser refuses
     @pytest.mark.parametrize("label", ["a#b", " padded ", "two\nlines"])
@@ -517,6 +535,56 @@ def test_mutated_config_exits_0_2_or_3(text):
         cfg.write_text(text)
         for argv in (["run", "--out", str(Path(tmp) / "out"), "--trace"], ["plan"], ["prefix"]):
             assert main([*argv, "--config", str(cfg)]) in (0, 2, 3)
+
+
+# Lines a hand-edited config might gain: blanks, comments, stray text without
+# a "=", and key=value lines over every key, the bursts capped as above.
+_KEYS = sorted(pairs_of(bundled_path("meo_geo").read_text()).keys()
+               | {"carrier1.modcod", "carrier1.variation_phase_rad", "carrier3.leg_km", "x"})
+_JUNK_LINES = st.one_of(
+    st.sampled_from(("", "   ", "#", "# a=b", "=", "==", "=1", "label", "label=")),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="="),
+            max_size=20),
+    st.sampled_from(_KEYS).flatmap(lambda key: (_BURSTS if key == "bursts" else _VALUES).map(
+        lambda value: f"{key}={value}")),
+)
+
+
+@st.composite
+def _edited_configs(draw) -> str:
+    """A bundled config, its bursts cut to 1000:20.0,1000:0.0, after one to
+    four edits: drop, duplicate or swap lines, or insert a junk line."""
+    lines = with_value(bundled_path(draw(st.sampled_from(BUNDLED))).read_text(),
+                       "bursts", "1000:20.0,1000:0.0").splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("drop", "duplicate", "swap", "insert")))
+        if edit == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(_JUNK_LINES))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_edited_configs())
+def test_edited_config_text_exits_0_2_or_3(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = Path(tmp) / "configs"
+        configs.mkdir()
+        cfg = configs / "edited.cfg"
+        cfg.write_text(text)
+        for argv in (["run", "--config", str(cfg), "--out", str(Path(tmp) / "run"), "--trace"],
+                     ["plan", "--config", str(cfg)],
+                     ["prefix", "--config", str(cfg)],
+                     ["suite", "--dir", str(configs), "--out", str(Path(tmp) / "suite")]):
+            assert main(argv) in (0, 2, 3)
 
 
 class TestSeedEnvVar:

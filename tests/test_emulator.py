@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from casim.emulator import run, s_to_ns
+from casim.emulator import propagation_delays_ns, run, s_to_ns
 from casim.errors import InvariantError, ZeroPayload
 from casim.model import Burst, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
@@ -114,6 +115,26 @@ class TestRun:
         sc = alpha_scenario(Fraction(1), orbit1=orbit, orbit2=orbit, bursts=bursts)
         with pytest.raises(InvariantError, match="int64 range"):
             run(sc, build_plan(sc))
+
+    # delays of 1.5 and 2.5 ns exactly both round half to even, to 2
+    @pytest.mark.parametrize("orbit", [
+        OrbitModel.geo(), OrbitModel.meo(amplitude_km=0.0), OrbitModel.geo(1.35e15),
+        OrbitModel.geo(0.0002248443435), OrbitModel.geo(0.00037474057249999997)])
+    def test_constant_path_delay_matches_oracle(self, orbit):
+        cfg = carrier(orbit=orbit)
+        times = [0, 1, 10**9, 2**62]
+        delays = propagation_delays_ns(cfg, np.array(times, dtype=np.int64))
+        assert delays.dtype == np.int64
+        assert delays.tolist() == [oracle._path_delay_ns(cfg, t) for t in times]
+
+    # a finite delay past int64, then one that overflows to inf
+    @pytest.mark.parametrize("leg_km", [1e300, 1e308])
+    def test_constant_delay_past_int64_unless_no_pdu_takes_it(self, leg_km):
+        cfg = carrier(orbit=OrbitModel.geo(leg_km))
+        empty = propagation_delays_ns(cfg, np.empty(0, dtype=np.int64))
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+        with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
+            propagation_delays_ns(cfg, np.zeros(3, dtype=np.int64))
 
     def test_nan_delay_rejected(self):
         # the phase overflows to inf, so sin, and the delay, is nan

@@ -279,7 +279,8 @@ class TestRunTrace:
     def test_columns_are_equal_length_int64(self):
         trace = record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])
         assert len(trace) == 2
-        assert all(c.dtype == np.int64 and c.shape == (2,) for c in trace.columns())
+        assert all(c.dtype == np.int64 and c.shape == (2,)
+                   for c in (trace.order, *trace.seq_columns()))
         with pytest.raises(InvariantError):
             RunTrace([1, 1], [0, 0], [0, 0], [5, 5], [10], order=[0, 1])
         with pytest.raises(InvariantError):

@@ -46,6 +46,14 @@ class TestMerge:
         assert merged.order.tolist() == [1, 0]
         assert all(a is b for a, b in zip(merged.seq_columns(), listed.seq_columns()))
 
+    def test_shares_the_columns_of_a_run(self):
+        sc = alpha_scenario(Fraction(2, 5), bursts=(Burst(50),))
+        traced = run(sc, build_plan(sc))
+        merged = merge(traced)
+        assert traced.order.tolist() == list(range(50))
+        assert sorted(merged.order.tolist()) == list(range(50))
+        assert all(a is b for a, b in zip(merged.seq_columns(), traced.seq_columns()))
+
     def test_duplicate_seq_rejected(self):
         with pytest.raises(DuplicateSeq):
             merge(record([trace(0, 1, 10), trace(0, 2, 20)]))

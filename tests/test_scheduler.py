@@ -21,7 +21,7 @@ from casim.scheduler import (
     superframes_in_interval,
 )
 from helpers import alpha_scenario, carrier
-from oracle import PAPER_LOOKUP_TABLE
+from oracle import PAPER_LOOKUP_TABLE, christoffel_cycle
 
 
 def n_pdu(c):
@@ -104,6 +104,13 @@ class TestGenerateSequence:
                 else:
                     twos += 1
                 assert abs(Fraction(twos) - alpha * ones) <= 1
+
+    def test_equals_the_pdu_by_pdu_rule_for_every_reduced_alpha(self):
+        for q in range(1, 65):
+            for p in range(1, q + 1):
+                alpha = Fraction(p, q)
+                assert generate_sequence(alpha) == christoffel_cycle(
+                    alpha.numerator, alpha.denominator), alpha
 
     def test_denominator_limit(self):
         # alpha is rounded to denominator <= 64; a ratio that rounds to 0
