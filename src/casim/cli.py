@@ -108,7 +108,7 @@ def _load(config_path: str) -> tuple[ScenarioConfig, str]:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    scenario = parse_scenario_file(path)
+    scenario = parse_scenario_file(path, raw)
     scenario = _apply_seed(scenario, os.environ.get(SEED_ENV_VAR))
     return scenario, hashlib.sha256(raw).hexdigest()
 

@@ -32,6 +32,7 @@ MODCOD that would not read back as written.
 
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,10 +199,16 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     )
 
 
-def parse_scenario_file(path: str | Path) -> ScenarioConfig:
+def parse_scenario_file(path: str | Path, raw: bytes | None = None) -> ScenarioConfig:
+    """The scenario in config file ``path``.  ``raw``, if given, holds the
+    file's bytes, already read (to hash them), so the file is read once.  The
+    bytes are decoded as ``Path.read_text`` decodes them: the locale's
+    encoding, with universal newlines."""
     path = Path(path)
     try:
-        text = path.read_text()
+        if raw is None:
+            raw = path.read_bytes()
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_scenario_text(text)

@@ -1,13 +1,14 @@
 """Transport of scheduled PDUs over two carriers, in closed form.
 
 Each carrier is a work-conserving FIFO that serializes PDUs at one effective
-per-PDU service time (frame-level encapsulation collapsed into one number),
-after which each PDU propagates for the orbit's delay at the instant it
-leaves.  Releases arrive in sequence order, so a carrier's transmission
-times follow Lindley's recursion and need no event simulation, and its
-delays are one numpy expression over all its PDUs.  All times are integer
-nanoseconds: seconds are converted once with round(x * 1e9), so identical
-scenarios replay to byte-identical traces.
+per-PDU service time (frame-level encapsulation collapsed into one number,
+which may round to 0 ns), after which each PDU propagates for the orbit's
+delay at the instant it leaves.  Releases arrive in sequence order, so a
+carrier's transmission times follow Lindley's recursion, whose backlog term
+peaks at a burst's first PDU: each carrier's queue is solved once per burst,
+with no event simulation, and its delays are one numpy expression over all
+its PDUs.  All times are integer nanoseconds: seconds are converted once with
+round(x * 1e9), so identical scenarios replay to byte-identical traces.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarra
         return np.full(t_ns.shape, round(delay_ns), dtype=np.int64)
     # Overflow leaves inf and sin(inf) nan, which the range check rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        delay_s = orbit.propagation_delay_s(t_ns / NS_PER_S)
-        delay_ns = np.rint(np.multiply(delay_s, NS_PER_S, out=np.empty(t_ns.shape)))
-    if not (np.abs(delay_ns) < 2.0**63).all():
+        buffer = t_ns / NS_PER_S  # the one float array: times in s, then delays in s, in ns
+        delay_ns = orbit.propagation_delay_s(buffer, out=buffer)
+        np.rint(np.multiply(delay_ns, NS_PER_S, out=delay_ns), out=delay_ns)
+    if delay_ns.size and not (-2.0**63 < delay_ns.min() and delay_ns.max() < 2.0**63):
         raise InvariantError("propagation delay is not finite" if np.isnan(delay_ns).any()
                              else "arrival times exceed the int64 range")
     return delay_ns.astype(np.int64)
@@ -61,11 +63,15 @@ def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarra
 def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     """Transport every PDU; return their record, listed in sequence order.
 
-    On a carrier with service time s, the k-th PDU (k = 0, 1, ...) released at
-    r_k starts when both it and the carrier are ready, so
+    On a carrier with service time s >= 0, the k-th PDU (k = 0, 1, ...)
+    released at r_k starts when both it and the carrier are ready, so
     end_k = max(r_k, end_{k-1}) + s = (k+1)·s + max_{j<=k}(r_j - j·s).
-    It arrives after its path's delay at end_k, taken for all of a carrier's
-    PDUs at once (so never for a carrier that carries none).
+    Releases are equal within a burst and do not decrease from one burst to
+    the next, so r_j - j·s is largest at a burst's first PDU on the carrier:
+    the running max is taken over bursts, and each burst's peak is added to
+    its slice of (k+1)·s.  A PDU arrives after its path's delay at end_k,
+    taken for all of a carrier's PDUs at once (so never for a carrier that
+    carries none).
     """
     n = scenario.total_pdus
     carriers = (scenario.carrier1, scenario.carrier2)
@@ -78,16 +84,31 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     if not fits:
         raise InvariantError("transmission times exceed the int64 range")
     release = np.repeat(burst_start_ns, scenario.burst_sizes)
+    burst_head = list(accumulate(scenario.burst_sizes[:-1], initial=0))  # first seq of each
     carrier = assignments(plan, n)
     tx_start, tx_end, arrival = np.empty((3, n), dtype=np.int64)
     for idx, cfg, service in zip((1, 2), carriers, scenario.service_ns):
         rows = np.flatnonzero(carrier == idx)
-        queued_ns = np.arange(rows.size, dtype=np.int64) * service
-        end = queued_ns + service + np.maximum.accumulate(release[rows] - queued_ns)
+        m = rows.size
+        # Burst b's PDUs are this carrier's queue indices first[b]..first[b+1]-1.
+        # A burst with none has an empty slice, and its term r_b - first[b]·s
+        # raises no later peak: the next burst with PDUs here has its head at
+        # the same index and a release no earlier, so its own term is at least
+        # as large; if no later burst has any, no slice is left to raise.
+        first = rows.searchsorted(burst_head).tolist()
+        end = np.arange(1, m + 1, dtype=np.int64) * service  # (k+1)·s
+        peaks = accumulate((r - j * service for r, j in zip(burst_start_ns, first)), max)
+        for lo, hi, peak in zip(first, first[1:] + [m], peaks):
+            if peak:
+                end[lo:hi] += peak
         delay = propagation_delays_ns(cfg, end)
-        if np.count_nonzero(delay > INT64_MAX - end):  # end + delay would wrap
+        # end is nondecreasing, so end + delay can only wrap if end[-1] + max delay does
+        if m and int(end[-1]) + int(delay.max()) > INT64_MAX \
+                and np.count_nonzero(delay > INT64_MAX - end):
             raise InvariantError("arrival times exceed the int64 range")
-        tx_start[rows], tx_end[rows], arrival[rows] = end - service, end, end + delay
+        tx_end[rows] = end
+        arrival[rows] = np.add(delay, end, out=delay)
+        tx_start[rows] = np.subtract(end, service, out=end)
 
     return RunTrace._of_run(carrier, release, tx_start, tx_end, arrival)
 

@@ -68,7 +68,7 @@ NS_PER_S = 10**9
 
 # The most PDUs one scenario may offer: far above any bundled or benchmark
 # scenario, and low enough that a run's arrays fit in memory (run, merge and
-# report peak at ~75 B per PDU, so ~0.75 GB at the ceiling).
+# report together peak at ~73 B per PDU, so ~0.73 GB at the ceiling).
 MAX_TOTAL_PDUS = 10**7
 
 
@@ -227,16 +227,25 @@ class OrbitModel:
     ) -> "OrbitModel":
         return cls(OrbitKind.MEO, leg_km, amplitude_km, period_s, phase_rad)
 
-    def propagation_delay_s(self, t_s):
+    def propagation_delay_s(self, t_s, out=None):
         """One-trip (two-leg) propagation delay at time ``t_s`` (seconds, a
-        float or an array; a constant path gives one float)."""
+        float or an array; a constant path gives one float).  A varying path's
+        array of delays is written into ``out`` if given (``t_s`` itself may
+        be passed), else into one new array."""
         if np.count_nonzero(np.asarray(t_s) < 0):
             raise ValueError("t_s must be >= 0")
-        leg_km = self.mean_leg_distance_km
-        if self.variation_amplitude_km != 0.0:
-            leg_km = leg_km + self.variation_amplitude_km * np.sin(
-                2.0 * np.pi * t_s / self.variation_period_s + self.variation_phase_rad)
-        return 2.0 * leg_km / SPEED_OF_LIGHT_KM_S
+        if self.variation_amplitude_km == 0.0:
+            return self.mean_propagation_delay_s()
+        # 2 (mean leg + amplitude sin(2 pi t_s / period + phase)) / c, a step a ufunc
+        x = np.multiply(2.0 * np.pi, t_s, out=out)
+        out = x if isinstance(x, np.ndarray) else None
+        x = np.divide(x, self.variation_period_s, out=out)
+        x = np.add(x, self.variation_phase_rad, out=out)
+        x = np.sin(x, out=out)
+        x = np.multiply(self.variation_amplitude_km, x, out=out)
+        x = np.add(self.mean_leg_distance_km, x, out=out)
+        x = np.multiply(2.0, x, out=out)
+        return np.divide(x, SPEED_OF_LIGHT_KM_S, out=out)
 
     def mean_propagation_delay_s(self) -> float:
         """Amplitude-free one-trip delay (two mean legs)."""

@@ -190,10 +190,15 @@ def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
 def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
     """Carrier indices of the PDUs with sequence numbers 0..n-1 (int64): the
     prefix carrier for the first min(prefix_length, n), then the cycle
-    repeated."""
+    repeated, written into one column (whole cycles as one reshaped view)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     k = min(plan.prefix_length, n)
-    repeats = -(-(n - k) // len(plan.cycle))
-    cycle = np.tile(np.array(plan.cycle, dtype=np.int64), repeats)[:n - k]
-    return np.concatenate((np.full(k, plan.prefix_carrier, dtype=np.int64), cycle))
+    size = len(plan.cycle)
+    full, tail = divmod(n - k, size)
+    column = np.empty(n, dtype=np.int64)
+    if k:
+        column[:k] = plan.prefix_carrier
+    column[k:n - tail].reshape(full, size)[:] = plan.cycle
+    column[n - tail:] = plan.cycle[:tail]
+    return column

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import re
 import tempfile
 import time
@@ -321,6 +323,32 @@ class TestCli:
         cfg.write_bytes(bundled_path("geo_ca").read_bytes().replace(b"label=geo_ca", b"label=\xe9"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    @pytest.mark.parametrize("command", [["run", "--trace"], ["plan"], ["prefix"]])
+    def test_config_file_is_read_once(self, tmp_path, capsys, monkeypatch, command):
+        config = bundled_path("meo_geo")
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == config:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        out = ["--out", str(tmp_path / "out")] if command[0] == "run" else []
+        assert main([*command, "--config", str(config), *out]) == 0
+        assert len(opened) == 1
+
+    def test_crlf_config_gives_the_same_report(self, tmp_path, capsys):
+        crlf = tmp_path / "meo_geo.cfg"
+        crlf.write_bytes(bundled_path("meo_geo").read_bytes().replace(b"\n", b"\r\n"))
+        reports = []
+        for name, config in (("lf", bundled_path("meo_geo")), ("crlf", crlf)):
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        assert b"\r" in crlf.read_bytes()
+        assert reports[0] == reports[1]
 
     def test_pdu_ceiling_exits_3_before_allocating(self, tmp_path, capsys):
         started = time.perf_counter()

@@ -1,10 +1,14 @@
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from casim.cli import bundled_scenario_dir
+from casim.config import parse_scenario_file
 from casim.emulator import propagation_delays_ns, run, s_to_ns
 from casim.errors import InvariantError, ZeroPayload
 from casim.model import Burst, OrbitModel, ScenarioConfig, SchedulerKind
@@ -155,6 +159,48 @@ class TestRun:
             service = sc.service_ns[carrier_idx - 1]
             diffs = [b - a for a, b in zip(sorted(ends), sorted(ends)[1:])]
             assert all(d >= service for d in diffs)
+
+    def test_bursts_with_no_pdu_on_a_carrier(self):
+        # The 15-PDU prefix on carrier 2 covers the first three bursts, so
+        # carrier 1 queues nothing until burst 4: the backlog terms of the
+        # empty bursts must not reach its PDUs.
+        sc = alpha_scenario(Fraction(2, 5), orbit1=OrbitModel.geo(), orbit2=OrbitModel.meo(),
+                            bursts=(Burst(5, 0.0), Burst(5, 1e-4), Burst(3, 0.02), Burst(40)))
+        plan = build_plan(sc)
+        assert (plan.prefix_carrier, plan.prefix_length) == (2, 15)
+        trace = run(sc, plan)
+        assert not np.count_nonzero(trace.carrier[:13] == 1)
+        assert rows(trace) == oracle.heap_run(sc, plan)
+
+    def test_zero_service_time_sends_at_release(self):
+        sc = ScenarioConfig(
+            carrier1=carrier(3 * 10**14),
+            carrier2=carrier(10**14),
+            scheduler=SchedulerKind.LOAD_BALANCING,
+            pdu_size_bytes=1500,
+            bursts=(Burst(5, 0.0), Burst(5, 1e-6), Burst(20)),
+        )
+        assert sc.service_ns == (0, 0)
+        plan = build_plan(sc)
+        trace = run(sc, plan)
+        assert set(trace.carrier.tolist()) == {1, 2}
+        assert (trace.t_tx_start_ns == trace.t_scheduled_ns).all()
+        assert (trace.t_tx_end_ns == trace.t_scheduled_ns).all()
+        assert rows(trace) == oracle.heap_run(sc, plan)
+
+    def test_peak_memory_per_pdu(self):
+        # The record is 40 B per PDU (five int64 columns); the rest is one
+        # carrier's working arrays.  A full-length temporary more adds 8 B.
+        sc = replace(parse_scenario_file(bundled_scenario_dir() / "meo_geo.cfg"),
+                     bursts=(Burst(25_000, 0.5),) * 7 + (Burst(25_000),))
+        plan = build_plan(sc)
+        tracemalloc.start()
+        try:
+            run(sc, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / sc.total_pdus < 70
 
 
 class TestTraceCsv:

@@ -2,11 +2,15 @@
 
 Scenarios come from the parameter space of ``helpers``' random builders:
 any bundled MODCOD and fill rate whose frame share holds the PDU, symbol
-rates of 0.5-8 Msym/s, constant or sinusoidally varying paths, 1-4 bursts
-whose gaps may be shorter than the time a burst needs to drain, and either
-scheduler.  The vectorised path delay is checked on its own against the
-scalar oracle over random orbits and send times up to 2**62 ns.  Examples
-are derandomized, so the suite stays deterministic.
+rates of 0.5-8 Msym/s (or, for both carriers, rates of 1e14 sym/s and up,
+whose service times round to 0 ns), constant or sinusoidally varying paths,
+1-8 bursts whose gaps may be zero or shorter than the time a burst needs to
+drain, and either scheduler.  A multi-orbit prefix longer than the first
+bursts leaves the slow carrier with no PDU in them.  The vectorised path
+delay is checked on its own against the scalar oracle over random orbits and
+send times up to 2**62 ns, and the carrier column against the per-PDU rule
+over random plans.  Examples are derandomized, so the suite stays
+deterministic.
 """
 
 import math
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 from casim.emulator import propagation_delays_ns, run
 from casim.model import MODCODS, Burst, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind
-from casim.scheduler import build_plan
+from casim.scheduler import SchedulingPlan, assignments, build_plan
 from helpers import rows
 import oracle
 
@@ -26,7 +30,7 @@ FILL_RATES = tuple(Fraction(k, 4) for k in range(1, 5))
 
 
 @st.composite
-def carriers(draw, pdu_size: int) -> CarrierConfig:
+def carriers(draw, pdu_size: int, instant: bool = False) -> CarrierConfig:
     modcod, fill = draw(st.sampled_from([
         (modcod, fill) for modcod in MODCODS.values() for fill in FILL_RATES
         if 64800 * modcod.code_rate * fill / 8 >= pdu_size]))
@@ -41,7 +45,8 @@ def carriers(draw, pdu_size: int) -> CarrierConfig:
         leg = float(draw(st.integers(8000, 45000)))
         orbit = OrbitModel("MEO" if leg < 20000 else "GEO", leg)
     return CarrierConfig(
-        symbol_rate_sym_s=draw(st.integers(500, 8000)) * 1000,
+        symbol_rate_sym_s=draw(st.integers(10**14, 10**15) if instant
+                               else st.integers(500, 8000).map(lambda k: k * 1000)),
         modcod=modcod,
         fill_rate=fill,
         snr_db=10.0,
@@ -52,14 +57,16 @@ def carriers(draw, pdu_size: int) -> CarrierConfig:
 @st.composite
 def scenarios(draw) -> ScenarioConfig:
     pdu_size = draw(st.sampled_from((400, 800, 1200, 1500)))
-    a, b = draw(carriers(pdu_size)), draw(carriers(pdu_size))
+    instant = draw(st.integers(0, 9)) == 0  # one in ten: zero service times
+    a, b = draw(carriers(pdu_size, instant)), draw(carriers(pdu_size, instant))
     if a.usable_capacity_bps() < b.usable_capacity_bps():
         a, b = b, a
     service_s = max(oracle._service_ns(c, pdu_size) for c in (a, b)) / 1e9
-    sizes = draw(st.lists(st.integers(1, 80), min_size=1, max_size=4))
-    # gaps up to the slower carrier's time for a whole burst: some bursts
-    # overlap, some drain first
-    bursts = [Burst(size, draw(st.floats(0.0, size * service_s))) for size in sizes]
+    sizes = draw(st.lists(st.integers(1, 80), min_size=1, max_size=8))
+    # gaps of zero, or up to the slower carrier's time for a whole burst: some
+    # bursts overlap, some drain first
+    bursts = [Burst(size, draw(st.one_of(st.just(0.0), st.floats(0.0, size * service_s))))
+              for size in sizes]
     return ScenarioConfig(
         carrier1=a,
         carrier2=b,
@@ -118,3 +125,19 @@ def test_path_delays_match_scalar_oracle(orbit, times):
     delays = propagation_delays_ns(cfg, np.array(times, dtype=np.int64))
     assert delays.dtype == np.int64
     assert delays.tolist() == [oracle._path_delay_ns(cfg, t) for t in times]
+
+
+@st.composite
+def plans(draw) -> SchedulingPlan:
+    cycle = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=128)
+                 .filter(lambda c: 1 in c))
+    length = draw(st.integers(0, 60))
+    return SchedulingPlan(cycle, draw(st.sampled_from((1, 2))) if length else None, length)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(plans(), st.integers(0, 300))
+def test_assignments_match_per_pdu_rule(plan, n):
+    column = assignments(plan, n)
+    assert column.dtype == np.int64
+    assert column.tolist() == [oracle._carrier_of(plan, seq) for seq in range(n)]
