@@ -8,7 +8,8 @@ transmission times in closed form (Lindley's recursion) and propagates each
 PDU, a naive FIFO receiver merges the two arrival streams,
 and the metrics layer reports misplacement distances and aggregated
 throughput.  One columnar record, ``RunTrace``, stores a run once, indexed
-by sequence number; the merge gives it a receive order and copies nothing.
+by sequence number.  A record is listed in sequence order, or in receive
+order after ``merge``, which copies no column.
 """
 
 from .config import (
@@ -23,9 +24,7 @@ from .errors import (
     DegenerateWindow,
     DenominatorTooLarge,
     DominanceViolated,
-    DuplicateSeq,
     InvariantError,
-    MissingSeq,
     ZeroPayload,
 )
 from .metrics import (

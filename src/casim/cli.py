@@ -9,9 +9,10 @@ Subcommands:
     prefix  --config PATH                       print the multi-orbit prefix math
 
 Exit codes: 0 success, 2 config parse error or an output directory that
-cannot be created or written, 3 scenario invariant violation.  Output files
-are written atomically (temp file + rename), so failures leave no partial
-outputs.  The CASIM_SEED environment variable, when set, draws a
+cannot be created or written, 3 scenario invariant violation.  Every
+scenario is evaluated before ``--out`` is created, and each output file is
+written atomically (temp file + rename), so a config or invariant error
+leaves no outputs.  The CASIM_SEED environment variable, when set, draws a
 random phase offset for orbits with nonzero sinusoidal variation; runs stay
 deterministic for a fixed seed.
 """
@@ -26,11 +27,11 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 
-from .config import parse_fraction, parse_scenario_file
+from .config import _reading, parse_fraction, parse_scenario_file
 from .emulator import run, write_trace_csv
 from .errors import CasimError, ConfigError
 from .metrics import (
@@ -52,7 +53,7 @@ from .scheduler import (
     superframes_in_interval,
 )
 
-__all__ = ["main", "bundled_scenario_dir", "RunManifest"]
+__all__ = ["main", "bundled_scenario_dir"]
 
 SEED_ENV_VAR = "CASIM_SEED"
 
@@ -60,16 +61,6 @@ SEED_ENV_VAR = "CASIM_SEED"
 def bundled_scenario_dir() -> Path:
     """Directory holding the packaged example scenario configs."""
     return Path(str(files("casim") / "configs"))
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance of one scenario run (not part of the deterministic outputs)."""
-
-    label: str
-    config_sha256: str
-    outputs: tuple[str, ...]
-    duration_s: float
 
 
 def _atomic_write(path: Path, writer) -> None:
@@ -104,10 +95,8 @@ def _apply_seed(scenario: ScenarioConfig, seed: str | None) -> ScenarioConfig:
 
 def _load(config_path: str) -> tuple[ScenarioConfig, str]:
     path = Path(config_path)
-    try:
+    with _reading(path):
         raw = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     scenario = parse_scenario_file(path, raw)
     scenario = _apply_seed(scenario, os.environ.get(SEED_ENV_VAR))
     return scenario, hashlib.sha256(raw).hexdigest()
@@ -153,13 +142,14 @@ def cmd_run(args) -> int:
         _atomic_write(out_dir / "trace.csv", lambda p: write_trace_csv(merged, p))
         outputs.append("trace.csv")
 
-    manifest = RunManifest(
-        label=scenario.label,
-        config_sha256=config_hash,
-        outputs=tuple(outputs),
-        duration_s=time.perf_counter() - started,
-    )
-    manifest_text = json.dumps(asdict(manifest), indent=2) + "\n"
+    # provenance of the run, not part of the deterministic outputs
+    manifest = {
+        "label": scenario.label,
+        "config_sha256": config_hash,
+        "outputs": outputs,
+        "duration_s": time.perf_counter() - started,
+    }
+    manifest_text = json.dumps(manifest, indent=2) + "\n"
     _atomic_write(out_dir / "manifest.json", lambda p: p.write_text(manifest_text))
 
     print(format_comparison([(scenario.label, report)]))
@@ -173,20 +163,21 @@ def cmd_suite(args) -> int:
     if not config_paths:
         raise ConfigError(f"no *.cfg files in {config_dir}")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     labeled: list[tuple[str, OrderingReport]] = []
+    report_texts = []
     for path in config_paths:
         scenario, _ = _load(str(path))
         plan, report, _merged = _execute(scenario)
         labeled.append((scenario.label, report))
-        report_text = _report_json(scenario, plan, report)
+        report_texts.append(_report_json(scenario, plan, report))
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, report_text in zip(config_paths, report_texts):
         _atomic_write(
             out_dir / f"{path.stem}.report.json",
             lambda p: p.write_text(report_text),
         )
-
     _atomic_write(
         out_dir / "comparison.csv", lambda p: write_comparison_csv(labeled, p))
     print(format_comparison(labeled))

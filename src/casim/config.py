@@ -33,6 +33,7 @@ MODCOD that would not read back as written.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -199,18 +200,25 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     )
 
 
+@contextmanager
+def _reading(path: Path):
+    """Raise a failure to read or decode config file ``path`` as a ConfigError."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+
+
 def parse_scenario_file(path: str | Path, raw: bytes | None = None) -> ScenarioConfig:
     """The scenario in config file ``path``.  ``raw``, if given, holds the
     file's bytes, already read (to hash them), so the file is read once.  The
     bytes are decoded as ``Path.read_text`` decodes them: the locale's
     encoding, with universal newlines."""
     path = Path(path)
-    try:
+    with _reading(path):
         if raw is None:
             raw = path.read_bytes()
         text = io.TextIOWrapper(io.BytesIO(raw)).read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_scenario_text(text)
 
 

@@ -110,7 +110,7 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
         arrival[rows] = np.add(delay, end, out=delay)
         tx_start[rows] = np.subtract(end, service, out=end)
 
-    return RunTrace._of_run(carrier, release, tx_start, tx_end, arrival)
+    return RunTrace(carrier, release, tx_start, tx_end, arrival)
 
 
 _CSV_CHUNK_ROWS = 1 << 16  # rows per write, which bounds the Python ints held at once

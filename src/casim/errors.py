@@ -32,13 +32,5 @@ class ZeroPayload(InvariantError):
     """PDU too large for one frame's per-user share; nothing fits."""
 
 
-class DuplicateSeq(InvariantError):
-    """The same sequence number appears more than once in a trace set."""
-
-
-class MissingSeq(InvariantError):
-    """A sequence number expected in 0..N-1 is absent from a trace set."""
-
-
 class DegenerateWindow(InvariantError):
     """Throughput window has zero duration or too few PDUs to measure."""

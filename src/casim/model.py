@@ -19,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DominanceViolated, DuplicateSeq, InvariantError, MissingSeq, ZeroPayload
+from .errors import DominanceViolated, InvariantError, ZeroPayload
 
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
@@ -418,24 +418,23 @@ class ScenarioConfig:
 #  Run record
 # ---------------------------------------------------------------------------
 
-_FIELDS = ("carrier", "t_scheduled_ns", "t_tx_start_ns", "t_tx_end_ns", "t_arrival_ns", "order")
-_seq_columns = attrgetter(*_FIELDS[:-1])
+_FIELDS = ("carrier", "t_scheduled_ns", "t_tx_start_ns", "t_tx_end_ns", "t_arrival_ns")
+_seq_columns = attrgetter(*_FIELDS)
 
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """One run, stored once: five columns indexed by sequence number, plus
-    the order in which the record lists its PDUs (times in integer ns).
+    """One run, stored once: five columns indexed by sequence number (times in
+    integer ns), and ``order``, the sequence numbers as the record lists them.
 
     ``carrier[s]`` carries PDU ``s``; ``t_scheduled_ns[s]`` is its generator
     release instant, ``t_tx_start_ns[s]`` / ``t_tx_end_ns[s]`` bracket its
     serialization, and ``t_arrival_ns[s]`` is its delivery after
-    propagation.  ``order`` lists the sequence numbers: the emulator lists
-    them in sequence order, and the receiver-side merge lists them in
-    receive order, sharing the columns.  The constructor makes every field a
-    one-dimensional int64 array of one length and checks carriers of 1 or 2,
-    ``tx_start <= tx_end <= arrival`` and ``order`` permuting 0..N-1; the
-    emulator checks only the columns it made, the merge (a permutation) nothing.
+    propagation.  A record is listed in sequence order, or in receive order
+    after ``receiver.merge``, which shares the columns.  The constructor
+    takes the five columns, makes each a one-dimensional int64 array of one
+    length, checks carriers of 1 or 2 and ``tx_start <= tx_end <= arrival``,
+    and lists the record in sequence order.
     """
 
     carrier: np.ndarray
@@ -443,48 +442,28 @@ class RunTrace:
     t_tx_start_ns: np.ndarray
     t_tx_end_ns: np.ndarray
     t_arrival_ns: np.ndarray
-    order: np.ndarray
+    order: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self._check_columns()
-        order, n = self.order, self.order.size
-        if n and order.min() < 0:
-            raise InvariantError("seq must be >= 0")
-        counts = np.bincount(order if not n or order.max() < n else order[order < n], minlength=n)
-        if np.count_nonzero(counts != 1):
-            if np.count_nonzero(counts > 1):
-                raise DuplicateSeq(
-                    f"sequence number {np.argmax(counts > 1)} appears more than once")
-            raise MissingSeq(f"sequence number {np.argmax(counts == 0)} missing from traces")
-
-    @classmethod
-    def _of_run(cls, *seq_columns: np.ndarray) -> RunTrace:
-        """The emulator's record: its columns checked, listed 0..N-1."""
-        trace = object.__new__(cls)
-        vars(trace).update(zip(_FIELDS, (*seq_columns, np.arange(seq_columns[0].size))))
-        trace._check_columns()
-        return trace
-
-    def _listed_in(self, order: np.ndarray) -> RunTrace:
-        """This run's columns, not checked again, listed in the permutation ``order``."""
-        trace = object.__new__(type(self))
-        vars(trace).update(vars(self), order=order)
-        return trace
-
-    def _check_columns(self) -> None:
-        """Every field to int64, then the shapes, carriers and time order."""
         for name in _FIELDS:
             try:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
             except OverflowError as exc:
                 raise InvariantError(f"{name} exceeds the int64 range") from exc
         carrier, _, tx_start, tx_end, arrival = columns = self.seq_columns()
-        if self.order.ndim != 1 or len({c.shape for c in columns} | {self.order.shape}) != 1:
+        if carrier.ndim != 1 or len({c.shape for c in columns}) != 1:
             raise InvariantError("columns must be one-dimensional and of equal length")
-        if self.order.size and (carrier.min() < 1 or carrier.max() > 2):
+        if carrier.size and (carrier.min() < 1 or carrier.max() > 2):
             raise InvariantError("carrier must be 1 or 2")
         if np.count_nonzero(tx_start > tx_end) or np.count_nonzero(tx_end > arrival):
             raise InvariantError("trace times must satisfy tx_start <= tx_end <= arrival")
+        object.__setattr__(self, "order", np.arange(carrier.size, dtype=np.int64))
+
+    def _listed_in(self, order: np.ndarray) -> RunTrace:
+        """This run's columns, not checked again, listed in the permutation ``order``."""
+        trace = object.__new__(type(self))
+        vars(trace).update({**vars(self), "order": order})
+        return trace
 
     def __len__(self) -> int:
         return self.order.size

@@ -17,11 +17,12 @@ __all__ = ["merge"]
 def merge(trace: RunTrace) -> RunTrace:
     """Combine per-carrier arrivals into one FIFO stream.
 
-    The result shares ``trace``'s columns and lists its PDUs in receive
-    order: by arrival time, ties to carrier 1 and then to the lower
-    sequence number, whatever order ``trace`` lists them in.  A stable sort
-    of the arrivals of carrier 1's sequence numbers followed by carrier 2's,
-    each ascending, gives exactly that order, and a permutation of the
+    A record is listed in sequence order, or in receive order after
+    ``merge``.  The result shares ``trace``'s columns and lists its PDUs in
+    receive order: by arrival time, ties to carrier 1 and then to the lower
+    sequence number, whichever of the two listings ``trace`` has.  A stable
+    sort of the arrivals of carrier 1's sequence numbers followed by carrier
+    2's, each ascending, gives exactly that order, and a permutation of the
     checked sequence numbers, so nothing is checked again.
     """
     carrier = trace.carrier

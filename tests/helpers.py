@@ -16,6 +16,7 @@ from casim.model import (
     ScenarioConfig,
     SchedulerKind,
 )
+from casim.receiver import merge
 import oracle
 
 EIGHT_PSK_56 = MODCODS["8PSK 5/6"]
@@ -28,31 +29,23 @@ def rows(trace: RunTrace) -> list[tuple[int, ...]]:
 
 
 def record(trace_rows) -> RunTrace:
-    """The RunTrace listing (seq, carrier, scheduled, tx_start, tx_end, arrival)
-    rows in the given order.
-
-    Each row's values are stored at its seq.  A seq outside 0..N-1 is listed
-    but stored nowhere, and a seq that no row names keeps carrier 1 and zero
-    times, so RunTrace's own checks judge the listed sequence numbers.
-    """
-    listed = [tuple(row) for row in trace_rows]
-    n = len(listed)
-    columns = [[1] * n, *([0] * n for _ in range(4))]
-    for seq, *values in listed:
-        if 0 <= seq < n:
-            for column, value in zip(columns, values, strict=True):
-                column[seq] = value
-    return RunTrace(*columns, order=[row[0] for row in listed])
+    """The record of (seq, carrier, scheduled, tx_start, tx_end, arrival) rows,
+    listed in sequence order.  The rows, in any order, name each seq 0..N-1
+    once; each row's values are stored at its seq."""
+    by_seq = sorted(tuple(row) for row in trace_rows)
+    assert [row[0] for row in by_seq] == list(range(len(by_seq))), "each seq 0..N-1 once"
+    _, *columns = zip(*by_seq) if by_seq else [()] * 6
+    return RunTrace(*columns)
 
 
-def synthetic_report(merged: RunTrace, burst_sizes=None) -> OrderingReport:
-    """The ordering report of a synthetic merged stream, taken as the run of a
-    1500 B PDU scenario with ``burst_sizes`` (default: one burst of the whole
-    stream)."""
-    sizes = (len(merged),) if burst_sizes is None else burst_sizes
+def synthetic_report(trace: RunTrace, burst_sizes=None) -> OrderingReport:
+    """The ordering report of a synthetic record, merged, taken as the run of
+    a 1500 B PDU scenario with ``burst_sizes`` (default: one burst of the
+    whole stream)."""
+    sizes = (len(trace),) if burst_sizes is None else burst_sizes
     scenario = ScenarioConfig(carrier(), carrier(), SchedulerKind.LOAD_BALANCING,
                               bursts=tuple(Burst(size) for size in sizes))
-    return ordering_report(merged, scenario)
+    return ordering_report(merge(trace), scenario)
 
 
 def service_ns(c: CarrierConfig, pdu_size: int = 1500) -> int:

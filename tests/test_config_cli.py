@@ -229,7 +229,9 @@ class TestCli:
         assert report["label"] == "geo_ca"
         assert report["metrics"]["n_pdus"] == 5000
         manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["label", "config_sha256", "outputs", "duration_s"]
         assert len(manifest["config_sha256"]) == 64
+        assert manifest["outputs"] == ["report.json", "comparison.csv", "trace.csv"]
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.cfg"),
@@ -324,6 +326,18 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read config file")
 
+    @pytest.mark.parametrize("command", ["run", "plan", "prefix"])
+    def test_config_directory_exits_2(self, tmp_path, capsys, command):
+        argv = [command, "--config", str(tmp_path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        with pytest.raises(OSError) as read_error:
+            tmp_path.read_bytes()
+        assert capsys.readouterr().err == \
+            f"error: cannot read config file {tmp_path}: {read_error.value}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [["run", "--trace"], ["plan"], ["prefix"]])
     def test_config_file_is_read_once(self, tmp_path, capsys, monkeypatch, command):
         config = bundled_path("meo_geo")
@@ -410,6 +424,26 @@ class TestCli:
             assert json.loads((out / f"{stem}.report.json").read_text())["label"] == label
         rows = (out / "comparison.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["dup", "../escaped", "dup"]
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("pdu_size_bytes", "abc", 2),
+        ("carrier1.variation_amplitude_km", "20000", 3),  # above its 11933 km leg
+    ])
+    def test_suite_with_a_bad_last_config_writes_nothing(self, tmp_path, capsys,
+                                                          key, value, code):
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        for name in BUNDLED:
+            text = bundled_path(name).read_text()
+            if name == "meo_geo":  # the last in sorted order
+                text = with_value(text, key, value)
+            (configs / f"{name}.cfg").write_text(text)
+        out = tmp_path / "out"
+        assert main(["suite", "--dir", str(configs), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [None, "2"])
     @pytest.mark.parametrize("command", ["run", "plan", "prefix"])

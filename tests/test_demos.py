@@ -1,6 +1,8 @@
-"""Smoke test: every demo script runs to completion against the package."""
+"""Smoke tests: every demo script, and README's library quickstart, runs to
+completion against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_found():
@@ -23,3 +26,17 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_does_what_its_comments_say(capsys):
+    section = README.read_text().split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    namespace = {}
+    exec(compile(code, "README.md quickstart", "exec"), namespace)
+    plan, trace = namespace["plan"], namespace["trace"]
+    said = re.search(r"# prefix: (\d+) x carrier (\d), cycle \[([\d,]+)\]", code)
+    assert (said[1], said[2], said[3]) == ("38", "1", "1,1,2,1,1,1,2")
+    assert (plan.prefix_length, plan.prefix_carrier) == (38, 1)
+    assert list(plan.cycle) == [1, 1, 2, 1, 1, 1, 2]
+    assert trace.order.tolist() == list(range(5000))
+    assert len(capsys.readouterr().out.split()) == 3

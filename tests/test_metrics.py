@@ -24,7 +24,7 @@ import oracle
 
 
 def stream_from_seqs(seqs, arrival_step=100):
-    """A merged stream receiving ``seqs`` in order, one arrival per step."""
+    """A record whose merge receives ``seqs`` in order, one arrival per step."""
     return record(
         (s, 1, 0, i * arrival_step, (i + 1) * arrival_step, (i + 1) * arrival_step)
         for i, s in enumerate(seqs)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casim.errors import DominanceViolated, DuplicateSeq, InvariantError, MissingSeq, ZeroPayload
+from casim.errors import DominanceViolated, InvariantError, ZeroPayload
 from casim.model import (
     MAX_TOTAL_PDUS,
     MODCODS,
@@ -24,6 +24,7 @@ from casim.model import (
     modcod_for_snr,
     to_fraction,
 )
+from casim.receiver import merge
 from casim.scheduler import generate_sequence
 from helpers import carrier, record, rows
 import oracle
@@ -274,36 +275,27 @@ class TestRunTrace:
             record([(0, 0, 0, 0, 5, 10)])
 
     def test_empty_trace(self):
-        assert len(RunTrace(*[[]] * 6)) == 0
+        assert len(RunTrace(*[[]] * 5)) == 0
+        with pytest.raises(TypeError):  # the five columns only: order is derived
+            RunTrace(*[[]] * 6)
 
     def test_columns_are_equal_length_int64(self):
         trace = record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])
         assert len(trace) == 2
         assert all(c.dtype == np.int64 and c.shape == (2,)
                    for c in (trace.order, *trace.seq_columns()))
-        with pytest.raises(InvariantError):
-            RunTrace([1, 1], [0, 0], [0, 0], [5, 5], [10], order=[0, 1])
-        with pytest.raises(InvariantError):
-            RunTrace([1, 1], [0, 0], [0, 0], [5, 5], [10, 10], order=[0])
+        assert trace.order.tolist() == [0, 1]
+        with pytest.raises(InvariantError, match="equal length"):
+            RunTrace([1, 1], [0, 0], [0, 0], [5, 5], [10])
+        with pytest.raises(InvariantError, match="one-dimensional"):
+            RunTrace(*[[[1]]] * 5)
 
     def test_columns_list_rows_in_order(self):
         listed = [(2, 2, 0, 1, 4, 9), (0, 1, 0, 0, 5, 10), (1, 1, 0, 5, 6, 11)]
-        trace = record(listed)
+        trace = merge(record(listed))
         assert trace.order.tolist() == [2, 0, 1]
         assert trace.carrier.tolist() == [1, 1, 2]
         assert rows(trace) == listed
-
-    def test_order_lists_each_seq_once(self):
-        by_seq = ([1, 2], [0, 0], [0, 0], [5, 5], [10, 10])
-        assert len(RunTrace(*by_seq, order=[1, 0])) == 2
-        with pytest.raises(DuplicateSeq, match="sequence number 0 appears more than once"):
-            RunTrace(*by_seq, order=[0, 0])
-        with pytest.raises(MissingSeq, match="sequence number 1 missing"):
-            RunTrace(*by_seq, order=[0, 2])
-
-    def test_negative_seq_rejected(self):
-        with pytest.raises(InvariantError):
-            record([(-1, 1, 0, 0, 5, 10)])
 
     def test_times_beyond_int64_rejected(self):
         with pytest.raises(InvariantError):
