@@ -193,7 +193,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         carrier1=_parse_carrier(pairs, "carrier1"),
         carrier2=_parse_carrier(pairs, "carrier2"),
-        scheduler=SchedulerKind(scheduler),
+        scheduler=scheduler,
         pdu_size_bytes=_int(pairs, "pdu_size_bytes"),
         bursts=_parse_bursts(pairs["bursts"]),
         label=pairs["label"],

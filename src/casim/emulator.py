@@ -54,7 +54,8 @@ def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarra
         buffer = t_ns / NS_PER_S  # the one float array: times in s, then delays in s, in ns
         delay_ns = orbit.propagation_delay_s(buffer, out=buffer)
         np.rint(np.multiply(delay_ns, NS_PER_S, out=delay_ns), out=delay_ns)
-    if delay_ns.size and not (-2.0**63 < delay_ns.min() and delay_ns.max() < 2.0**63):
+    # A finite delay is >= 0 (amplitude <= mean leg), and nan fails the comparison.
+    if delay_ns.size and not np.maximum.reduce(delay_ns) < 2.0**63:
         raise InvariantError("propagation delay is not finite" if np.isnan(delay_ns).any()
                              else "arrival times exceed the int64 range")
     return delay_ns.astype(np.int64)
@@ -83,12 +84,12 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
         fits = False
     if not fits:
         raise InvariantError("transmission times exceed the int64 range")
-    release = np.repeat(burst_start_ns, scenario.burst_sizes)
+    release = np.array(burst_start_ns, dtype=np.int64).repeat(scenario.burst_sizes)
     burst_head = list(accumulate(scenario.burst_sizes[:-1], initial=0))  # first seq of each
     carrier = assignments(plan, n)
     tx_start, tx_end, arrival = np.empty((3, n), dtype=np.int64)
     for idx, cfg, service in zip((1, 2), carriers, scenario.service_ns):
-        rows = np.flatnonzero(carrier == idx)
+        rows = (carrier == idx).nonzero()[0]
         m = rows.size
         # Burst b's PDUs are this carrier's queue indices first[b]..first[b+1]-1.
         # A burst with none has an empty slice, and its term r_b - first[b]·s
@@ -103,7 +104,7 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
                 end[lo:hi] += peak
         delay = propagation_delays_ns(cfg, end)
         # end is nondecreasing, so end + delay can only wrap if end[-1] + max delay does
-        if m and int(end[-1]) + int(delay.max()) > INT64_MAX \
+        if m and int(end[-1]) + int(np.maximum.reduce(delay)) > INT64_MAX \
                 and np.count_nonzero(delay > INT64_MAX - end):
             raise InvariantError("arrival times exceed the int64 range")
         tx_end[rows] = end

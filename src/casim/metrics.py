@@ -83,19 +83,19 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
     """
     n = len(merged)
     burst_sizes = scenario.burst_sizes
-    if sum(burst_sizes) != n:
+    if scenario.total_pdus != n:
         raise InvariantError(
-            f"burst sizes sum to {sum(burst_sizes)} but the stream has {n} PDUs")
+            f"burst sizes sum to {scenario.total_pdus} but the stream has {n} PDUs")
     if n < 2:
         raise DegenerateWindow(f"throughput needs at least 2 PDUs, got {n}")
     sizes = np.asarray(burst_sizes, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     order = merged.order
     # The smallest label type and an in-place distance keep the temporaries
     # of a long run few and small.
-    burst_of_seq = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)
+    burst_of_seq = np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)).repeat(sizes)
     distance = np.arange(n)
-    distance -= order[np.argsort(burst_of_seq[order], kind="stable")]
+    distance -= order[burst_of_seq[order].argsort(kind="stable")]
     np.abs(distance, out=distance)
     counts = np.add.reduceat(distance > 0, starts).tolist()
     sums = np.add.reduceat(distance, starts).tolist()

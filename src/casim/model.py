@@ -100,8 +100,14 @@ def to_fraction(value) -> Fraction:
     match = _EXPONENT.search(value)
     if match and int(match[1].replace("_", "")[:5]) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {value!r}")
-    try:  # plain ASCII digits skip Fraction's text grammar
-        return Fraction(int(value) if value.isascii() and value.isdigit() else value)
+    try:  # ASCII digits, alone or as p/q, skip Fraction's text grammar
+        if value.isascii():
+            if value.isdigit():
+                return Fraction(int(value))
+            num, slash, den = value.partition("/")
+            if num.isdigit() and den.isdigit():
+                return Fraction(int(num), int(den))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a number: {value!r}") from None
 
@@ -232,7 +238,7 @@ class OrbitModel:
         float or an array; a constant path gives one float).  A varying path's
         array of delays is written into ``out`` if given (``t_s`` itself may
         be passed), else into one new array."""
-        if np.count_nonzero(np.asarray(t_s) < 0):
+        if np.fmin.reduce(np.asarray(t_s), axis=None, initial=0.0) < 0:  # fmin skips nan, as nan < 0 is false
             raise ValueError("t_s must be >= 0")
         if self.variation_amplitude_km == 0.0:
             return self.mean_propagation_delay_s()
@@ -271,10 +277,10 @@ class CarrierConfig:
         object.__setattr__(self, "symbol_rate_sym_s", to_fraction(self.symbol_rate_sym_s))
         object.__setattr__(self, "fill_rate", to_fraction(self.fill_rate))
         _require_finite(self, "snr_db")
-        if self.symbol_rate_sym_s <= 0:
+        if self.symbol_rate_sym_s.numerator <= 0:
             raise InvariantError(
                 f"symbol_rate_sym_s must be > 0, got {self.symbol_rate_sym_s}")
-        if not (0 < self.fill_rate <= 1):
+        if not 0 < self.fill_rate.numerator <= self.fill_rate.denominator:
             raise InvariantError(
                 f"fill_rate must be in (0, 1], got {self.fill_rate}")
 
@@ -365,8 +371,9 @@ class ScenarioConfig:
 
     Carrier 1 must be dominant (usable capacity at least carrier 2's);
     otherwise construction fails with a hint to swap the carriers.  Later
-    stages read the link numbers derived here once, exactly: ``alpha``, and
-    per carrier the PDUs per FEC frame and the per-PDU service time in ns.
+    stages read the numbers derived here once, exactly: ``alpha``, per carrier
+    the PDUs per FEC frame and the per-PDU service time in ns, and the
+    ``burst_sizes`` and their sum, ``total_pdus``.
     """
 
     carrier1: CarrierConfig
@@ -378,10 +385,14 @@ class ScenarioConfig:
     alpha: Fraction = field(init=False, repr=False, compare=False)
     pdus_per_frame: tuple[int, int] = field(init=False, repr=False, compare=False)
     service_ns: tuple[int, int] = field(init=False, repr=False, compare=False)
+    burst_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_pdus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scheduler", SchedulerKind(self.scheduler))
         object.__setattr__(self, "bursts", tuple(self.bursts))
+        object.__setattr__(self, "burst_sizes", tuple(b.pdu_count for b in self.bursts))
+        object.__setattr__(self, "total_pdus", sum(self.burst_sizes))
         if self.pdu_size_bytes <= 0:
             raise InvariantError(
                 f"pdu_size_bytes must be > 0, got {self.pdu_size_bytes}")
@@ -403,15 +414,6 @@ class ScenarioConfig:
             service_ns.append(ns + (2 * rest + ns % 2 > den))
         object.__setattr__(self, "pdus_per_frame", tuple(per_frame))
         object.__setattr__(self, "service_ns", tuple(service_ns))
-
-    @property
-    def burst_sizes(self) -> tuple[int, ...]:
-        return tuple(b.pdu_count for b in self.bursts)
-
-    @property
-    def total_pdus(self) -> int:
-        return sum(self.burst_sizes)
-
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +455,7 @@ class RunTrace:
         carrier, _, tx_start, tx_end, arrival = columns = self.seq_columns()
         if carrier.ndim != 1 or len({c.shape for c in columns}) != 1:
             raise InvariantError("columns must be one-dimensional and of equal length")
-        if carrier.size and (carrier.min() < 1 or carrier.max() > 2):
+        if carrier.size and (np.minimum.reduce(carrier) < 1 or np.maximum.reduce(carrier) > 2):
             raise InvariantError("carrier must be 1 or 2")
         if np.count_nonzero(tx_start > tx_end) or np.count_nonzero(tx_end > arrival):
             raise InvariantError("trace times must satisfy tx_start <= tx_end <= arrival")

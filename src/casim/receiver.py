@@ -26,6 +26,6 @@ def merge(trace: RunTrace) -> RunTrace:
     checked sequence numbers, so nothing is checked again.
     """
     carrier = trace.carrier
-    order = np.concatenate((np.flatnonzero(carrier == 1), np.flatnonzero(carrier == 2)))
-    order = order[np.argsort(trace.t_arrival_ns[order], kind="stable")]
+    order = np.concatenate(((carrier == 1).nonzero()[0], (carrier == 2).nonzero()[0]))
+    order = order[trace.t_arrival_ns[order].argsort(kind="stable")]
     return trace._listed_in(order)

@@ -77,23 +77,44 @@ class SchedulingPlan:
 def generate_sequence(alpha) -> list[int]:
     """The scheduling cycle for a load balancing factor alpha in (0, 1].
 
-    Alpha is first rounded to the nearest p/q with q <= 64.  The cycle holds
-    q ones and p twos, the j-th one after ceil(p j / q) - 1 twos: carrier 1
-    comes next unless that would leave the count of twos more than one PDU
-    short of p/q times the count of ones, so every prefix satisfies
-    |count2 - (p/q)*count1| <= 1.  This is the Christoffel-word (Bresenham)
-    construction, and it reproduces every row of the paper's lookup table.
+    Alpha is first rounded to the nearest p/q with q <= 64, ties to the
+    smaller denominator, exactly as ``Fraction.limit_denominator(64)`` rounds
+    it; the continued-fraction walk runs on alpha's integer terms.
+    The cycle holds q ones and p twos, the j-th one after ceil(p j / q) - 1
+    twos: carrier 1 comes next unless that would leave the count of twos more
+    than one PDU short of p/q times the count of ones, so every prefix
+    satisfies |count2 - (p/q)*count1| <= 1.  This is the Christoffel-word
+    (Bresenham) construction, and it reproduces every row of the paper's
+    lookup table.
     """
     alpha = to_fraction(alpha)
-    if not (0 < alpha <= 1):
+    num, den = alpha.numerator, alpha.denominator
+    if not 0 < num <= den:
         raise InvariantError(f"alpha must be in (0, 1], got {approx(alpha)}")
-    rounded = alpha.limit_denominator(MAX_GENERATOR_DENOMINATOR)
-    if rounded == 0:
+    p, q = num, den
+    if den > MAX_GENERATOR_DENOMINATOR:
+        # Convergents p1/q1 of num/den while q stays in bound; the answer is
+        # p1/q1 or the largest semiconvergent (p0 + k p1)/(q0 + k q1) in bound.
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            if q0 + a * q1 > MAX_GENERATOR_DENOMINATOR:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            n, d = d, n - a * d
+        k = (MAX_GENERATOR_DENOMINATOR - q0) // q1
+        # Alpha lies between the two, which are 1/(q1 (q0 + k q1)) apart, and
+        # d/(q1 den) from p1/q1: p1/q1 is kept iff that is at most half the gap.
+        if 2 * d * (q0 + k * q1) <= den:
+            p, q = p1, q1
+        else:
+            p, q = p0 + k * p1, q0 + k * q1
+    if p == 0:
         raise DenominatorTooLarge(
             f"alpha = {approx(alpha)} is at most 1/{2 * MAX_GENERATOR_DENOMINATOR} "
             f"and rounds to 0 at denominator <= {MAX_GENERATOR_DENOMINATOR}; "
             "carrier 2 is too slow to schedule")
-    p, q = rounded.numerator, rounded.denominator
     sequence = [2] * (p + q)
     for j in range(1, q + 1):
         sequence[j - 2 - (-p * j // q)] = 1
@@ -196,9 +217,10 @@ def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
     k = min(plan.prefix_length, n)
     size = len(plan.cycle)
     full, tail = divmod(n - k, size)
+    cycle = np.array(plan.cycle, dtype=np.int64)
     column = np.empty(n, dtype=np.int64)
     if k:
         column[:k] = plan.prefix_carrier
-    column[k:n - tail].reshape(full, size)[:] = plan.cycle
-    column[n - tail:] = plan.cycle[:tail]
+    column[k:n - tail].reshape(full, size)[:] = cycle
+    column[n - tail:] = cycle[:tail]
     return column

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -59,6 +60,33 @@ class TestToFraction:
         with pytest.raises(ValueError, match=f"^decimal exponent beyond \\+-4000: '{text}'$"):
             parse(text)
         assert time.perf_counter() - started < 1.0
+
+    # p/q text: ASCII digits on both sides take the int path; everything
+    # else (signs, spaces, underscores, other scripts' digits) is Fraction's.
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(
+        st.text(st.sampled_from("0139/+-_ .\t\u0663\u00b2"), max_size=10),
+        st.builds(lambda zeros, p, q: f"{'0' * zeros}{p}/{'0' * zeros}{q}",
+                  st.integers(0, 2), st.integers(0, 10**25), st.integers(0, 10**25))))
+    @example("3/0")
+    @example("\u0663/4")
+    @example("1_0/3")
+    @example("+3/4")
+    @example("3/-4")
+    @example(" 3/4")
+    @example("03/004")
+    @example("3/4/5")
+    @example("1e5000/3")
+    def test_ratio_text_parses_as_fraction_does(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError) as raised:
+                to_fraction(text)
+            assert str(raised.value) == f"not a number: {text!r}"
+        else:
+            got = to_fraction(text)
+            assert type(got) is Fraction and got == expected
 
 
 class TestModCod:
@@ -204,6 +232,20 @@ class TestScenarioConfig:
         )
         assert sc.total_pdus == 5000
         assert sc.burst_sizes == (2500, 2500)
+
+    def test_burst_sizes_are_derived_once(self):
+        sc = ScenarioConfig(carrier(4_640_000), carrier(1_856_000), SchedulerKind.ROUND_ROBIN,
+                            bursts=(Burst(3), Burst(4)))
+        assert sc.burst_sizes is sc.burst_sizes
+        changed = dataclasses.replace(sc, bursts=(Burst(5),) * 3)
+        assert (changed.burst_sizes, changed.total_pdus) == ((5, 5, 5), 15)
+        assert (sc.burst_sizes, sc.total_pdus) == ((3, 4), 7)
+        assert "burst_sizes" not in repr(sc) and "total_pdus" not in repr(sc)
+        # Not compared: equal scenarios stay equal with the derived fields forced apart.
+        twin = dataclasses.replace(sc)
+        object.__setattr__(twin, "burst_sizes", ())
+        object.__setattr__(twin, "total_pdus", 0)
+        assert twin == sc and hash(twin) == hash(sc)
 
     def test_burst_validation(self):
         with pytest.raises(InvariantError):

@@ -143,6 +143,52 @@ class TestGenerateSequence:
             assert abs(twos - alpha_used * ones) <= 1
 
 
+def _farey(order: int) -> list[Fraction]:
+    """The Farey sequence of ``order``: every reduced fraction in [0, 1] with
+    denominator at most ``order``, ascending."""
+    a, b, c, d = 0, 1, 1, order
+    terms = [Fraction(a, b)]
+    while c <= order:
+        k = (order + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        terms.append(Fraction(a, b))
+    return terms
+
+
+def _rounds_as_limit_denominator(alpha: Fraction) -> None:
+    """``generate_sequence`` realises ``Fraction.limit_denominator(64)``, or
+    refuses exactly the alphas that it rounds to 0."""
+    rounded = alpha.limit_denominator(64)
+    try:
+        cycle = generate_sequence(alpha)
+    except DenominatorTooLarge:
+        assert rounded == 0, alpha
+    else:
+        assert SchedulingPlan(cycle).alpha_used == rounded, alpha
+
+
+class TestRounding:
+    """The rounding to denominator <= 64, against ``Fraction.limit_denominator``."""
+
+    def test_midpoints_of_the_farey_sequence(self):
+        # A midpoint of two adjacent terms is a tie between them; just off it,
+        # the nearer term wins.
+        terms = _farey(64)
+        assert len(terms) == 1 + sum(math.gcd(p, q) == 1 for q in range(1, 65)
+                                     for p in range(1, q + 1))
+        for low, high in zip(terms, terms[1:]):
+            mid = (low + high) / 2
+            eps = (high - low) / 10**6
+            for alpha in (mid - eps, mid, mid + eps):
+                _rounds_as_limit_denominator(alpha)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 10**20).flatmap(
+        lambda den: st.integers(1, den).map(lambda num: Fraction(num, den))))
+    def test_fractions_with_large_terms(self, alpha):
+        _rounds_as_limit_denominator(alpha)
+
+
 class TestFrameArithmetic:
     def test_superframes_in_differential_delay(self):
         assert abs(superframes_in_interval(0.1881, 4_640_000) - 1.425) <= 0.001
