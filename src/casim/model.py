@@ -68,7 +68,8 @@ NS_PER_S = 10**9
 
 # The most PDUs one scenario may offer: far above any bundled or benchmark
 # scenario, and low enough that a run's arrays fit in memory (run, merge and
-# report together peak at ~73 B per PDU, so ~0.73 GB at the ceiling).
+# report together peak at ~73 B per PDU, so ~0.73 GB at the ceiling; writing
+# trace.csv holds one block, ~1.4 MB, whatever N is).
 MAX_TOTAL_PDUS = 10**7
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from casim.cli import bundled_scenario_dir
 from casim.config import parse_scenario_file
-from casim.emulator import propagation_delays_ns, run, s_to_ns
+from casim.emulator import _CSV_BLOCK_ROWS, propagation_delays_ns, run, s_to_ns, write_trace_csv
 from casim.errors import InvariantError, ZeroPayload
 from casim.model import Burst, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
@@ -19,10 +19,17 @@ from helpers import (
     carrier,
     random_constant_delay_scenario,
     random_overlapping_meo_scenario,
+    record,
     rows,
     service_ns,
 )
 import oracle
+
+
+def _long_meo_geo() -> ScenarioConfig:
+    """The bundled meo_geo scenario at 200k PDUs: 8 overlapping bursts of 25k."""
+    return replace(parse_scenario_file(bundled_scenario_dir() / "meo_geo.cfg"),
+                   bursts=(Burst(25_000, 0.5),) * 7 + (Burst(25_000),))
 
 
 class TestServiceTime:
@@ -191,8 +198,7 @@ class TestRun:
     def test_peak_memory_per_pdu(self):
         # The record is 40 B per PDU (five int64 columns); the rest is one
         # carrier's working arrays.  A full-length temporary more adds 8 B.
-        sc = replace(parse_scenario_file(bundled_scenario_dir() / "meo_geo.cfg"),
-                     bursts=(Burst(25_000, 0.5),) * 7 + (Burst(25_000),))
+        sc = _long_meo_geo()
         plan = build_plan(sc)
         tracemalloc.start()
         try:
@@ -202,10 +208,22 @@ class TestRun:
             tracemalloc.stop()
         assert peak / sc.total_pdus < 70
 
+    def test_trace_csv_peak_memory_is_one_block(self, tmp_path):
+        # The writer holds one block of rows and its text (~1.4 MB), not a
+        # share of the record: the same bound holds for any N.
+        sc = _long_meo_geo()
+        trace = merge(run(sc, build_plan(sc)))
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
 
 class TestTraceCsv:
     def test_columns_and_rows(self, tmp_path):
-        from casim.emulator import write_trace_csv
         sc = alpha_scenario(Fraction(1, 2), bursts=(Burst(12),))
         traces = run(sc, build_plan(sc))
         path = tmp_path / "trace.csv"
@@ -216,6 +234,24 @@ class TestTraceCsv:
         first = lines[1].split(",")
         assert len(first) == 6
         assert all(field.lstrip("-").isdigit() for field in first)
+
+    @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                   _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3])
+    def test_same_bytes_at_every_block_boundary(self, n, tmp_path):
+        # Values span the int64 range, signs and digit counts; the oracle
+        # formats every row in one piece.
+        rng = random.Random(n)
+        bound = 2**63 - 1
+        trace = record(
+            (seq, rng.choice((1, 2)), rng.randint(-bound - 1, bound),
+             *sorted(rng.randint(-bound - 1, bound) for _ in range(3)))
+            for seq in range(n))
+        for listed in (trace, merge(trace)):
+            path = tmp_path / "trace.csv"
+            write_trace_csv(listed, path)
+            expected = "seq,carrier,t_scheduled,t_tx_start,t_tx_end,t_arrival\r\n" + "".join(
+                "%d,%d,%d,%d,%d,%d\r\n" % row for row in rows(listed))
+            assert path.read_bytes() == expected.encode()
 
 
 class TestFluidOracleEquivalence:
