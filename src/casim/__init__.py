@@ -50,12 +50,12 @@ from .model import (
 )
 from .receiver import merge
 from .scheduler import (
+    Prefix,
     SchedulingPlan,
     assignments,
     build_plan,
     generate_sequence,
     multi_orbit_prefix,
-    superframes_in_interval,
 )
 
 __version__ = "0.1.0"

@@ -42,16 +42,7 @@ from .metrics import (
 )
 from .model import RunTrace, ScenarioConfig
 from .receiver import merge
-from .scheduler import (
-    SchedulingPlan,
-    build_plan,
-    generate_sequence,
-    initial_fast_sequence_raw,
-    multi_orbit_prefix,
-    planning_differential_delay_s,
-    prefix_carriers,
-    superframes_in_interval,
-)
+from .scheduler import SchedulingPlan, build_plan, generate_sequence, multi_orbit_prefix
 
 __all__ = ["main", "bundled_scenario_dir"]
 
@@ -214,24 +205,17 @@ def cmd_plan(args) -> int:
 
 def cmd_prefix(args) -> int:
     scenario, _ = _load(args.config)
-    fast_index, fast, slow = prefix_carriers(scenario)
-    slow_index = 3 - fast_index
-
-    delta_t = planning_differential_delay_s(fast.orbit, slow.orbit)
-    n_pdu = scenario.pdus_per_frame[fast_index - 1]
-    raw = initial_fast_sequence_raw(fast, delta_t, n_pdu)
-    prefix_length = multi_orbit_prefix(fast, slow, n_pdu)
-
-    print(f"fast_carrier: {fast_index} ({fast.orbit.kind.value}, "
-          f"leg {fast.orbit.mean_leg_distance_km} km)")
-    print(f"slow_carrier: {slow_index} ({slow.orbit.kind.value}, "
-          f"leg {slow.orbit.mean_leg_distance_km} km)")
-    print(f"differential_delay_s: {delta_t:.6f}")
-    print(f"superframes_in_delta: "
-          f"{superframes_in_interval(delta_t, fast.symbol_rate_sym_s):.6f}")
-    print(f"pdus_per_fecframe: {n_pdu}")
-    print(f"raw_initial_sequence: {raw:.4f}")
-    print(f"prefix_length: {prefix_length}")
+    prefix = multi_orbit_prefix(scenario)
+    carriers = (scenario.carrier1, scenario.carrier2)
+    for role, index in (("fast", prefix.carrier), ("slow", 3 - prefix.carrier)):
+        orbit = carriers[index - 1].orbit
+        print(f"{role}_carrier: {index} ({orbit.kind.value}, "
+              f"leg {orbit.mean_leg_distance_km} km)")
+    print(f"differential_delay_s: {prefix.delay_s:.6f}")
+    print(f"superframes_in_delta: {prefix.superframes:.6f}")
+    print(f"pdus_per_fecframe: {prefix.pdus_per_frame}")
+    print(f"raw_initial_sequence: {prefix.raw:.4f}")
+    print(f"prefix_length: {prefix.length}")
     return 0
 
 

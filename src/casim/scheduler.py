@@ -4,9 +4,10 @@ Produces the per-scenario :class:`SchedulingPlan`: a one-shot prefix that
 compensates the differential propagation delay between orbits, followed by a
 repeating cycle of carrier assignments whose 2:1 ratio equals the load
 balancing factor alpha.  Every scheduling decision lives here:
-``generate_sequence`` is the one place that makes a cycle, ``prefix_carriers``
-the one fast/slow carrier choice, and ``assignments`` the one
-prefix-then-cycle rule.
+``generate_sequence`` is the one place that makes a cycle,
+``multi_orbit_prefix`` the one prefix computation (the fast carrier and each
+step that sizes its prefix), and ``assignments`` the one prefix-then-cycle
+rule.
 All operations are pure functions of their arguments.
 """
 
@@ -15,22 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DenominatorTooLarge, InvariantError
-from .model import (FRAMES_PER_SUPERFRAME_BUNDLE, SUPERFRAME_SYMBOLS, CarrierConfig,
-                    OrbitModel, ScenarioConfig, SchedulerKind, approx, to_fraction)
+from .model import (FRAMES_PER_SUPERFRAME_BUNDLE, SUPERFRAME_SYMBOLS, ScenarioConfig,
+                    SchedulerKind, approx, to_fraction)
 
 __all__ = [
     "NOMINAL_LIGHT_SPEED_KM_S",
     "MAX_GENERATOR_DENOMINATOR",
     "SchedulingPlan",
     "generate_sequence",
-    "superframes_in_interval",
-    "planning_differential_delay_s",
-    "initial_fast_sequence_raw",
-    "prefix_carriers",
+    "Prefix",
     "multi_orbit_prefix",
     "build_plan",
     "assignments",
@@ -121,75 +120,52 @@ def generate_sequence(alpha) -> list[int]:
     return sequence
 
 
-def _rate_float(symbol_rate: Fraction) -> float:
-    """``symbol_rate`` as a float; InvariantError, naming it, if none holds it."""
+class Prefix(NamedTuple):
+    """The multi-orbit prefix of a scenario, with every step that sizes it.
+
+    ``carrier`` is the fast carrier (the shorter mean leg, carrier 1 on a
+    tie); ``delay_s`` the slow path's head start, with the planner's nominal
+    light speed; ``superframes`` how many superframes the fast carrier emits
+    in it; ``pdus_per_frame`` the fast carrier's PDUs per FEC frame; ``raw``
+    the PDUs it sends meanwhile, pdus_per_frame x 9 bundled frames x M x
+    symbol rate x delay / superframe symbols; ``length`` that count floored,
+    the PDUs pinned to ``carrier``.
+    """
+
+    carrier: int
+    delay_s: float
+    superframes: float
+    pdus_per_frame: int
+    raw: float
+    length: int
+
+
+def multi_orbit_prefix(scenario: ScenarioConfig) -> Prefix:
+    """How many leading PDUs to pin to the fast (lower-delay) carrier so the
+    slow path's head start is absorbed, and the steps that size it.  Zero
+    when the paths match."""
+    c1, c2 = scenario.carrier1, scenario.carrier2
+    carrier = 1 if c1.orbit.mean_leg_distance_km <= c2.orbit.mean_leg_distance_km else 2
+    fast, slow = (c1, c2) if carrier == 1 else (c2, c1)
+    n_pdu = scenario.pdus_per_frame[carrier - 1]
+    delta_leg_km = slow.orbit.mean_leg_distance_km - fast.orbit.mean_leg_distance_km
+    delay_s = 2.0 * delta_leg_km / NOMINAL_LIGHT_SPEED_KM_S
+    if delay_s == 0:
+        return Prefix(carrier, 0.0, 0.0, n_pdu, 0.0, 0)
     try:
-        return float(symbol_rate)
+        rate = float(fast.symbol_rate_sym_s)
     except OverflowError:
         raise InvariantError(
-            f"symbol_rate_sym_s {approx(symbol_rate)} exceeds the float range "
-            "of the multi-orbit prefix arithmetic") from None
-
-
-def superframes_in_interval(interval_s: float, symbol_rate_sym_s) -> float:
-    """Number of superframes a carrier emits in ``interval_s`` seconds."""
-    symbol_rate = to_fraction(symbol_rate_sym_s)
-    if symbol_rate <= 0:
-        raise ValueError(f"symbol_rate_sym_s must be > 0, got {symbol_rate_sym_s}")
-    return interval_s * _rate_float(symbol_rate) / SUPERFRAME_SYMBOLS
-
-
-def planning_differential_delay_s(fast: OrbitModel, slow: OrbitModel) -> float:
-    """Differential one-trip delay between the slow and fast paths, computed
-    with the planner's nominal light-speed constant."""
-    delta_leg_km = slow.mean_leg_distance_km - fast.mean_leg_distance_km
-    if delta_leg_km < 0:
-        raise ValueError(
-            "fast orbit has the larger mean leg distance; swap the arguments")
-    return 2.0 * delta_leg_km / NOMINAL_LIGHT_SPEED_KM_S
-
-
-def initial_fast_sequence_raw(fast: CarrierConfig, delta_t_s: float, n_pdu: int) -> float:
-    """Unfloored number of PDUs the fast carrier emits during ``delta_t_s``:
-    n_pdu x 9 bundled frames x M x symbol rate x delta_t / superframe symbols,
-    where ``n_pdu`` is the fast carrier's PDUs per FEC frame
-    (``ScenarioConfig.pdus_per_frame`` holds it)."""
-    if delta_t_s < 0:
-        raise ValueError(f"delta_t_s must be >= 0, got {delta_t_s}")
-    return (
-        n_pdu
-        * FRAMES_PER_SUPERFRAME_BUNDLE
-        * fast.modcod.bits_per_symbol
-        * _rate_float(fast.symbol_rate_sym_s)
-        * delta_t_s
-        / SUPERFRAME_SYMBOLS
-    )
-
-
-def prefix_carriers(
-    scenario: ScenarioConfig,
-) -> tuple[int, CarrierConfig, CarrierConfig]:
-    """The multi-orbit prefix's carrier index, then the fast and the slow
-    carrier: the fast one has the shorter mean leg, carrier 1 on a tie."""
-    c1, c2 = scenario.carrier1, scenario.carrier2
-    if c1.orbit.mean_leg_distance_km <= c2.orbit.mean_leg_distance_km:
-        return 1, c1, c2
-    return 2, c2, c1
-
-
-def multi_orbit_prefix(fast: CarrierConfig, slow: CarrierConfig, n_pdu: int) -> int:
-    """How many leading PDUs to pin to the fast (lower-delay) carrier so the
-    slow path's head start is absorbed.  Zero when the paths match.
-    ``n_pdu`` is as in ``initial_fast_sequence_raw``."""
-    delta_t_s = planning_differential_delay_s(fast.orbit, slow.orbit)
-    if delta_t_s == 0:
-        return 0
-    raw = initial_fast_sequence_raw(fast, delta_t_s, n_pdu)
+            f"symbol_rate_sym_s {approx(fast.symbol_rate_sym_s)} exceeds the float "
+            "range of the multi-orbit prefix arithmetic") from None
+    raw = (n_pdu * FRAMES_PER_SUPERFRAME_BUNDLE * fast.modcod.bits_per_symbol * rate
+           * delay_s / SUPERFRAME_SYMBOLS)
     if not math.isfinite(raw):
         raise InvariantError(
             f"the multi-orbit prefix is not finite ({raw} PDUs); "
             "the leg distances differ too much")
-    return math.floor(raw)
+    return Prefix(carrier, delay_s, delay_s * rate / SUPERFRAME_SYMBOLS, n_pdu, raw,
+                  math.floor(raw))
 
 
 def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
@@ -203,9 +179,8 @@ def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
         return SchedulingPlan(cycle=(1, 2))
 
     cycle = generate_sequence(scenario.alpha)
-    fast_index, fast, slow = prefix_carriers(scenario)
-    length = multi_orbit_prefix(fast, slow, scenario.pdus_per_frame[fast_index - 1])
-    return SchedulingPlan(cycle, fast_index if length else None, length)
+    prefix = multi_orbit_prefix(scenario)
+    return SchedulingPlan(cycle, prefix.carrier if prefix.length else None, prefix.length)
 
 
 def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:

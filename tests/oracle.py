@@ -5,9 +5,9 @@
 merging releases with a heap of transmission ends; `brute_displacement`
 computes displacement statistics by literal per-element iteration;
 `burst_report` walks a merged stream row by row to rebuild the per-burst
-ordering report.  All deliberately hardcode their constants and the
-prefix-then-cycle rule instead of importing them from the production
-modules, and use no numpy.  `PAPER_LOOKUP_TABLE` holds the paper's 17
+ordering report; `prefix` sizes the multi-orbit prefix in exact `Fraction`s.
+All deliberately hardcode their constants and the prefix-then-cycle rule
+instead of importing them from the production modules, and use no numpy.  `PAPER_LOOKUP_TABLE` holds the paper's 17
 scheduling cycles and `christoffel_cycle` builds any cycle PDU by PDU: the
 references for the cycle generator.
 """
@@ -24,6 +24,7 @@ from casim.scheduler import SchedulingPlan
 
 NS_PER_S = 10**9
 LIGHT_SPEED_KM_S = 299792.458
+NOMINAL_LIGHT_SPEED_KM_S = 300000
 SF_SYMBOLS = 612540
 BUNDLE_FRAMES = 9
 FEC_BITS = 64800
@@ -74,12 +75,33 @@ def christoffel_cycle(p: int, q: int) -> list[int]:
     return cycle
 
 
-def _service_ns(carrier, pdu_size_bytes: int) -> int:
+def _pdus_per_frame(carrier, pdu_size_bytes: int) -> int:
     per_frame = int(
         Fraction(FEC_BITS) * carrier.modcod.code_rate * carrier.fill_rate
         / (8 * pdu_size_bytes)
     )
     assert per_frame >= 1, "oracle requires at least one PDU per frame"
+    return per_frame
+
+
+def prefix(scenario: ScenarioConfig) -> tuple[int | None, int, Fraction]:
+    """The multi-orbit prefix as a plan holds it (carrier, None iff the
+    length is 0, and length) and its exact unfloored length: the PDUs the
+    shorter-leg carrier (carrier 1 on a tie) sends while light covers the
+    legs' difference twice at 300000 km/s."""
+    legs = [Fraction(c.orbit.mean_leg_distance_km)
+            for c in (scenario.carrier1, scenario.carrier2)]
+    index = 1 if legs[0] <= legs[1] else 2
+    fast = (scenario.carrier1, scenario.carrier2)[index - 1]
+    delay_s = 2 * abs(legs[1] - legs[0]) / NOMINAL_LIGHT_SPEED_KM_S
+    raw = (_pdus_per_frame(fast, scenario.pdu_size_bytes) * BUNDLE_FRAMES
+           * fast.modcod.bits_per_symbol * fast.symbol_rate_sym_s * delay_s / SF_SYMBOLS)
+    length = math.floor(raw)
+    return (index if length else None), length, raw
+
+
+def _service_ns(carrier, pdu_size_bytes: int) -> int:
+    per_frame = _pdus_per_frame(carrier, pdu_size_bytes)
     frame_ns = Fraction(SF_SYMBOLS * NS_PER_S) / (
         BUNDLE_FRAMES * carrier.modcod.bits_per_symbol * carrier.symbol_rate_sym_s
     )

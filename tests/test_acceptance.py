@@ -16,17 +16,10 @@ from casim.cli import bundled_scenario_dir, main
 from casim.config import parse_scenario_file
 from casim.emulator import run
 from casim.metrics import ordering_report
-from casim.model import (MODCODS, CarrierConfig, OrbitModel, SchedulerKind,
-                         load_balance_factor, pdus_per_fecframe)
+from casim.model import (MODCODS, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind,
+                         load_balance_factor)
 from casim.receiver import merge
-from casim.scheduler import (
-    build_plan,
-    generate_sequence,
-    initial_fast_sequence_raw,
-    multi_orbit_prefix,
-    planning_differential_delay_s,
-    superframes_in_interval,
-)
+from casim.scheduler import build_plan, generate_sequence, multi_orbit_prefix
 from helpers import (alpha_scenario, carrier, random_constant_delay_scenario, record, rows,
                      synthetic_report)
 import oracle
@@ -57,10 +50,8 @@ def test_criterion_01_prefix_reproduction():
     started = time.perf_counter()
     fast = carrier(orbit=OrbitModel.meo(amplitude_km=0.0))
     slow = carrier(1_856_000, orbit=OrbitModel.geo())
-    delta = planning_differential_delay_s(fast.orbit, slow.orbit)
-    n_pdu = pdus_per_fecframe(1500, fast.modcod, fast.fill_rate)
-    raw = initial_fast_sequence_raw(fast, delta, n_pdu)
-    floored = multi_orbit_prefix(fast, slow, n_pdu)
+    prefix = multi_orbit_prefix(ScenarioConfig(fast, slow, SchedulerKind.LOAD_BALANCING))
+    raw, floored = prefix.raw, prefix.length
     elapsed = time.perf_counter() - started
     check(
         1,
@@ -75,8 +66,10 @@ def test_criterion_02_differential_delay_and_superframes():
         OrbitModel.geo().mean_propagation_delay_s()
         - OrbitModel.meo().mean_propagation_delay_s()
     )
-    planning = planning_differential_delay_s(OrbitModel.meo(), OrbitModel.geo())
-    n_sf = superframes_in_interval(0.1881, 4_640_000)
+    prefix = multi_orbit_prefix(ScenarioConfig(
+        carrier(orbit=OrbitModel.meo()), carrier(1_856_000, orbit=OrbitModel.geo()),
+        SchedulerKind.LOAD_BALANCING))
+    planning, n_sf = prefix.delay_s, prefix.superframes
     check(
         2,
         "GEO-MEO differential delay and superframe count",

@@ -524,6 +524,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "prefix_length: 0" in out
 
+    def test_equal_orbits_need_no_float_rate(self, tmp_path, capsys):
+        # no prefix, so no rate is converted: prefix agrees with plan and run
+        text = bundled_path("geo_ca").read_text()
+        text = with_value(text, "carrier1.symbol_rate_sym_s", "1e400")
+        cfg = tmp_path / "huge_rate.cfg"
+        cfg.write_text(with_value(text, "carrier2.symbol_rate_sym_s", "4e399"))
+        assert main(["plan", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["prefix", "--config", str(cfg)]) == 0
+        assert "prefix_length: 0\n" in capsys.readouterr().out
+
+    def test_equal_orbits_give_a_zero_raw_prefix(self, tmp_path, capsys):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(
+            with_value(bundled_path("geo_ca").read_text(), "carrier1.symbol_rate_sym_s", "1e308"))
+        assert main(["prefix", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "raw_initial_sequence: 0.0000\n" in out
+        assert "nan" not in out
+
     @pytest.mark.parametrize("leg_km, command, code", [
         ("1e300", "run", 0),  # the prefix covers the run; GEO carries nothing
         ("1e300", "plan", 0),

@@ -8,22 +8,23 @@ whose service times round to 0 ns), constant or sinusoidally varying paths,
 drain, and either scheduler.  A multi-orbit prefix longer than the first
 bursts leaves the slow carrier with no PDU in them.  The vectorised path
 delay is checked on its own against the scalar oracle over random orbits and
-send times up to 2**62 ns, and the carrier column against the per-PDU rule
-over random plans.  Examples are derandomized, so the suite stays
-deterministic.
+send times up to 2**62 ns, the carrier column against the per-PDU rule
+over random plans, and the multi-orbit prefix against the oracle's exact
+one.  Examples are derandomized, so the suite stays deterministic.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from casim.emulator import propagation_delays_ns, run
 from casim.model import MODCODS, Burst, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind
-from casim.scheduler import SchedulingPlan, assignments, build_plan
-from helpers import rows
+from casim.scheduler import SchedulingPlan, assignments, build_plan, multi_orbit_prefix
+from helpers import alpha_scenario, rows
 import oracle
 
 FILL_RATES = tuple(Fraction(k, 4) for k in range(1, 5))
@@ -94,6 +95,20 @@ def test_engine_invariants_and_heap_oracle(sc):
         last_end[carrier] = tx_end
 
     assert trace_rows == oracle.heap_run(sc, plan)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(scenarios())
+@example(alpha_scenario(Fraction(2, 5)))  # equal orbits
+@example(alpha_scenario(Fraction(2, 5), orbit1=OrbitModel.meo(), orbit2=OrbitModel.geo()))
+def test_prefix_matches_exact_oracle(sc):
+    carrier, length, raw = oracle.prefix(sc)
+    # the float raw is a few roundings off the exact one, so a floor this
+    # near an integer may land either side
+    assume(raw == 0 or abs(raw - round(raw)) > 1e-9 * max(1, raw))
+    plan = build_plan(replace(sc, scheduler=SchedulerKind.LOAD_BALANCING))
+    assert (plan.prefix_carrier, plan.prefix_length) == (carrier, length)
+    assert math.isclose(multi_orbit_prefix(sc).raw, raw, rel_tol=1e-12)
 
 
 @st.composite

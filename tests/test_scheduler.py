@@ -9,24 +9,28 @@ from hypothesis import strategies as st
 
 from casim.cli import main
 from casim.errors import DenominatorTooLarge, DominanceViolated, InvariantError, ZeroPayload
-from casim.model import MODCODS, OrbitModel, SchedulerKind, load_balance_factor, pdus_per_fecframe
+from casim.model import (MODCODS, OrbitModel, ScenarioConfig, SchedulerKind, load_balance_factor,
+                         pdus_per_fecframe)
 from casim.scheduler import (
+    NOMINAL_LIGHT_SPEED_KM_S,
     SchedulingPlan,
     assignments,
     build_plan,
     generate_sequence,
-    initial_fast_sequence_raw,
     multi_orbit_prefix,
-    planning_differential_delay_s,
-    superframes_in_interval,
 )
 from helpers import alpha_scenario, carrier
 from oracle import PAPER_LOOKUP_TABLE, christoffel_cycle
 
 
-def n_pdu(c):
-    """PDUs per FEC frame for a 1500 B PDU on carrier ``c``."""
-    return pdus_per_fecframe(1500, c.modcod, c.fill_rate)
+def prefix_of(orbit1, orbit2, alpha=Fraction(2, 5)):
+    """The multi-orbit prefix of two 8PSK 5/6 carriers at 4.64 Msym/s and
+    alpha times that, on ``orbit1`` and ``orbit2``."""
+    return multi_orbit_prefix(alpha_scenario(alpha, orbit1=orbit1, orbit2=orbit2))
+
+
+# MEO and GEO legs 28215 km apart: the paper's 2 x 28215 / 3e5 = 0.1881 s
+PAPER_MEO, GEO = OrbitModel.meo(11936.0, amplitude_km=0.0), OrbitModel.geo()
 
 
 class TestLookupTable:
@@ -191,15 +195,17 @@ class TestRounding:
 
 class TestFrameArithmetic:
     def test_superframes_in_differential_delay(self):
-        assert abs(superframes_in_interval(0.1881, 4_640_000) - 1.425) <= 0.001
+        assert abs(prefix_of(PAPER_MEO, GEO).superframes - 1.425) <= 0.001
 
     def test_zero_interval(self):
-        assert superframes_in_interval(0.0, 4_640_000) == 0.0
+        assert prefix_of(GEO, GEO).superframes == 0.0
 
     def test_exactly_one_superframe(self):
-        rate = 4_640_000
-        assert math.isclose(
-            superframes_in_interval(612540 / rate, rate), 1.0, rel_tol=1e-12)
+        # legs apart by the distance that light covers, there and back, in
+        # one superframe of 612540 symbols at 4.64 Msym/s
+        delta_km = 612540 / 4_640_000 * NOMINAL_LIGHT_SPEED_KM_S / 2
+        fast = OrbitModel.meo(GEO.mean_leg_distance_km - delta_km, amplitude_km=0.0)
+        assert math.isclose(prefix_of(fast, GEO).superframes, 1.0, rel_tol=1e-12)
 
     def test_pdus_per_fecframe_reference(self):
         assert pdus_per_fecframe(1500, MODCODS["8PSK 5/6"], Fraction(1, 4)) == 1
@@ -214,32 +220,36 @@ class TestFrameArithmetic:
 
 class TestMultiOrbitPrefix:
     def test_reference_raw_value_with_explicit_delay(self):
-        fast = carrier(orbit=OrbitModel.meo(amplitude_km=0.0))
-        raw = initial_fast_sequence_raw(fast, 0.1881, n_pdu(fast))
-        assert abs(raw - 38.4712) < 5e-4
-        assert math.floor(raw) == 38
+        prefix = prefix_of(PAPER_MEO, GEO)
+        assert prefix.delay_s == 0.1881
+        assert abs(prefix.raw - 38.4712) < 5e-4
+        assert (prefix.carrier, prefix.pdus_per_frame, prefix.length) == (1, 1, 38)
 
     def test_geometry_based_prefix(self):
-        fast = carrier(orbit=OrbitModel.meo(amplitude_km=0.0))
-        slow = carrier(1_856_000, orbit=OrbitModel.geo())
-        assert multi_orbit_prefix(fast, slow, n_pdu(fast)) == 38
+        prefix = prefix_of(OrbitModel.meo(amplitude_km=0.0), GEO)
+        assert (prefix.carrier, prefix.length) == (1, 38)
 
     def test_same_orbit_gives_zero(self):
-        geo1, geo2 = carrier(), carrier(1_856_000)
-        assert multi_orbit_prefix(geo1, geo2, n_pdu(geo1)) == 0
+        assert prefix_of(GEO, GEO) == (1, 0.0, 0.0, 1, 0.0, 0)
 
     def test_doubling_rate_doubles_raw(self):
-        fast = carrier(orbit=OrbitModel.meo(amplitude_km=0.0))
-        double = carrier(2 * 4_640_000, orbit=OrbitModel.meo(amplitude_km=0.0))
-        delta = planning_differential_delay_s(fast.orbit, OrbitModel.geo())
-        raw = initial_fast_sequence_raw(fast, delta, n_pdu(fast))
-        raw2 = initial_fast_sequence_raw(double, delta, n_pdu(double))
-        assert math.isclose(raw2, 2 * raw, rel_tol=1e-12)
-        assert math.floor(raw2) == 76
+        slow = carrier(1_856_000, orbit=GEO)
+        prefix, doubled = (
+            multi_orbit_prefix(ScenarioConfig(
+                carrier(rate, orbit=OrbitModel.meo(amplitude_km=0.0)), slow,
+                SchedulerKind.LOAD_BALANCING))
+            for rate in (4_640_000, 2 * 4_640_000))
+        assert math.isclose(doubled.raw, 2 * prefix.raw, rel_tol=1e-12)
+        assert math.isclose(doubled.superframes, 2 * prefix.superframes, rel_tol=1e-12)
+        assert doubled.length == 76
 
-    def test_swapped_orbits_rejected(self):
-        with pytest.raises(ValueError):
-            planning_differential_delay_s(OrbitModel.geo(), OrbitModel.meo())
+    def test_swapped_orbits_move_the_prefix_to_carrier2(self):
+        meo = OrbitModel.meo(amplitude_km=0.0)
+        prefix = prefix_of(meo, GEO, alpha=Fraction(1))
+        swapped = prefix_of(GEO, meo, alpha=Fraction(1))
+        assert (prefix.carrier, swapped.carrier) == (1, 2)
+        assert swapped.length == prefix.length == 38
+        assert swapped._replace(carrier=1) == prefix
 
 
 class TestBuildPlan:
