@@ -18,15 +18,7 @@ from .config import (
     serialize_scenario,
 )
 from .emulator import run, write_trace_csv
-from .errors import (
-    CasimError,
-    ConfigError,
-    DegenerateWindow,
-    DenominatorTooLarge,
-    DominanceViolated,
-    InvariantError,
-    ZeroPayload,
-)
+from .errors import CasimError, ConfigError, InvariantError
 from .metrics import (
     BurstStats,
     OrderingReport,

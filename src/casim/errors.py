@@ -1,9 +1,10 @@
-"""Exception hierarchy for casim.
+"""Exception hierarchy for casim: one type per nonzero CLI exit code.
 
-``ConfigError`` marks unreadable or malformed scenario files; everything
-else derives from ``InvariantError`` and marks a violated domain invariant
-(the message names the invariant).  The CLI maps ``ConfigError`` to exit
-code 2 and ``InvariantError`` to exit code 3.
+``ConfigError`` (exit 2) marks a scenario file that is missing, unreadable
+or malformed.  ``InvariantError`` (exit 3) marks a violated domain
+invariant, and its message names the invariant: a dominant carrier 2, a PDU
+larger than a frame's share, an alpha that rounds to 0, a run with no window
+to measure, a time past the int64 range.
 """
 
 
@@ -17,20 +18,3 @@ class ConfigError(CasimError):
 
 class InvariantError(CasimError):
     """A domain invariant was violated; the message names it."""
-
-
-class DominanceViolated(InvariantError):
-    """Carrier 2's usable capacity exceeds carrier 1's (alpha would be > 1)."""
-
-
-class DenominatorTooLarge(InvariantError):
-    """Alpha is at most 1/128, so it rounds to 0 at the generator's
-    denominator limit of 64 and no cycle can realise it."""
-
-
-class ZeroPayload(InvariantError):
-    """PDU too large for one frame's per-user share; nothing fits."""
-
-
-class DegenerateWindow(InvariantError):
-    """Throughput window has zero duration or too few PDUs to measure."""

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateWindow, InvariantError
+from .errors import InvariantError
 from .model import NS_PER_S, RunTrace, ScenarioConfig
 
 __all__ = [
@@ -87,7 +87,7 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
         raise InvariantError(
             f"burst sizes sum to {scenario.total_pdus} but the stream has {n} PDUs")
     if n < 2:
-        raise DegenerateWindow(f"throughput needs at least 2 PDUs, got {n}")
+        raise InvariantError(f"throughput needs at least 2 PDUs, got {n}")
     sizes = np.asarray(burst_sizes, dtype=np.int64)
     starts = sizes.cumsum() - sizes
     order = merged.order
@@ -104,7 +104,7 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
                - np.minimum.reduceat(merged.t_tx_start_ns, starts)).tolist()
     total_ns = sum(windows)
     if total_ns <= 0:
-        raise DegenerateWindow("total active time is zero")
+        raise InvariantError("total active time is zero")
 
     pdu_size = scenario.pdu_size_bytes
     per_burst = tuple(BurstStats(*_figures(*burst, pdu_size))

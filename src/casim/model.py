@@ -19,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DominanceViolated, InvariantError, ZeroPayload
+from .errors import InvariantError
 
 __all__ = [
     "SPEED_OF_LIGHT_KM_S",
@@ -236,13 +236,10 @@ class OrbitModel:
 
     def propagation_delay_s(self, t_s, out=None):
         """One-trip (two-leg) propagation delay at time ``t_s`` (seconds, a
-        float or an array; a constant path gives one float).  A varying path's
-        array of delays is written into ``out`` if given (``t_s`` itself may
-        be passed), else into one new array."""
+        float or an array).  An array of delays is written into ``out`` if
+        given (``t_s`` itself may be passed), else into one new array."""
         if np.fmin.reduce(np.asarray(t_s), axis=None, initial=0.0) < 0:  # fmin skips nan, as nan < 0 is false
             raise ValueError("t_s must be >= 0")
-        if self.variation_amplitude_km == 0.0:
-            return self.mean_propagation_delay_s()
         # 2 (mean leg + amplitude sin(2 pi t_s / period + phase)) / c, a step a ufunc
         x = np.multiply(2.0 * np.pi, t_s, out=out)
         out = x if isinstance(x, np.ndarray) else None
@@ -316,7 +313,7 @@ def load_balance_factor(c1: CarrierConfig, c2: CarrierConfig) -> Fraction:
     (0, 1]: carrier 1 must be dominant."""
     (num1, den1), (num2, den2) = c1._usable_terms(), c2._usable_terms()
     if num2 * den1 > num1 * den2:
-        raise DominanceViolated(
+        raise InvariantError(
             "carrier 1 must be dominant: usable capacity "
             f"{approx(Fraction(num1, den1))} bps < carrier 2's "
             f"{approx(Fraction(num2, den2))} bps (swap carrier1 and carrier2)")
@@ -334,7 +331,7 @@ def pdus_per_fecframe(pdu_size_bytes: int, modcod: ModCod, fill_rate) -> int:
     share_den = modcod.code_rate.denominator * fill_rate.denominator
     count = share_bits // (8 * pdu_size_bytes * share_den)
     if count == 0:
-        raise ZeroPayload(
+        raise InvariantError(
             f"PDU of {pdu_size_bytes} B exceeds the per-frame share of "
             f"{share_bits / (8 * share_den):.1f} B")
     return count

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DenominatorTooLarge, InvariantError
+from .errors import InvariantError
 from .model import (FRAMES_PER_SUPERFRAME_BUNDLE, SUPERFRAME_SYMBOLS, ScenarioConfig,
                     SchedulerKind, approx, to_fraction)
 
@@ -110,7 +110,7 @@ def generate_sequence(alpha) -> list[int]:
         else:
             p, q = p0 + k * p1, q0 + k * q1
     if p == 0:
-        raise DenominatorTooLarge(
+        raise InvariantError(
             f"alpha = {approx(alpha)} is at most 1/{2 * MAX_GENERATOR_DENOMINATOR} "
             f"and rounds to 0 at denominator <= {MAX_GENERATOR_DENOMINATOR}; "
             "carrier 2 is too slow to schedule")
@@ -128,8 +128,9 @@ class Prefix(NamedTuple):
     light speed; ``superframes`` how many superframes the fast carrier emits
     in it; ``pdus_per_frame`` the fast carrier's PDUs per FEC frame; ``raw``
     the PDUs it sends meanwhile, pdus_per_frame x 9 bundled frames x M x
-    symbol rate x delay / superframe symbols; ``length`` that count floored,
-    the PDUs pinned to ``carrier``.
+    symbol rate x delay / superframe symbols; ``length`` the PDUs the plan
+    pins to ``carrier``: that count floored under load balancing, 0 under
+    round robin.
     """
 
     carrier: int
@@ -143,7 +144,7 @@ class Prefix(NamedTuple):
 def multi_orbit_prefix(scenario: ScenarioConfig) -> Prefix:
     """How many leading PDUs to pin to the fast (lower-delay) carrier so the
     slow path's head start is absorbed, and the steps that size it.  Zero
-    when the paths match."""
+    when the paths match or the scheduler is round robin."""
     c1, c2 = scenario.carrier1, scenario.carrier2
     carrier = 1 if c1.orbit.mean_leg_distance_km <= c2.orbit.mean_leg_distance_km else 2
     fast, slow = (c1, c2) if carrier == 1 else (c2, c1)
@@ -164,8 +165,8 @@ def multi_orbit_prefix(scenario: ScenarioConfig) -> Prefix:
         raise InvariantError(
             f"the multi-orbit prefix is not finite ({raw} PDUs); "
             "the leg distances differ too much")
-    return Prefix(carrier, delay_s, delay_s * rate / SUPERFRAME_SYMBOLS, n_pdu, raw,
-                  math.floor(raw))
+    length = math.floor(raw) if scenario.scheduler is SchedulerKind.LOAD_BALANCING else 0
+    return Prefix(carrier, delay_s, delay_s * rate / SUPERFRAME_SYMBOLS, n_pdu, raw, length)
 
 
 def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:

@@ -18,7 +18,7 @@ from casim.config import (
     parse_scenario_text,
     serialize_scenario,
 )
-from casim.errors import ConfigError, DominanceViolated
+from casim.errors import ConfigError, InvariantError
 from casim.model import (
     MAX_TOTAL_PDUS,
     MODCODS,
@@ -47,11 +47,15 @@ def with_value(text: str, key: str, value: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def assert_run_exits_3(tmp_path, capsys, name: str, key: str, value: str) -> str:
-    """Run bundled config ``name`` with ``key=value``; require exit 3, an
-    ``error:`` line and no outputs.  Returns stderr."""
+def assert_run_exits_3(tmp_path, capsys, name: str, *pairs: str) -> str:
+    """Run bundled config ``name`` with each ``key=value`` of ``pairs`` (key,
+    value, key, value, ...); require exit 3, an ``error:`` line and no
+    outputs.  Returns stderr."""
+    text = bundled_path(name).read_text()
+    for key, value in zip(pairs[::2], pairs[1::2]):
+        text = with_value(text, key, value)
     bad = tmp_path / "bad.cfg"
-    bad.write_text(with_value(bundled_path(name).read_text(), key, value))
+    bad.write_text(text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(bad), "--out", str(out), "--trace"]) == 3
     err = capsys.readouterr().err
@@ -210,7 +214,7 @@ class TestConfigErrors:
         text = bundled_path("geo_ca").read_text().replace(
             "carrier1.symbol_rate_sym_s=4640000",
             "carrier1.symbol_rate_sym_s=1000000")
-        with pytest.raises(DominanceViolated):
+        with pytest.raises(InvariantError, match="carrier 1 must be dominant"):
             parse_scenario_text(text)
 
 
@@ -262,6 +266,13 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert (tmp_path / "file").read_text() == ""
 
+    def test_suite_of_a_directory_without_configs_exits_2(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("")
+        out = tmp_path / "out"
+        assert main(["suite", "--dir", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: no *.cfg files in {tmp_path}\n"
+        assert not out.exists()
+
     def test_no_partial_outputs_on_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("label=x\n")
@@ -286,6 +297,17 @@ class TestCli:
     def test_alpha_below_one_in_128_exits_3(self, tmp_path, capsys, key, value):
         err = assert_run_exits_3(tmp_path, capsys, "geo_ca", key, value)
         assert "1/128" in err
+
+    @pytest.mark.parametrize("pairs, message", [
+        (("pdu_size_bytes", "100000"), "PDU of 100000 B exceeds the per-frame share of 1687.5 B"),
+        (("bursts", "1:0.0"), "throughput needs at least 2 PDUs, got 1"),
+        # service and delay both round to 0 ns, so the one burst has no window
+        (("carrier1.symbol_rate_sym_s", "1e15", "carrier2.symbol_rate_sym_s", "1e15",
+          "carrier1.leg_km", "1e-9", "carrier2.leg_km", "1e-9"), "total active time is zero"),
+    ])
+    def test_refusal_message_exits_3(self, tmp_path, capsys, pairs, message):
+        # the message names the invariant: it is the whole of stderr
+        assert assert_run_exits_3(tmp_path, capsys, "geo_ca", *pairs) == f"error: {message}\n"
 
     def test_huge_dominated_capacity_exits_3(self, tmp_path, capsys):
         # carrier 2's ~6e399 bps capacity dominates; no float can hold it
@@ -325,6 +347,15 @@ class TestCli:
         cfg.write_bytes(bundled_path("geo_ca").read_bytes().replace(b"label=geo_ca", b"label=\xe9"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    def test_bursts_without_an_entry_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "no_bursts.cfg"
+        cfg.write_text(with_value(bundled_path("geo_ca").read_text(), "bursts", ","))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: bursts: at least one count:gap_s entry required\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "plan", "prefix"])
     def test_config_directory_exits_2(self, tmp_path, capsys, command):
@@ -523,6 +554,21 @@ class TestCli:
         assert main(["prefix", "--config", str(bundled_path("geo_ca"))]) == 0
         out = capsys.readouterr().out
         assert "prefix_length: 0" in out
+
+    def test_prefix_on_round_robin_pins_nothing(self, tmp_path, capsys):
+        # the steps print for the orbits, but round robin pins no prefix
+        text = with_value(bundled_path("geo_rr").read_text(), "carrier1.orbit", "MEO")
+        cfg = tmp_path / "meo_rr.cfg"
+        cfg.write_text(with_value(text, "carrier1.leg_km", "11933.0"))
+        assert main(["prefix", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "raw_initial_sequence: 38.4753\n" in out
+        assert out.endswith("prefix_length: 0\n")
+        assert main(["plan", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.endswith("prefix: (empty)\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (report["prefix_carrier"], report["prefix_length"]) == (None, 0)
 
     def test_equal_orbits_need_no_float_rate(self, tmp_path, capsys):
         # no prefix, so no rate is converted: prefix agrees with plan and run

@@ -10,7 +10,7 @@ import pytest
 from casim.cli import bundled_scenario_dir
 from casim.config import parse_scenario_file
 from casim.emulator import _CSV_BLOCK_ROWS, propagation_delays_ns, run, s_to_ns, write_trace_csv
-from casim.errors import InvariantError, ZeroPayload
+from casim.errors import InvariantError
 from casim.model import Burst, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
 from casim.scheduler import SchedulingPlan, build_plan
@@ -48,7 +48,7 @@ class TestServiceTime:
         assert math.isclose(full, quarter / 4, rel_tol=1e-6)
 
     def test_oversized_pdu_propagates(self):
-        with pytest.raises(ZeroPayload):
+        with pytest.raises(InvariantError, match="exceeds the per-frame share"):
             service_ns(carrier(), 10_000)
 
 

@@ -108,7 +108,9 @@ def test_prefix_matches_exact_oracle(sc):
     assume(raw == 0 or abs(raw - round(raw)) > 1e-9 * max(1, raw))
     plan = build_plan(replace(sc, scheduler=SchedulerKind.LOAD_BALANCING))
     assert (plan.prefix_carrier, plan.prefix_length) == (carrier, length)
-    assert math.isclose(multi_orbit_prefix(sc).raw, raw, rel_tol=1e-12)
+    prefix = multi_orbit_prefix(sc)
+    assert math.isclose(prefix.raw, raw, rel_tol=1e-12)
+    assert prefix.length == (length if sc.scheduler is SchedulerKind.LOAD_BALANCING else 0)
 
 
 @st.composite

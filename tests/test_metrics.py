@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from casim.errors import DegenerateWindow, InvariantError
+from casim.errors import InvariantError
 from casim.metrics import (
     COMPARISON_CSV_COLUMNS,
     OrderingReport,
@@ -118,7 +118,7 @@ class TestThroughput:
         assert math.isclose(got, 2 * fluid, rel_tol=0.02)
 
     def test_single_pdu_rejected(self):
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(InvariantError, match="throughput needs at least 2 PDUs, got 1"):
             synthetic_report(stream_from_seqs([0]))
 
     def test_gaps_excluded_from_active_time(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casim.cli import main
-from casim.errors import DenominatorTooLarge, DominanceViolated, InvariantError, ZeroPayload
+from casim.errors import InvariantError
 from casim.model import (MODCODS, OrbitModel, ScenarioConfig, SchedulerKind, load_balance_factor,
                          pdus_per_fecframe)
 from casim.scheduler import (
@@ -61,7 +61,7 @@ class TestLoadBalanceFactor:
         assert load_balance_factor(carrier(), carrier()) == 1
 
     def test_dominance_violation(self):
-        with pytest.raises(DominanceViolated):
+        with pytest.raises(InvariantError, match="carrier 1 must be dominant"):
             load_balance_factor(carrier(1_856_000), carrier(4_640_000))
 
     def test_scale_invariance(self):
@@ -121,7 +121,7 @@ class TestGenerateSequence:
         # (at most 1/128) cannot be scheduled
         assert generate_sequence(Fraction(1, 65)) == generate_sequence(Fraction(1, 64))
         assert generate_sequence(Fraction("0.33")) == generate_sequence(Fraction(21, 64))
-        with pytest.raises(DenominatorTooLarge):
+        with pytest.raises(InvariantError, match="rounds to 0 at denominator <= 64"):
             generate_sequence(Fraction(1, 128))
 
     def test_out_of_domain(self):
@@ -135,8 +135,8 @@ class TestGenerateSequence:
         rounded = alpha.limit_denominator(64)
         try:
             cycle = generate_sequence(alpha)
-        except DenominatorTooLarge:
-            assert rounded == 0
+        except InvariantError as exc:
+            assert rounded == 0 and "rounds to 0" in str(exc)
             return
         alpha_used = SchedulingPlan(cycle).alpha_used
         assert alpha_used == rounded
@@ -165,8 +165,8 @@ def _rounds_as_limit_denominator(alpha: Fraction) -> None:
     rounded = alpha.limit_denominator(64)
     try:
         cycle = generate_sequence(alpha)
-    except DenominatorTooLarge:
-        assert rounded == 0, alpha
+    except InvariantError as exc:
+        assert rounded == 0 and "rounds to 0" in str(exc), alpha
     else:
         assert SchedulingPlan(cycle).alpha_used == rounded, alpha
 
@@ -214,7 +214,7 @@ class TestFrameArithmetic:
         assert pdus_per_fecframe(1500, MODCODS["8PSK 5/6"], 1) == 4
 
     def test_oversized_pdu(self):
-        with pytest.raises(ZeroPayload):
+        with pytest.raises(InvariantError, match="exceeds the per-frame share"):
             pdus_per_fecframe(10_000, MODCODS["8PSK 5/6"], Fraction(1, 4))
 
 
@@ -231,6 +231,13 @@ class TestMultiOrbitPrefix:
 
     def test_same_orbit_gives_zero(self):
         assert prefix_of(GEO, GEO) == (1, 0.0, 0.0, 1, 0.0, 0)
+
+    def test_round_robin_pins_nothing(self):
+        # every step is the same; only the pinned length is 0
+        scenario = alpha_scenario(Fraction(2, 5), SchedulerKind.ROUND_ROBIN, PAPER_MEO, GEO)
+        prefix = multi_orbit_prefix(scenario)
+        assert prefix == prefix_of(PAPER_MEO, GEO)._replace(length=0)
+        assert build_plan(scenario).prefix_length == 0
 
     def test_doubling_rate_doubles_raw(self):
         slow = carrier(1_856_000, orbit=GEO)
