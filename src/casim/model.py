@@ -68,7 +68,7 @@ NS_PER_S = 10**9
 
 # The most PDUs one scenario may offer: far above any bundled or benchmark
 # scenario, and low enough that a run's arrays fit in memory (run, merge and
-# report together peak at ~73 B per PDU, so ~0.73 GB at the ceiling; writing
+# report together peak at ~66 B per PDU, so ~0.66 GB at the ceiling; writing
 # trace.csv holds one block, ~1.4 MB, whatever N is).
 MAX_TOTAL_PDUS = 10**7
 
@@ -355,6 +355,8 @@ class Burst:
     inter_burst_gap_s: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.pdu_count, int):
+            raise InvariantError(f"pdu_count must be an int, got {self.pdu_count!r}")
         if self.pdu_count <= 0:
             raise InvariantError(f"pdu_count must be > 0, got {self.pdu_count}")
         _require_finite(self, "inter_burst_gap_s")
@@ -391,6 +393,8 @@ class ScenarioConfig:
         object.__setattr__(self, "bursts", tuple(self.bursts))
         object.__setattr__(self, "burst_sizes", tuple(b.pdu_count for b in self.bursts))
         object.__setattr__(self, "total_pdus", sum(self.burst_sizes))
+        if not isinstance(self.pdu_size_bytes, int):
+            raise InvariantError(f"pdu_size_bytes must be an int, got {self.pdu_size_bytes!r}")
         if self.pdu_size_bytes <= 0:
             raise InvariantError(
                 f"pdu_size_bytes must be > 0, got {self.pdu_size_bytes}")
@@ -418,22 +422,47 @@ class ScenarioConfig:
 #  Run record
 # ---------------------------------------------------------------------------
 
-_FIELDS = ("carrier", "t_scheduled_ns", "t_tx_start_ns", "t_tx_end_ns", "t_arrival_ns")
+# Each column's dtype: a carrier is 1 or 2, so one byte holds it.
+_DTYPES = {"carrier": np.int8, "t_scheduled_ns": np.int64, "t_tx_start_ns": np.int64,
+           "t_tx_end_ns": np.int64, "t_arrival_ns": np.int64}
+_FIELDS = tuple(_DTYPES)
 _seq_columns = attrgetter(*_FIELDS)
+
+
+def _whole_numbers(name: str, values) -> np.ndarray:
+    """``values`` as an array of a signed integer type: itself if it is one,
+    else converted exactly, through Python numbers, to int64.  InvariantError
+    names column ``name`` unless each value is a whole number in int64, where
+    numpy's own casts would truncate a fraction or wrap an overflow."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values
+    exact = np.array(values, dtype=object)
+    try:
+        column = exact.astype(np.int64)
+    except OverflowError:
+        raise InvariantError(f"{name} exceeds the int64 range") from None
+    except (TypeError, ValueError):  # nan, text, or no number at all
+        column = None
+    if column is None or np.count_nonzero(column != exact):
+        raise InvariantError(f"{name} must hold whole numbers")
+    return column
 
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """One run, stored once: five columns indexed by sequence number (times in
-    integer ns), and ``order``, the sequence numbers as the record lists them.
+    """One run, stored once: five columns indexed by sequence number, and
+    ``order``, the sequence numbers as the record lists them.
 
-    ``carrier[s]`` carries PDU ``s``; ``t_scheduled_ns[s]`` is its generator
-    release instant, ``t_tx_start_ns[s]`` / ``t_tx_end_ns[s]`` bracket its
-    serialization, and ``t_arrival_ns[s]`` is its delivery after
-    propagation.  A record is listed in sequence order, or in receive order
+    ``carrier[s]`` (int8, 1 or 2) carries PDU ``s``.  The times are int64
+    ns: ``t_scheduled_ns[s]`` is its generator release instant,
+    ``t_tx_start_ns[s]`` / ``t_tx_end_ns[s]`` bracket its serialization, and
+    ``t_arrival_ns[s]`` is its delivery after propagation.  ``order`` is
+    int64 too.  A record is listed in sequence order, or in receive order
     after ``receiver.merge``, which shares the columns.  The constructor
-    takes the five columns, makes each a one-dimensional int64 array of one
-    length, checks carriers of 1 or 2 and ``tx_start <= tx_end <= arrival``,
+    takes the five columns and refuses any value that is not a whole number
+    in int64, checks that they are one-dimensional and of one length, that
+    carriers are 1 or 2 and that ``tx_start <= tx_end <= arrival``, then
+    stores each column at its dtype (an array already of that dtype as is)
     and lists the record in sequence order.
     """
 
@@ -445,16 +474,15 @@ class RunTrace:
     order: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in _FIELDS:
-            try:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-            except OverflowError as exc:
-                raise InvariantError(f"{name} exceeds the int64 range") from exc
-        carrier, _, tx_start, tx_end, arrival = columns = self.seq_columns()
+        columns = [_whole_numbers(name, getattr(self, name)) for name in _FIELDS]
+        carrier = columns[0]
         if carrier.ndim != 1 or len({c.shape for c in columns}) != 1:
             raise InvariantError("columns must be one-dimensional and of equal length")
         if carrier.size and (np.minimum.reduce(carrier) < 1 or np.maximum.reduce(carrier) > 2):
             raise InvariantError("carrier must be 1 or 2")
+        for name, column in zip(_FIELDS, columns):  # values checked, so narrowing is exact
+            object.__setattr__(self, name, column.astype(_DTYPES[name], copy=False))
+        _, _, tx_start, tx_end, arrival = self.seq_columns()
         if np.count_nonzero(tx_start > tx_end) or np.count_nonzero(tx_end > arrival):
             raise InvariantError("trace times must satisfy tx_start <= tx_end <= arrival")
         object.__setattr__(self, "order", np.arange(carrier.size, dtype=np.int64))

@@ -185,16 +185,17 @@ def build_plan(scenario: ScenarioConfig) -> SchedulingPlan:
 
 
 def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
-    """Carrier indices of the PDUs with sequence numbers 0..n-1 (int64): the
-    prefix carrier for the first min(prefix_length, n), then the cycle
-    repeated, written into one column (whole cycles as one reshaped view)."""
+    """Carrier indices of the PDUs with sequence numbers 0..n-1, as int8 (the
+    dtype of ``RunTrace.carrier``): the prefix carrier for the first
+    min(prefix_length, n), then the cycle repeated, written into one column
+    (whole cycles as one reshaped view)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     k = min(plan.prefix_length, n)
     size = len(plan.cycle)
     full, tail = divmod(n - k, size)
-    cycle = np.array(plan.cycle, dtype=np.int64)
-    column = np.empty(n, dtype=np.int64)
+    cycle = np.array(plan.cycle, dtype=np.int8)
+    column = np.empty(n, dtype=np.int8)
     if k:
         column[:k] = plan.prefix_carrier
     column[k:n - tail].reshape(full, size)[:] = cycle

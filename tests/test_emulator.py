@@ -196,8 +196,9 @@ class TestRun:
         assert rows(trace) == oracle.heap_run(sc, plan)
 
     def test_peak_memory_per_pdu(self):
-        # The record is 40 B per PDU (five int64 columns); the rest is one
-        # carrier's working arrays.  A full-length temporary more adds 8 B.
+        # The record is 33 B per PDU of columns (an int8 carrier and four
+        # int64 times) plus 8 B of order; the rest is one carrier's working
+        # arrays.  A full-length int64 temporary more adds 8 B.
         sc = _long_meo_geo()
         plan = build_plan(sc)
         tracemalloc.start()
@@ -206,7 +207,7 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / sc.total_pdus < 70
+        assert peak / sc.total_pdus < 60
 
     def test_trace_csv_peak_memory_is_one_block(self, tmp_path):
         # The writer holds one block of rows and its text (~1.4 MB), not a

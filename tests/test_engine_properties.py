@@ -156,5 +156,5 @@ def plans(draw) -> SchedulingPlan:
 @given(plans(), st.integers(0, 300))
 def test_assignments_match_per_pdu_rule(plan, n):
     column = assignments(plan, n)
-    assert column.dtype == np.int64
+    assert column.dtype == np.int8
     assert column.tolist() == [oracle._carrier_of(plan, seq) for seq in range(n)]

@@ -253,6 +253,16 @@ class TestScenarioConfig:
         with pytest.raises(InvariantError):
             Burst(10, -1.0)
 
+    @pytest.mark.parametrize("count", [50.5, 50.0, "50"])
+    def test_burst_count_must_be_int(self, count):
+        with pytest.raises(InvariantError, match=f"pdu_count must be an int, got {count!r}"):
+            Burst(count)
+
+    @pytest.mark.parametrize("size", [1500.0, 1500.5])
+    def test_pdu_size_must_be_int(self, size):
+        with pytest.raises(InvariantError, match=f"pdu_size_bytes must be an int, got {size!r}"):
+            ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN, pdu_size_bytes=size)
+
     def test_pdu_ceiling(self):
         def scenario(*sizes):
             return ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN,
@@ -321,11 +331,12 @@ class TestRunTrace:
         with pytest.raises(TypeError):  # the five columns only: order is derived
             RunTrace(*[[]] * 6)
 
-    def test_columns_are_equal_length_int64(self):
+    def test_columns_are_equal_length_int8_carrier_int64_times(self):
         trace = record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])
         assert len(trace) == 2
-        assert all(c.dtype == np.int64 and c.shape == (2,)
-                   for c in (trace.order, *trace.seq_columns()))
+        carrier, *times = trace.seq_columns()
+        assert carrier.dtype == np.int8 and carrier.shape == (2,)
+        assert all(c.dtype == np.int64 and c.shape == (2,) for c in (trace.order, *times))
         assert trace.order.tolist() == [0, 1]
         with pytest.raises(InvariantError, match="equal length"):
             RunTrace([1, 1], [0, 0], [0, 0], [5, 5], [10])
@@ -342,6 +353,35 @@ class TestRunTrace:
     def test_times_beyond_int64_rejected(self):
         with pytest.raises(InvariantError):
             record([(0, 1, 2**63, 2**63, 2**63, 2**63)])
+
+    @pytest.mark.parametrize("columns, message", [
+        (([1.7, 2], [0, 0], [0, 1], [1, 2], [2, 3]), "carrier must hold whole numbers"),
+        (([1, 2], [0, 0], [0.5, 1.5], [1, 2], [2, 3]), "t_tx_start_ns must hold whole numbers"),
+        (([1], [0], [0], [1], [math.nan]), "t_arrival_ns must hold whole numbers"),
+        (([1], [0], [0], [1], ["2"]), "t_arrival_ns must hold whole numbers"),
+        (([1, 2], [0, 0], [0, 1], [1, 2], np.array([2.0, 1e19])),
+         "t_arrival_ns exceeds the int64 range"),
+        (([1, 2], [0, 0], [0, 1], [1, 2], [2, 1e19]), "t_arrival_ns exceeds the int64 range"),
+        (([1], [0], [0], [1], [math.inf]), "t_arrival_ns exceeds the int64 range"),
+        (([1], [-2**63 - 1], [0], [1], [2]), "t_scheduled_ns exceeds the int64 range"),
+        ((np.array([1, 258]), [0, 0], [0, 1], [1, 2], [2, 3]), "carrier must be 1 or 2"),
+    ])
+    def test_values_not_whole_int64_rejected(self, columns, message):
+        # Never truncated or wrapped: 1.7 would store as 1, and 258 as int8 2.
+        with pytest.raises(InvariantError, match=message):
+            RunTrace(*columns)
+
+    def test_whole_values_stored_exactly(self):
+        # numpy reads [2**62 + 1, 2.0**62] as float64, where 2**62 + 1 rounds to 2**62.
+        trace = RunTrace([1.0, True], [0, 0], [0, 0], [0.0, 0], [2**62 + 1, 2.0**62])
+        assert trace.carrier.tolist() == [1, 1]
+        assert trace.t_arrival_ns.tolist() == [2**62 + 1, 2**62]
+
+    def test_int8_carrier_and_int64_times_not_copied(self):
+        carrier, times = np.array([1, 2], dtype=np.int8), np.zeros(2, dtype=np.int64)
+        trace = RunTrace(carrier, times, times, times, times)
+        assert trace.carrier is carrier
+        assert all(column is times for column in trace.seq_columns()[1:])
 
 
 class TestNonFinite:

@@ -47,6 +47,7 @@ class TestMerge:
         sc = alpha_scenario(Fraction(2, 5), bursts=(Burst(50),))
         traced = run(sc, build_plan(sc))
         merged = merge(traced)
+        assert traced.carrier.dtype == np.int8
         assert traced.order.tolist() == list(range(50))
         assert sorted(merged.order.tolist()) == list(range(50))
         assert all(a is b for a, b in zip(merged.seq_columns(), traced.seq_columns()))

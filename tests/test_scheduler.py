@@ -313,7 +313,7 @@ class TestAssign:
     def test_direct_cycle_index(self):
         plan = SchedulingPlan(cycle=(1, 1, 2))
         column = assignments(plan, 3)
-        assert column.dtype == np.int64
+        assert column.dtype == np.int8
         assert column.tolist() == [1, 1, 2]
 
     def test_prefix_then_rollover(self):
