@@ -8,7 +8,8 @@ scheduling cycle realizes that ratio PDU by PDU.
 
 from fractions import Fraction
 
-from casim import MODCODS, CarrierConfig, OrbitModel, generate_sequence, load_balance_factor
+from casim import (MODCODS, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind,
+                   generate_sequence)
 
 # Two carriers that differ only in symbol rate: 4.64 Msym/s vs 1.856 Msym/s
 # (the effective rates of 5 MHz and 2 MHz allocations), both 8PSK 5/6 with a
@@ -17,7 +18,8 @@ modcod = MODCODS["8PSK 5/6"]
 carrier1 = CarrierConfig(4_640_000, modcod, Fraction(1, 4), 10.0, OrbitModel.geo())
 carrier2 = CarrierConfig(1_856_000, modcod, Fraction(1, 4), 10.0, OrbitModel.geo())
 
-alpha = load_balance_factor(carrier1, carrier2)
+# A scenario derives alpha once, exactly, when it is built.
+alpha = ScenarioConfig(carrier1, carrier2, SchedulerKind.LOAD_BALANCING).alpha
 print(f"usable capacity, carrier 1: {float(carrier1.usable_capacity_bps()) / 1e6:.3f} Mbps")
 print(f"usable capacity, carrier 2: {float(carrier2.usable_capacity_bps()) / 1e6:.3f} Mbps")
 print(f"load balancing factor alpha = {alpha} = {float(alpha):.2f}")

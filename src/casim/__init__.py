@@ -36,9 +36,7 @@ from .model import (
     RunTrace,
     ScenarioConfig,
     SchedulerKind,
-    load_balance_factor,
     modcod_for_snr,
-    pdus_per_fecframe,
 )
 from .receiver import merge
 from .scheduler import (

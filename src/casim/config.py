@@ -113,10 +113,6 @@ def parse_fraction(text: str, name: str) -> Fraction:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _fraction(pairs: dict[str, str], key: str) -> Fraction:
-    return parse_fraction(pairs[key], key)
-
-
 def _float(pairs: dict[str, str], key: str, default: float | None = None) -> float:
     if key not in pairs:
         return default
@@ -175,9 +171,10 @@ def _parse_carrier(pairs: dict[str, str], prefix: str) -> CarrierConfig:
             f"{prefix}.modcod: unknown MODCOD {modcod_name!r} "
             f"(known: {', '.join(sorted(MODCODS))})")
     return CarrierConfig(
-        symbol_rate_sym_s=_fraction(pairs, f"{prefix}.symbol_rate_sym_s"),
+        symbol_rate_sym_s=parse_fraction(pairs[f"{prefix}.symbol_rate_sym_s"],
+                                         f"{prefix}.symbol_rate_sym_s"),
         modcod=modcod,
-        fill_rate=_fraction(pairs, f"{prefix}.fill_rate"),
+        fill_rate=parse_fraction(pairs[f"{prefix}.fill_rate"], f"{prefix}.fill_rate"),
         snr_db=snr_db,
         orbit=orbit,
     )

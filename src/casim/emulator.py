@@ -23,7 +23,6 @@ from .model import NS_PER_S, CarrierConfig, RunTrace, ScenarioConfig
 from .scheduler import SchedulingPlan, assignments
 
 __all__ = [
-    "s_to_ns",
     "propagation_delays_ns",
     "run",
     "write_trace_csv",
@@ -32,15 +31,10 @@ __all__ = [
 INT64_MAX = np.iinfo(np.int64).max
 
 
-def s_to_ns(seconds: float) -> int:
-    """Convert seconds to integer nanoseconds (round half to even)."""
-    return round(seconds * NS_PER_S)
-
-
 def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarray:
     """Delays (int64 ns) of ``carrier``'s path for PDUs leaving at int64 ``t_ns``
-    >= 0: ``OrbitModel.propagation_delay_s`` at float(t_ns) / 1e9, rounded as in
-    ``s_to_ns``.  Raises InvariantError unless every delay is a number in int64."""
+    >= 0: ``OrbitModel.propagation_delay_s`` at float(t_ns) / 1e9, rounded half to
+    even.  Raises InvariantError unless every delay is a number in int64."""
     orbit = carrier.orbit
     if orbit.variation_amplitude_km == 0.0:  # a constant path: one delay, never nan
         if not t_ns.size:  # no PDU takes it, so it is not evaluated
@@ -77,8 +71,8 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     n = scenario.total_pdus
     carriers = (scenario.carrier1, scenario.carrier2)
     try:
-        burst_start_ns = list(accumulate(
-            (s_to_ns(burst.inter_burst_gap_s) for burst in scenario.bursts[:-1]), initial=0))
+        gaps_ns = (round(burst.inter_burst_gap_s * NS_PER_S) for burst in scenario.bursts[:-1])
+        burst_start_ns = list(accumulate(gaps_ns, initial=0))
         fits = burst_start_ns[-1] + n * max(scenario.service_ns) <= INT64_MAX
     except OverflowError:  # a gap so long its ns count is an infinite float
         fits = False

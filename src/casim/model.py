@@ -1,10 +1,10 @@
 """Domain types shared by every casim module.
 
 All types are immutable value objects validated at construction; they carry
-no behaviour beyond derived-quantity accessors.  Rates and fill factors are
-stored as exact ``Fraction``s so capacity ratios come out as exact rationals;
-times and distances are plain finite floats, except in ``RunTrace``, which
-holds a run's per-PDU times as integer nanoseconds.
+no behaviour beyond derived-quantity accessors.  Counts are ints; times,
+distances and SNR finite floats; rates exact ``Fraction``s, so capacity
+ratios come out as exact rationals.  ``RunTrace`` holds a run's per-PDU
+times as integer nanoseconds.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ __all__ = [
     "OrbitKind",
     "OrbitModel",
     "CarrierConfig",
-    "load_balance_factor",
-    "pdus_per_fecframe",
     "SchedulerKind",
     "Burst",
     "ScenarioConfig",
@@ -118,12 +116,59 @@ def approx(value: Fraction) -> str:
     return f"{Decimal(value.numerator) / value.denominator:.3g}"
 
 
-def _require_finite(obj, *names: str) -> None:
-    """Raise InvariantError unless each named float field of ``obj`` is finite."""
+# One rule per kind of field decides what it may hold and stores it as one
+# Python type.  A bool (numpy's too) is refused, a numpy integer counts as an
+# int and a numpy float as a float; anything else is refused with an
+# InvariantError naming the field.  The type ``config`` passes costs one test.
+
+def _integer(name: str, value) -> int:
+    """A count or size, stored as an int."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise InvariantError(f"{name} must be an int, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """A time, distance or SNR: an int or float, stored as a finite float."""
+    if type(value) is not float:
+        if type(value) is not int and not isinstance(value, (np.integer, np.floating)):
+            raise InvariantError(f"{name} must be an int or float, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise InvariantError(f"{name} exceeds the float range") from None
+    if not math.isfinite(value):
+        raise InvariantError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _exact(name: str, value) -> Fraction:
+    """A rate: a Fraction, int or float (read by ``to_fraction``), stored as a Fraction."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int or isinstance(value, np.integer):
+        return Fraction(int(value))
+    if type(value) is not float and not isinstance(value, np.floating):
+        raise InvariantError(f"{name} must be an int, float or Fraction, got {value!r}")
+    return to_fraction(_real(name, value))
+
+
+def _enum(name: str, value, kind: type[Enum]) -> Enum:
+    """A choice: a member of ``kind`` or the value of one, stored as the member."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvariantError(f"{name} must be one of {', '.join(kind)}, got {value!r}") from None
+
+
+def _set(obj, rule, *names: str) -> None:
+    """Store each named field of frozen ``obj`` as ``rule`` reads it."""
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise InvariantError(f"{name} must be finite, got {value}")
+        if (stored := rule(name, value)) is not value:
+            object.__setattr__(obj, name, stored)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +184,14 @@ class ModCod:
     code_rate: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "code_rate", to_fraction(self.code_rate))
-        if self.bits_per_symbol not in (1, 2, 3, 4, 5, 6):
-            raise InvariantError(
-                f"bits_per_symbol must be in 1..6, got {self.bits_per_symbol}")
+        _set(self, _exact, "code_rate")
+        _set(self, _integer, "bits_per_symbol")
+        if not 1 <= self.bits_per_symbol <= 6:
+            raise InvariantError(f"bits_per_symbol must be in 1..6, got {self.bits_per_symbol}")
         if not (0 < self.code_rate <= 1):
-            raise InvariantError(
-                f"code_rate must be in (0, 1], got {self.code_rate}")
+            raise InvariantError(f"code_rate must be in (0, 1], got {self.code_rate}")
         if self.code_rate.denominator > 36:
-            raise InvariantError(
-                f"code_rate denominator must be <= 36, got {self.code_rate}")
+            raise InvariantError(f"code_rate denominator must be <= 36, got {self.code_rate}")
 
 
 MODCODS: dict[str, ModCod] = {
@@ -204,9 +247,9 @@ class OrbitModel:
     variation_phase_rad: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", OrbitKind(self.kind))
-        _require_finite(self, "mean_leg_distance_km", "variation_amplitude_km",
-                        "variation_period_s", "variation_phase_rad")
+        object.__setattr__(self, "kind", _enum("kind", self.kind, OrbitKind))
+        _set(self, _real, "mean_leg_distance_km", "variation_amplitude_km",
+             "variation_period_s", "variation_phase_rad")
         if self.mean_leg_distance_km <= 0:
             raise InvariantError(
                 f"mean_leg_distance_km must be > 0, got {self.mean_leg_distance_km}")
@@ -215,8 +258,7 @@ class OrbitModel:
                 f"variation_amplitude_km must be in [0, mean_leg_distance_km = "
                 f"{self.mean_leg_distance_km}], got {self.variation_amplitude_km}")
         if self.kind is OrbitKind.GEO and self.variation_amplitude_km != 0:
-            raise InvariantError(
-                "GEO orbits are constant: variation_amplitude_km must be 0")
+            raise InvariantError("GEO orbits are constant: variation_amplitude_km must be 0")
         if self.variation_period_s <= 0:
             raise InvariantError("variation_period_s must be > 0")
 
@@ -272,29 +314,12 @@ class CarrierConfig:
     orbit: OrbitModel
 
     def __post_init__(self):
-        object.__setattr__(self, "symbol_rate_sym_s", to_fraction(self.symbol_rate_sym_s))
-        object.__setattr__(self, "fill_rate", to_fraction(self.fill_rate))
-        _require_finite(self, "snr_db")
+        _set(self, _exact, "symbol_rate_sym_s", "fill_rate")
+        _set(self, _real, "snr_db")
         if self.symbol_rate_sym_s.numerator <= 0:
-            raise InvariantError(
-                f"symbol_rate_sym_s must be > 0, got {self.symbol_rate_sym_s}")
+            raise InvariantError(f"symbol_rate_sym_s must be > 0, got {self.symbol_rate_sym_s}")
         if not 0 < self.fill_rate.numerator <= self.fill_rate.denominator:
-            raise InvariantError(
-                f"fill_rate must be in (0, 1], got {self.fill_rate}")
-
-    @classmethod
-    def from_bandwidth(
-        cls,
-        bandwidth_hz,
-        rolloff,
-        modcod: ModCod,
-        fill_rate,
-        snr_db: float,
-        orbit: OrbitModel,
-    ) -> "CarrierConfig":
-        """Build from allocated bandwidth: R_s = BW / (1 + rolloff)."""
-        symbol_rate = to_fraction(bandwidth_hz) / (1 + to_fraction(rolloff))
-        return cls(symbol_rate, modcod, to_fraction(fill_rate), snr_db, orbit)
+            raise InvariantError(f"fill_rate must be in (0, 1], got {self.fill_rate}")
 
     def usable_capacity_bps(self) -> Fraction:
         """Capacity share available to the studied user: symbol rate x
@@ -306,35 +331,6 @@ class CarrierConfig:
         rate, code_rate, fill = self.symbol_rate_sym_s, self.modcod.code_rate, self.fill_rate
         return (rate.numerator * self.modcod.bits_per_symbol * code_rate.numerator
                 * fill.numerator, rate.denominator * code_rate.denominator * fill.denominator)
-
-
-def load_balance_factor(c1: CarrierConfig, c2: CarrierConfig) -> Fraction:
-    """Exact ratio alpha of carrier 2's usable capacity to carrier 1's, in
-    (0, 1]: carrier 1 must be dominant."""
-    (num1, den1), (num2, den2) = c1._usable_terms(), c2._usable_terms()
-    if num2 * den1 > num1 * den2:
-        raise InvariantError(
-            "carrier 1 must be dominant: usable capacity "
-            f"{approx(Fraction(num1, den1))} bps < carrier 2's "
-            f"{approx(Fraction(num2, den2))} bps (swap carrier1 and carrier2)")
-    return Fraction(num2 * den1, den2 * num1)
-
-
-def pdus_per_fecframe(pdu_size_bytes: int, modcod: ModCod, fill_rate) -> int:
-    """Whole PDUs that fit into one FEC frame's per-user share (PDUs are never
-    fragmented across frames, so this floors); a PDU larger than the share
-    is an error."""
-    if pdu_size_bytes <= 0:
-        raise ValueError(f"pdu_size_bytes must be > 0, got {pdu_size_bytes}")
-    fill_rate = to_fraction(fill_rate)
-    share_bits = FECFRAME_BITS * modcod.code_rate.numerator * fill_rate.numerator
-    share_den = modcod.code_rate.denominator * fill_rate.denominator
-    count = share_bits // (8 * pdu_size_bytes * share_den)
-    if count == 0:
-        raise InvariantError(
-            f"PDU of {pdu_size_bytes} B exceeds the per-frame share of "
-            f"{share_bits / (8 * share_den):.1f} B")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +351,10 @@ class Burst:
     inter_burst_gap_s: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.pdu_count, int):
-            raise InvariantError(f"pdu_count must be an int, got {self.pdu_count!r}")
+        _set(self, _integer, "pdu_count")
         if self.pdu_count <= 0:
             raise InvariantError(f"pdu_count must be > 0, got {self.pdu_count}")
-        _require_finite(self, "inter_burst_gap_s")
+        _set(self, _real, "inter_burst_gap_s")
         if self.inter_burst_gap_s < 0:
             raise InvariantError("inter_burst_gap_s must be >= 0")
 
@@ -389,24 +384,38 @@ class ScenarioConfig:
     total_pdus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "scheduler", SchedulerKind(self.scheduler))
+        object.__setattr__(self, "scheduler", _enum("scheduler", self.scheduler, SchedulerKind))
         object.__setattr__(self, "bursts", tuple(self.bursts))
         object.__setattr__(self, "burst_sizes", tuple(b.pdu_count for b in self.bursts))
         object.__setattr__(self, "total_pdus", sum(self.burst_sizes))
-        if not isinstance(self.pdu_size_bytes, int):
-            raise InvariantError(f"pdu_size_bytes must be an int, got {self.pdu_size_bytes!r}")
-        if self.pdu_size_bytes <= 0:
-            raise InvariantError(
-                f"pdu_size_bytes must be > 0, got {self.pdu_size_bytes}")
+        _set(self, _integer, "pdu_size_bytes")
+        size = self.pdu_size_bytes
+        if size <= 0:
+            raise InvariantError(f"pdu_size_bytes must be > 0, got {size}")
         if not self.bursts:
             raise InvariantError("a scenario needs at least one burst")
         if self.total_pdus > MAX_TOTAL_PDUS:
             raise InvariantError(
                 f"a scenario offers at most {MAX_TOTAL_PDUS} PDUs, got {self.total_pdus}")
-        object.__setattr__(self, "alpha", load_balance_factor(self.carrier1, self.carrier2))
+        # alpha: carrier 2's usable capacity over carrier 1's, in (0, 1].
+        (num1, den1), (num2, den2) = self.carrier1._usable_terms(), self.carrier2._usable_terms()
+        if num2 * den1 > num1 * den2:
+            raise InvariantError(
+                "carrier 1 must be dominant: usable capacity "
+                f"{approx(Fraction(num1, den1))} bps < carrier 2's "
+                f"{approx(Fraction(num2, den2))} bps (swap carrier1 and carrier2)")
+        object.__setattr__(self, "alpha", Fraction(num2 * den1, den2 * num1))
         per_frame, service_ns = [], []
         for c in (self.carrier1, self.carrier2):
-            n_pdu = pdus_per_fecframe(self.pdu_size_bytes, c.modcod, c.fill_rate)
+            # Whole PDUs in a FEC frame's per-user share: PDUs are never fragmented.
+            code_rate, fill = c.modcod.code_rate, c.fill_rate
+            share_bits = FECFRAME_BITS * code_rate.numerator * fill.numerator
+            share_den = code_rate.denominator * fill.denominator
+            n_pdu = share_bits // (8 * size * share_den)
+            if n_pdu == 0:
+                raise InvariantError(
+                    f"PDU of {size} B exceeds the per-frame share of "
+                    f"{share_bits / (8 * share_den):.1f} B")
             # One FEC frame lasts 612540 / (9 M R_s) s and carries n_pdu PDUs;
             # the quotient is rounded once to integer ns, ties to even.
             rate = c.symbol_rate_sym_s

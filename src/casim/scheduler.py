@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .model import (FRAMES_PER_SUPERFRAME_BUNDLE, SUPERFRAME_SYMBOLS, ScenarioConfig,
-                    SchedulerKind, approx, to_fraction)
+                    SchedulerKind, _exact, approx)
 
 __all__ = [
     "NOMINAL_LIGHT_SPEED_KM_S",
@@ -86,7 +86,7 @@ def generate_sequence(alpha) -> list[int]:
     (Bresenham) construction, and it reproduces every row of the paper's
     lookup table.
     """
-    alpha = to_fraction(alpha)
+    alpha = _exact("alpha", alpha)
     num, den = alpha.numerator, alpha.denominator
     if not 0 < num <= den:
         raise InvariantError(f"alpha must be in (0, 1], got {approx(alpha)}")

@@ -16,8 +16,7 @@ from casim.cli import bundled_scenario_dir, main
 from casim.config import parse_scenario_file
 from casim.emulator import run
 from casim.metrics import ordering_report
-from casim.model import (MODCODS, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind,
-                         load_balance_factor)
+from casim.model import MODCODS, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
 from casim.scheduler import build_plan, generate_sequence, multi_orbit_prefix
 from helpers import (alpha_scenario, carrier, random_constant_delay_scenario, record, rows,
@@ -82,13 +81,15 @@ def test_criterion_02_differential_delay_and_superframes():
 
 
 def test_criterion_03_alpha_reproduction():
-    rolloff = Fraction(1, 5)
-    c1 = CarrierConfig.from_bandwidth(
-        5_000_000, rolloff, MODCODS["8PSK 5/6"], Fraction(1, 4), 10.0, OrbitModel.geo())
-    c2 = CarrierConfig.from_bandwidth(
-        2_000_000, rolloff, MODCODS["8PSK 5/6"], Fraction(1, 4), 10.0, OrbitModel.geo())
-    alpha = load_balance_factor(c1, c2)
-    alpha_effective = load_balance_factor(carrier(4_640_000), carrier(1_856_000))
+    def alpha_of(c1, c2):
+        return ScenarioConfig(c1, c2, SchedulerKind.LOAD_BALANCING).alpha
+
+    # symbol rate R_s = bandwidth / (1 + rolloff)
+    c1, c2 = (CarrierConfig(bandwidth / (1 + Fraction(1, 5)), MODCODS["8PSK 5/6"],
+                            Fraction(1, 4), 10.0, OrbitModel.geo())
+              for bandwidth in (Fraction(5_000_000), Fraction(2_000_000)))
+    alpha = alpha_of(c1, c2)
+    alpha_effective = alpha_of(carrier(4_640_000), carrier(1_856_000))
     check(
         3,
         "alpha for 5:2 MHz carriers is exactly 2/5",

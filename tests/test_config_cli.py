@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -304,10 +305,29 @@ class TestCli:
         # service and delay both round to 0 ns, so the one burst has no window
         (("carrier1.symbol_rate_sym_s", "1e15", "carrier2.symbol_rate_sym_s", "1e15",
           "carrier1.leg_km", "1e-9", "carrier2.leg_km", "1e-9"), "total active time is zero"),
+        (("pdu_size_bytes", "0"), "pdu_size_bytes must be > 0, got 0"),
     ])
     def test_refusal_message_exits_3(self, tmp_path, capsys, pairs, message):
         # the message names the invariant: it is the whole of stderr
         assert assert_run_exits_3(tmp_path, capsys, "geo_ca", *pairs) == f"error: {message}\n"
+
+    def test_zero_window_burst_reports_zero_throughput(self, tmp_path, capsys):
+        # Service rounds to 0 ns and each path is 0 km long at t = 0, so burst 1
+        # has no active window; burst 2, a quarter period later, has one.
+        lines = ["label=zero_window", "scheduler=load_balancing", "pdu_size_bytes=1500",
+                 "bursts=2:150.0,2:0.0"]
+        for i in (1, 2):
+            lines += [f"carrier{i}.{key}={value}" for key, value in (
+                ("symbol_rate_sym_s", "1e15"), ("modcod", "8PSK 5/6"), ("fill_rate", "1"),
+                ("snr_db", "10.0"), ("orbit", "MEO"), ("leg_km", "0.1"),
+                ("variation_amplitude_km", "0.1"), ("variation_phase_rad", repr(-math.pi / 2)))]
+        cfg = tmp_path / "zero_window.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+        first, second = metrics["per_burst"]
+        assert first["throughput_bps"] == 0.0
+        assert second["throughput_bps"] > 0 and metrics["throughput_bps"] > 0
 
     def test_huge_dominated_capacity_exits_3(self, tmp_path, capsys):
         # carrier 2's ~6e399 bps capacity dominates; no float can hold it

@@ -121,6 +121,11 @@ class TestThroughput:
         with pytest.raises(InvariantError, match="throughput needs at least 2 PDUs, got 1"):
             synthetic_report(stream_from_seqs([0]))
 
+    def test_two_pdus_give_a_report(self):
+        sc = alpha_scenario(Fraction(1), bursts=(Burst(2),))
+        report = ordering_report(merge(run(sc, build_plan(sc))), sc)
+        assert report.n_pdus == 2 and report.throughput_bps > 0
+
     def test_gaps_excluded_from_active_time(self):
         # two identical bursts far apart: aggregated throughput equals the
         # single-burst value because idle time between bursts is not counted

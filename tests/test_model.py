@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import random
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from casim.emulator import run
 from casim.errors import InvariantError
+from casim.metrics import ordering_report
 from casim.model import (
     MAX_TOTAL_PDUS,
     MODCODS,
@@ -26,7 +29,7 @@ from casim.model import (
     to_fraction,
 )
 from casim.receiver import merge
-from casim.scheduler import generate_sequence
+from casim.scheduler import build_plan, generate_sequence
 from helpers import carrier, record, rows
 import oracle
 
@@ -55,11 +58,25 @@ class TestToFraction:
     @pytest.mark.parametrize("parse", [to_fraction, generate_sequence,
                                        lambda text: carrier(symbol_rate=text)])
     def test_huge_decimal_exponent_rejected_quickly(self, parse, text):
-        # Fraction would compute 10**999999999 exactly, which takes hours
+        # Fraction would compute 10**999999999 exactly, which takes hours.
+        # to_fraction reads text; the number fields refuse it by its type.
         started = time.perf_counter()
-        with pytest.raises(ValueError, match=f"^decimal exponent beyond \\+-4000: '{text}'$"):
+        if parse is to_fraction:
+            error, message = ValueError, f"^decimal exponent beyond \\+-4000: '{text}'$"
+        else:
+            error, message = InvariantError, f"must be an int, float or Fraction, got '{text}'$"
+        with pytest.raises(error, match=message):
             parse(text)
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("text, refused", [
+        ("1e4000", False), ("1e4001", True), ("1E-0004000", False), ("2.5e-4001", True)])
+    def test_decimal_exponent_bound(self, text, refused):
+        if refused:
+            with pytest.raises(ValueError, match="decimal exponent beyond"):
+                to_fraction(text)
+        else:
+            assert to_fraction(text) == Fraction(text)
 
     # p/q text: ASCII digits on both sides take the int path; everything
     # else (signs, spaces, underscores, other scripts' digits) is Fraction's.
@@ -100,7 +117,8 @@ class TestModCod:
             ModCod("bad", 7, Fraction(1, 2))
         with pytest.raises(InvariantError):
             ModCod("bad", 2, Fraction(0))
-        with pytest.raises(InvariantError):
+        assert ModCod("ok", 2, Fraction(1, 36)).code_rate.denominator == 36
+        with pytest.raises(InvariantError, match="code_rate denominator must be <= 36"):
             ModCod("bad", 2, Fraction(1, 37))
 
     def test_snr_selection(self):
@@ -144,12 +162,6 @@ class TestCapacity:
                        carrier(2_000_000, modcod=ModCod("m", 2, Fraction(3, 4))),
                        carrier(2_000_000, modcod=base.modcod, fill_rate=Fraction(1, 2))):
             assert better.usable_capacity_bps() > usable
-
-    def test_from_bandwidth(self):
-        c = CarrierConfig.from_bandwidth(
-            5_000_000, Fraction(1, 4), MODCODS["8PSK 5/6"], Fraction(1, 4), 10.0,
-            OrbitModel.geo())
-        assert c.symbol_rate_sym_s == 4_000_000
 
     def test_fill_rate_bounds(self):
         with pytest.raises(InvariantError):
@@ -405,3 +417,153 @@ class TestNonFinite:
     def test_snr(self, value):
         with pytest.raises(InvariantError, match="snr_db"):
             carrier(snr_db=value)
+
+
+_TINY = math.nextafter(0.0, 1.0)
+
+
+@pytest.mark.parametrize("build, refused, accepted, message", [
+    (lambda v: OrbitModel.geo(v), 0.0, _TINY, "mean_leg_distance_km must be > 0"),
+    (lambda v: OrbitModel.meo(period_s=v), 0.0, _TINY, "variation_period_s must be > 0"),
+    (lambda v: ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN, v), 0, 1,
+     "pdu_size_bytes must be > 0"),
+], ids=["mean_leg_distance_km", "variation_period_s", "pdu_size_bytes"])
+def test_refused_at_the_bound_accepted_one_step_inside(build, refused, accepted, message):
+    build(accepted)
+    with pytest.raises(InvariantError, match=message):
+        build(refused)
+
+
+# Every scalar field of a two-burst MEO/MEO scenario, at a valid value.
+_VALID = {
+    **{f"carrier{i}.{name}": value
+       for i, rate in ((1, 4_640_000), (2, 1_856_000))
+       for name, value in (
+           ("bits_per_symbol", 3), ("code_rate", Fraction(1, 2)), ("kind", "MEO"),
+           ("mean_leg_distance_km", 11933.0 * i), ("variation_amplitude_km", 300.0),
+           ("variation_period_s", 600.0), ("variation_phase_rad", 0.5),
+           ("symbol_rate_sym_s", rate), ("fill_rate", Fraction(1, 2)), ("snr_db", 10.0))},
+    **{f"burst{j}.{name}": value
+       for j in (1, 2) for name, value in (("pdu_count", 40), ("inter_burst_gap_s", 0.01))},
+    "scheduler": "load_balancing",
+    "pdu_size_bytes": 1500,
+}
+_CASTS = (bool, int, lambda v: np.int64(int(v)), float, lambda v: np.float32(float(v)), str,
+          Fraction, lambda v: None)
+# Any value of each type.  Counts stay small, so a scenario runs in under 1 ms.
+_ANY = st.one_of(
+    st.booleans(), st.integers(-2, 3000), st.integers(-2, 3000).map(np.int64), st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from(["MEO", "round_robin", "0.25", "40151"]) | st.text(max_size=3),
+    st.fractions(), st.none())
+
+
+def _drawn_field(key: str):
+    """(``key``, mostly its valid value cast to each type, else any value)."""
+    valid = _VALID[key]
+    typed = (st.just(valid) if isinstance(valid, str)
+             else st.sampled_from(_CASTS).map(lambda cast: cast(valid)))
+    # Not st.one_of, which would merge _ANY's eight branches with typed's one.
+    return st.tuples(st.just(key), st.sampled_from([typed, typed, _ANY]).flatmap(lambda s: s))
+
+
+def _scenario(fields: dict) -> ScenarioConfig:
+    def carrier_(i):
+        def get(name):
+            return fields[f"carrier{i}.{name}"]
+        orbit = OrbitModel(get("kind"), get("mean_leg_distance_km"), get("variation_amplitude_km"),
+                           get("variation_period_s"), get("variation_phase_rad"))
+        return CarrierConfig(get("symbol_rate_sym_s"),
+                             ModCod("m", get("bits_per_symbol"), get("code_rate")),
+                             get("fill_rate"), get("snr_db"), orbit)
+
+    bursts = [Burst(fields[f"burst{j}.pdu_count"], fields[f"burst{j}.inter_burst_gap_s"])
+              for j in (1, 2)]
+    return ScenarioConfig(carrier_(1), carrier_(2), fields["scheduler"], fields["pdu_size_bytes"],
+                          bursts)
+
+
+class TestFieldTypes:
+    """One rule per kind of field: an integer field holds an int, a real field
+    a finite float, an exact field a Fraction, an enum field a member.  A bool
+    is refused; a numpy integer counts as an int and a numpy float as a float."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ModCod("x", 3.0, Fraction(5, 6)), "bits_per_symbol must be an int, got 3.0"),
+        (lambda: ModCod("x", np.bool_(True), Fraction(5, 6)), "bits_per_symbol must be an int"),
+        (lambda: Burst(True), "pdu_count must be an int, got True"),
+        (lambda: ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN, True),
+         "pdu_size_bytes must be an int, got True"),
+        (lambda: OrbitModel("GEO", "40151"), "mean_leg_distance_km must be an int or float"),
+        (lambda: OrbitModel("GEO", 10**400), "mean_leg_distance_km exceeds the float range"),
+        (lambda: OrbitModel("HEO", 40151.0), "kind must be one of GEO, MEO, got 'HEO'"),
+        (lambda: carrier(snr_db="10"), "snr_db must be an int or float"),
+        (lambda: Burst(5, "1.0"), "inter_burst_gap_s must be an int or float"),
+        (lambda: carrier(fill_rate=True), "fill_rate must be an int, float or Fraction"),
+        (lambda: carrier(symbol_rate=math.inf), "symbol_rate_sym_s must be finite"),
+        (lambda: ScenarioConfig(carrier(), carrier(), None), "scheduler must be one of"),
+        (lambda: generate_sequence(None), "alpha must be an int, float or Fraction"),
+    ])
+    def test_refused_naming_the_field(self, build, message):
+        with pytest.raises(InvariantError, match=message):
+            build()
+
+    @pytest.mark.parametrize("build, field, value", [
+        (lambda: Burst(np.int64(5)), "pdu_count", 5),
+        (lambda: ModCod("y", np.int64(3), Fraction(3, 4)), "bits_per_symbol", 3),
+        (lambda: carrier(np.int64(4_640_000)), "symbol_rate_sym_s", Fraction(4_640_000)),
+        (lambda: carrier(fill_rate=np.float64(0.25)), "fill_rate", Fraction(1, 4)),
+        (lambda: OrbitModel("GEO", np.float32(40151.0)), "mean_leg_distance_km", 40151.0),
+        (lambda: OrbitModel("GEO", 40151), "mean_leg_distance_km", 40151.0),
+        (lambda: Burst(5, np.int64(2)), "inter_burst_gap_s", 2.0),
+    ])
+    def test_numpy_and_int_values_stored_as_python_numbers(self, build, field, value):
+        stored = getattr(build(), field)
+        assert type(stored) is type(value) and stored == value
+
+    def test_float32_orbit_runs_as_its_float_twin(self):
+        # Stored as float32, a GEO leg equal to its float twin would put float32
+        # arithmetic into the delay: 267858620 ns against 267858639.7.
+        def scenario(num):
+            return ScenarioConfig(
+                carrier(orbit=OrbitModel.meo(num(11933.0), num(300.0), num(600.0))),
+                carrier(1_856_000, orbit=OrbitModel.geo(num(40151.0))),
+                SchedulerKind.LOAD_BALANCING, bursts=(Burst(300, 0.5), Burst(300)))
+
+        float32, python = scenario(np.float32), scenario(float)
+        assert float32 == python and hash(float32) == hash(python)
+        assert type(float32.carrier2.orbit.mean_propagation_delay_s()) is float
+        traces = [run(sc, build_plan(sc)) for sc in (float32, python)]
+        assert [c.tobytes() for c in traces[0].seq_columns()] == \
+            [c.tobytes() for c in traces[1].seq_columns()]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(_VALID)).flatmap(_drawn_field), max_size=3), _ANY)
+    @example([], Fraction(2, 5))
+    def test_constructors_refuse_or_the_scenario_runs(self, drawn, alpha):
+        """Up to three scalar fields of a valid scenario are drawn from every
+        type: bool, int, np.int64, float, np.float32, str, Fraction and None.
+        Construction raises InvariantError, or the scenario runs through
+        build_plan, run, merge and ordering_report, where InvariantError is the
+        one exception allowed.  An accepted field is stored as its kind's
+        Python type.  Fields that hold model objects (modcod, orbit, carrier1,
+        carrier2, each burst) are out of scope, as are the free-text MODCOD
+        name and scenario label.  ``generate_sequence`` takes the drawn alpha
+        on the same terms."""
+        with contextlib.suppress(InvariantError):
+            assert set(map(type, generate_sequence(alpha))) == {int}
+        try:
+            scenario = _scenario({**_VALID, **dict(drawn)})
+        except InvariantError:
+            assert drawn, "the valid fields alone build a scenario"
+            return
+        carriers = (scenario.carrier1, scenario.carrier2)
+        assert {type(v) for v in (scenario.pdu_size_bytes, *scenario.burst_sizes,
+                                  *(c.modcod.bits_per_symbol for c in carriers))} == {int}
+        assert {type(v) for c in carriers for v in (
+            c.snr_db, *dataclasses.astuple(c.orbit)[1:])} == {float}
+        assert {type(v) for c in carriers
+                for v in (c.symbol_rate_sym_s, c.fill_rate, c.modcod.code_rate)} == {Fraction}
+        assert {type(b.inter_burst_gap_s) for b in scenario.bursts} == {float}
+        with contextlib.suppress(InvariantError):
+            ordering_report(merge(run(scenario, build_plan(scenario))), scenario)

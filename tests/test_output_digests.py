@@ -12,7 +12,10 @@ from a rounding tie that another host's ``sin`` gives the same digests.
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +25,9 @@ import pytest
 from casim.cli import bundled_scenario_dir, main
 from casim.config import parse_scenario_file
 
-DIGESTS = json.loads((Path(__file__).parent / "output_digests.json").read_text())
+TESTS = Path(__file__).parent
+DIGESTS_PATH = TESTS / "output_digests.json"
+DIGESTS = json.loads(DIGESTS_PATH.read_text())
 BUNDLED = ("geo_ca", "geo_meo", "geo_rr", "meo_ca", "meo_geo")
 
 
@@ -50,6 +55,29 @@ def test_suite_outputs_match_digests(tmp_path, monkeypatch, capsys):
     expected = {key.split("/", 1)[1]: value
                 for key, value in DIGESTS.items() if key.startswith("suite/")}
     assert {path.name: sha256(path) for path in tmp_path.iterdir()} == expected
+
+
+def test_ci_outputs_script(tmp_path):
+    """``ci_outputs.py`` passes ``python -m casim.cli``'s outputs, and fails
+    naming the file whose digest a corrupted copy of the digests gets wrong."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")]))
+
+    def ci_outputs(digests: Path, *command: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, str(TESTS / "ci_outputs.py"), str(tmp_path / "out"), str(digests),
+             *command], env=env, capture_output=True, text=True, timeout=300)
+
+    checked = ci_outputs(DIGESTS_PATH, sys.executable, "-m", "casim.cli")
+    assert checked.returncode == 0, checked.stderr
+    assert (tmp_path / "out" / "run" / "meo_geo" / "trace.csv").is_file()
+    corrupted = tmp_path / "digests.json"
+    corrupted.write_text(json.dumps({**DIGESTS, "run/unseeded/meo_geo/trace.csv": "0" * 64}))
+    # A command that does nothing leaves the outputs above, so only the check reruns.
+    failed = ci_outputs(corrupted, sys.executable, "-c", "")
+    assert failed.returncode == 1
+    assert failed.stderr == "outputs differ from their digests: run/unseeded/meo_geo/trace.csv\n"
 
 
 # A MEO delay is 2 (L + A sin x) / c seconds, rounded to whole ns; every other

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from casim.cli import main
 from casim.errors import InvariantError
-from casim.model import (MODCODS, OrbitModel, ScenarioConfig, SchedulerKind, load_balance_factor,
-                         pdus_per_fecframe)
+from casim.model import MODCODS, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.scheduler import (
     NOMINAL_LIGHT_SPEED_KM_S,
     SchedulingPlan,
@@ -52,17 +51,28 @@ class TestLookupTable:
         assert PAPER_LOOKUP_TABLE[Fraction(1, 2)] == (1, 1, 2)
 
 
+def scenario_alpha(c1, c2) -> Fraction:
+    """The alpha a load-balancing scenario over carriers ``c1`` and ``c2`` derives."""
+    return ScenarioConfig(c1, c2, SchedulerKind.LOAD_BALANCING).alpha
+
+
+def scenario_pdus_per_frame(pdu_size_bytes, modcod, fill_rate) -> int:
+    """PDUs per FEC frame a scenario derives for a carrier of ``modcod`` and ``fill_rate``."""
+    c = carrier(modcod=modcod, fill_rate=fill_rate)
+    return ScenarioConfig(c, c, SchedulerKind.LOAD_BALANCING, pdu_size_bytes).pdus_per_frame[0]
+
+
 class TestLoadBalanceFactor:
     def test_bandwidth_ratio_five_to_two(self):
-        alpha = load_balance_factor(carrier(4_640_000), carrier(1_856_000))
+        alpha = scenario_alpha(carrier(4_640_000), carrier(1_856_000))
         assert alpha == Fraction(2, 5)
 
     def test_identical_carriers(self):
-        assert load_balance_factor(carrier(), carrier()) == 1
+        assert scenario_alpha(carrier(), carrier()) == 1
 
     def test_dominance_violation(self):
         with pytest.raises(InvariantError, match="carrier 1 must be dominant"):
-            load_balance_factor(carrier(1_856_000), carrier(4_640_000))
+            scenario_alpha(carrier(1_856_000), carrier(4_640_000))
 
     def test_scale_invariance(self):
         rng = random.Random(11)
@@ -70,8 +80,8 @@ class TestLoadBalanceFactor:
             k = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
             if k == 0:
                 continue
-            base = load_balance_factor(carrier(4_640_000), carrier(1_856_000))
-            scaled = load_balance_factor(
+            base = scenario_alpha(carrier(4_640_000), carrier(1_856_000))
+            scaled = scenario_alpha(
                 carrier(k * 4_640_000), carrier(k * 1_856_000))
             assert scaled == base
 
@@ -208,14 +218,14 @@ class TestFrameArithmetic:
         assert math.isclose(prefix_of(fast, GEO).superframes, 1.0, rel_tol=1e-12)
 
     def test_pdus_per_fecframe_reference(self):
-        assert pdus_per_fecframe(1500, MODCODS["8PSK 5/6"], Fraction(1, 4)) == 1
+        assert scenario_pdus_per_frame(1500, MODCODS["8PSK 5/6"], Fraction(1, 4)) == 1
 
     def test_pdus_per_fecframe_full_fill(self):
-        assert pdus_per_fecframe(1500, MODCODS["8PSK 5/6"], 1) == 4
+        assert scenario_pdus_per_frame(1500, MODCODS["8PSK 5/6"], 1) == 4
 
     def test_oversized_pdu(self):
         with pytest.raises(InvariantError, match="exceeds the per-frame share"):
-            pdus_per_fecframe(10_000, MODCODS["8PSK 5/6"], Fraction(1, 4))
+            scenario_pdus_per_frame(10_000, MODCODS["8PSK 5/6"], Fraction(1, 4))
 
 
 class TestMultiOrbitPrefix:
