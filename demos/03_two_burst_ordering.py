@@ -35,11 +35,11 @@ for scenario in (lb_scenario, rr_scenario):
     # Sample the received-vs-expected ramp: with round robin the received
     # sequence number drifts away from the slot index and snaps back when
     # the slower carrier finally drains; with load balancing it hugs it.
-    # merged.order[i] is the sequence number of the i-th PDU the terminal
-    # received.
+    # merged.order[i] is the row of the i-th PDU the terminal received, and
+    # merged.seq[row] that PDU's sequence number.
     print("merged slot -> received seq (burst 1 samples):")
     for slot in (0, 500, 1000, 1500, 2000, 2400, 2499):
-        seq = int(merged.order[slot])
+        seq = int(merged.seq[merged.order[slot]])
         print(f"  slot {slot:>4}: seq {seq:>4}  (drift {seq - slot:+d})")
     print()
 

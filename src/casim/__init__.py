@@ -7,8 +7,8 @@ held as its carrier and length), a link emulator computes each carrier's FIFO
 transmission times in closed form (Lindley's recursion) and propagates each
 PDU, a naive FIFO receiver merges the two arrival streams,
 and the metrics layer reports misplacement distances and aggregated
-throughput.  One columnar record, ``RunTrace``, stores a run once, indexed
-by sequence number.  A record is listed in sequence order, or in receive
+throughput.  One columnar record, ``RunTrace``, stores a run once, its rows
+in carrier order.  A record lists its rows in carrier order, or in receive
 order after ``merge``, which copies no column.
 """
 

@@ -56,7 +56,7 @@ def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarra
 
 
 def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
-    """Transport every PDU; return their record, listed in sequence order.
+    """Transport every PDU; return their record, listed in carrier order.
 
     On a carrier with service time s >= 0, the k-th PDU (k = 0, 1, ...)
     released at r_k starts when both it and the carrier are ready, so
@@ -66,7 +66,8 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     the running max is taken over bursts, and each burst's peak is added to
     its slice of (k+1)·s.  A PDU arrives after its path's delay at end_k,
     taken for all of a carrier's PDUs at once (so never for a carrier that
-    carries none).
+    carries none).  Each carrier's queue is one slice of the record's rows,
+    written in place.
     """
     n = scenario.total_pdus
     carriers = (scenario.carrier1, scenario.carrier2)
@@ -78,20 +79,25 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
         fits = False
     if not fits:
         raise InvariantError("transmission times exceed the int64 range")
-    release = np.array(burst_start_ns, dtype=np.int64).repeat(scenario.burst_sizes)
-    burst_head = list(accumulate(scenario.burst_sizes[:-1], initial=0))  # first seq of each
     carrier = assignments(plan, n)
-    tx_start, tx_end, arrival = np.empty((3, n), dtype=np.int64)
-    for idx, cfg, service in zip((1, 2), carriers, scenario.service_ns):
-        rows = (carrier == idx).nonzero()[0]
-        m = rows.size
+    burst_head = list(accumulate(scenario.burst_sizes[:-1], initial=0))  # first seq of each
+    # Carriers are 1 or 2, so a burst's carrier sum is its size plus its PDUs on carrier 2.
+    twos = [total - size for total, size in
+            zip(np.add.reduceat(carrier, burst_head).tolist(), scenario.burst_sizes)]
+    counts = ([size - k for size, k in zip(scenario.burst_sizes, twos)], twos)
+    release = np.array(burst_start_ns * 2, dtype=np.int64).repeat(counts[0] + counts[1])
+    tx_end, arrival = np.empty((2, n), dtype=np.int64)
+    row = 0  # this carrier's first row
+    for cfg, service, per_burst in zip(carriers, scenario.service_ns, counts):
+        m = sum(per_burst)
+        end = tx_end[row:row + m]
+        np.multiply(np.arange(1, m + 1, dtype=np.int64), service, out=end)  # (k+1)·s
         # Burst b's PDUs are this carrier's queue indices first[b]..first[b+1]-1.
         # A burst with none has an empty slice, and its term r_b - first[b]·s
         # raises no later peak: the next burst with PDUs here has its head at
         # the same index and a release no earlier, so its own term is at least
         # as large; if no later burst has any, no slice is left to raise.
-        first = rows.searchsorted(burst_head).tolist()
-        end = np.arange(1, m + 1, dtype=np.int64) * service  # (k+1)·s
+        first = list(accumulate(per_burst[:-1], initial=0))
         peaks = accumulate((r - j * service for r, j in zip(burst_start_ns, first)), max)
         for lo, hi, peak in zip(first, first[1:] + [m], peaks):
             if peak:
@@ -101,11 +107,10 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
         if m and int(end[-1]) + int(np.maximum.reduce(delay)) > INT64_MAX \
                 and np.count_nonzero(delay > INT64_MAX - end):
             raise InvariantError("arrival times exceed the int64 range")
-        tx_end[rows] = end
-        arrival[rows] = np.add(delay, end, out=delay)
-        tx_start[rows] = np.subtract(end, service, out=end)
+        np.add(delay, end, out=arrival[row:row + m])
+        row += m
 
-    return RunTrace(carrier, release, tx_start, tx_end, arrival)
+    return RunTrace(carrier, scenario.service_ns, release, tx_end, arrival)
 
 
 # Rows per write.  The writer holds one (4096, 6) int64 block, its 24576
@@ -117,16 +122,21 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
     """Dump a run as CSV (times in integer nanoseconds), one row per PDU,
     in the record's listed order, with CRLF line ends.  Rows are gathered
     and formatted one reused block at a time, so the writer holds ~1.4 MB
-    whatever the record's length."""
-    carrier, *times = trace.seq_columns()
-    block = np.empty((_CSV_BLOCK_ROWS, 2 + len(times)), dtype=np.int64)
+    whatever the record's length.  A row's carrier is read through its
+    sequence number, and its tx start is its tx end less that carrier's
+    service time."""
+    service = np.array((0, *trace.service_ns), dtype=np.int64)  # by carrier
+    block = np.empty((_CSV_BLOCK_ROWS, 6), dtype=np.int64)
     with open(path, "wb") as fh:
         fh.write(b"seq,carrier,t_scheduled,t_tx_start,t_tx_end,t_arrival\r\n")
         for start in range(0, len(trace), _CSV_BLOCK_ROWS):
-            seqs = trace.order[start:start + _CSV_BLOCK_ROWS]
-            rows = block[:seqs.size]
-            rows[:, 0] = seqs
-            rows[:, 1] = carrier[seqs]  # int8, widened a block at a time
-            for j, column in enumerate(times, 2):
-                np.take(column, seqs, out=rows[:, j])
-            fh.write(b"%d,%d,%d,%d,%d,%d\r\n" * seqs.size % tuple(rows.ravel().tolist()))
+            listed = trace.order[start:start + _CSV_BLOCK_ROWS]
+            rows = block[:listed.size]
+            seq, carrier, scheduled, tx_start, tx_end, arrival = rows.T
+            np.take(trace.seq, listed, out=seq)
+            carrier[:] = trace.carrier[seq]  # int8, widened a block at a time
+            np.take(trace.t_scheduled_ns, listed, out=scheduled)
+            np.take(trace.t_tx_end_ns, listed, out=tx_end)
+            np.subtract(tx_end, service[carrier], out=tx_start)
+            np.take(trace.t_arrival_ns, listed, out=arrival)
+            fh.write(b"%d,%d,%d,%d,%d,%d\r\n" * listed.size % tuple(rows.ravel().tolist()))

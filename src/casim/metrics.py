@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -68,17 +69,53 @@ def _figures(n_pdus: int, misplaced: int, distance_sum: int, max_distance: int,
             n_pdus * pdu_size_bytes * 8 * NS_PER_S / window_ns if window_ns > 0 else 0.0)
 
 
+def _windows(merged: RunTrace, burst_sizes: tuple[int, ...], starts: np.ndarray) -> list[int]:
+    """Each burst's active window in ns, from its first tx start to its last arrival.
+
+    Rows are stored in carrier order, so a burst's PDUs on one carrier are
+    one range of rows: each non-empty range is reduced once, carrier 1's
+    ranges first.  Carriers are 1 or 2, so a burst's sum of carriers is its
+    size plus its PDUs on carrier 2.
+    """
+    sums = np.add.reduceat(merged.carrier, starts).tolist()
+    heads, row = [], 0
+    for size, total in zip(burst_sizes, sums):
+        if total < 2 * size:
+            heads.append(row)
+            row += 2 * size - total
+    j = len(heads)  # carrier 2's first range
+    for size, total in zip(burst_sizes, sums):
+        if total > size:
+            heads.append(row)
+            row += total - size
+    lows = np.minimum.reduceat(merged.t_tx_end_ns, heads).tolist()
+    highs = np.maximum.reduceat(merged.t_arrival_ns, heads).tolist()
+    s1, s2 = merged.service_ns
+    windows, i = [], 0
+    for size, total in zip(burst_sizes, sums):
+        if total == size:  # on carrier 1 only
+            windows.append(highs[i] - lows[i] + s1)
+            i += 1
+        elif total == 2 * size:  # on carrier 2 only
+            windows.append(highs[j] - lows[j] + s2)
+            j += 1
+        else:
+            windows.append(max(highs[i], highs[j]) - min(lows[i] - s1, lows[j] - s2))
+            i += 1
+            j += 1
+    return windows
+
+
 def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingReport:
     """Misplacement and throughput of one scenario run, overall and per burst.
 
-    Distances come from ``merged.order``, the sequence numbers in receive
-    order.  Grouping that order by burst keeps receive order within a
-    burst, so a burst's k-th received PDU lands at index start + k of the
-    grouped order, while its sequence number is start + its local sequence
-    position: the burst start cancels out of the distance.  A burst is a
-    contiguous range of sequence numbers, so its active window (first tx
-    start to last arrival) is one reduction over each sequence-indexed
-    column.  Throughput is total bits over the summed per-burst windows, so
+    Distances come from the sequence numbers in receive order,
+    ``merged.seq[merged.order]``.  Grouping them by burst keeps receive
+    order within a burst, so a burst's k-th received PDU lands at index
+    start + k of the grouped order, while its sequence number is start + its
+    local sequence position: the burst start cancels out of the distance.
+    A burst's active window runs from its first tx start to its last
+    arrival.  Throughput is total bits over the summed per-burst windows, so
     inter-burst gaps are excluded; a burst with a zero window reports 0.0.
     """
     n = len(merged)
@@ -88,23 +125,25 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
             f"burst sizes sum to {scenario.total_pdus} but the stream has {n} PDUs")
     if n < 2:
         raise InvariantError(f"throughput needs at least 2 PDUs, got {n}")
-    sizes = np.asarray(burst_sizes, dtype=np.int64)
-    starts = sizes.cumsum() - sizes
-    order = merged.order
-    # The smallest label type and an in-place distance keep the temporaries
-    # of a long run few and small.
-    burst_of_seq = np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)).repeat(sizes)
-    distance = np.arange(n)
-    distance -= order[burst_of_seq[order].argsort(kind="stable")]
-    np.abs(distance, out=distance)
-    counts = np.add.reduceat(distance > 0, starts).tolist()
-    sums = np.add.reduceat(distance, starts).tolist()
-    worst = np.maximum.reduceat(distance, starts).tolist()
-    windows = (np.maximum.reduceat(merged.t_arrival_ns, starts)
-               - np.minimum.reduceat(merged.t_tx_start_ns, starts)).tolist()
+    n_bursts = len(burst_sizes)
+    starts = np.array(list(accumulate(burst_sizes[:-1], initial=0)))
+    windows = _windows(merged, burst_sizes, starts)
     total_ns = sum(windows)
     if total_ns <= 0:
         raise InvariantError("total active time is zero")
+
+    # Sequence numbers in receive order, then grouped by burst, with the
+    # distance taken in place: at most three full-length int64 arrays are
+    # alive at once, and the burst labels are of the smallest type.
+    grouped = merged.seq[merged.order]
+    if n_bursts > 1:
+        burst_of_seq = np.arange(n_bursts, dtype=np.min_scalar_type(n_bursts)).repeat(burst_sizes)
+        grouped = grouped[burst_of_seq[grouped].argsort(kind="stable")]
+    grouped -= np.arange(n)
+    distance = np.abs(grouped, out=grouped)
+    counts = np.add.reduceat(distance > 0, starts).tolist()
+    sums = np.add.reduceat(distance, starts).tolist()
+    worst = np.maximum.reduceat(distance, starts).tolist()
 
     pdu_size = scenario.pdu_size_bytes
     per_burst = tuple(BurstStats(*_figures(*burst, pdu_size))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
 
 import numpy as np
 
@@ -116,6 +115,15 @@ def approx(value: Fraction) -> str:
     return f"{Decimal(value.numerator) / value.denominator:.3g}"
 
 
+def _shown(value, text=str) -> str:
+    """``text(value)``, or ``approx(value)`` for a number that Python will not
+    turn into text: an int of more than 4300 digits, or a Fraction of one."""
+    try:
+        return text(value)
+    except ValueError:
+        return approx(value) if isinstance(value, (int, Fraction)) else type(value).__name__
+
+
 # One rule per kind of field decides what it may hold and stores it as one
 # Python type.  A bool (numpy's too) is refused, a numpy integer counts as an
 # int and a numpy float as a float; anything else is refused with an
@@ -127,14 +135,14 @@ def _integer(name: str, value) -> int:
         return value
     if isinstance(value, np.integer):
         return int(value)
-    raise InvariantError(f"{name} must be an int, got {value!r}")
+    raise InvariantError(f"{name} must be an int, got {_shown(value, repr)}")
 
 
 def _real(name: str, value) -> float:
     """A time, distance or SNR: an int or float, stored as a finite float."""
     if type(value) is not float:
         if type(value) is not int and not isinstance(value, (np.integer, np.floating)):
-            raise InvariantError(f"{name} must be an int or float, got {value!r}")
+            raise InvariantError(f"{name} must be an int or float, got {_shown(value, repr)}")
         try:
             value = float(value)
         except OverflowError:
@@ -151,7 +159,8 @@ def _exact(name: str, value) -> Fraction:
     if type(value) is int or isinstance(value, np.integer):
         return Fraction(int(value))
     if type(value) is not float and not isinstance(value, np.floating):
-        raise InvariantError(f"{name} must be an int, float or Fraction, got {value!r}")
+        raise InvariantError(
+            f"{name} must be an int, float or Fraction, got {_shown(value, repr)}")
     return to_fraction(_real(name, value))
 
 
@@ -160,7 +169,17 @@ def _enum(name: str, value, kind: type[Enum]) -> Enum:
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise InvariantError(f"{name} must be one of {', '.join(kind)}, got {value!r}") from None
+        raise InvariantError(
+            f"{name} must be one of {', '.join(kind)}, got {_shown(value, repr)}") from None
+
+
+def _text(name: str, value) -> str:
+    """A name or label: a str (a subclass's value too), stored as a str."""
+    if type(value) is str:
+        return value
+    if isinstance(value, str):
+        return str.__str__(value)
+    raise InvariantError(f"{name} must be a str, got {_shown(value, repr)}")
 
 
 def _set(obj, rule, *names: str) -> None:
@@ -184,14 +203,17 @@ class ModCod:
     code_rate: Fraction
 
     def __post_init__(self):
+        _set(self, _text, "name")
         _set(self, _exact, "code_rate")
         _set(self, _integer, "bits_per_symbol")
         if not 1 <= self.bits_per_symbol <= 6:
-            raise InvariantError(f"bits_per_symbol must be in 1..6, got {self.bits_per_symbol}")
+            raise InvariantError(
+                f"bits_per_symbol must be in 1..6, got {_shown(self.bits_per_symbol)}")
         if not (0 < self.code_rate <= 1):
-            raise InvariantError(f"code_rate must be in (0, 1], got {self.code_rate}")
+            raise InvariantError(f"code_rate must be in (0, 1], got {_shown(self.code_rate)}")
         if self.code_rate.denominator > 36:
-            raise InvariantError(f"code_rate denominator must be <= 36, got {self.code_rate}")
+            raise InvariantError(
+                f"code_rate denominator must be <= 36, got {_shown(self.code_rate)}")
 
 
 MODCODS: dict[str, ModCod] = {
@@ -317,9 +339,10 @@ class CarrierConfig:
         _set(self, _exact, "symbol_rate_sym_s", "fill_rate")
         _set(self, _real, "snr_db")
         if self.symbol_rate_sym_s.numerator <= 0:
-            raise InvariantError(f"symbol_rate_sym_s must be > 0, got {self.symbol_rate_sym_s}")
+            raise InvariantError(
+                f"symbol_rate_sym_s must be > 0, got {_shown(self.symbol_rate_sym_s)}")
         if not 0 < self.fill_rate.numerator <= self.fill_rate.denominator:
-            raise InvariantError(f"fill_rate must be in (0, 1], got {self.fill_rate}")
+            raise InvariantError(f"fill_rate must be in (0, 1], got {_shown(self.fill_rate)}")
 
     def usable_capacity_bps(self) -> Fraction:
         """Capacity share available to the studied user: symbol rate x
@@ -353,7 +376,7 @@ class Burst:
     def __post_init__(self):
         _set(self, _integer, "pdu_count")
         if self.pdu_count <= 0:
-            raise InvariantError(f"pdu_count must be > 0, got {self.pdu_count}")
+            raise InvariantError(f"pdu_count must be > 0, got {_shown(self.pdu_count)}")
         _set(self, _real, "inter_burst_gap_s")
         if self.inter_burst_gap_s < 0:
             raise InvariantError("inter_burst_gap_s must be >= 0")
@@ -389,14 +412,15 @@ class ScenarioConfig:
         object.__setattr__(self, "burst_sizes", tuple(b.pdu_count for b in self.bursts))
         object.__setattr__(self, "total_pdus", sum(self.burst_sizes))
         _set(self, _integer, "pdu_size_bytes")
+        _set(self, _text, "label")
         size = self.pdu_size_bytes
         if size <= 0:
-            raise InvariantError(f"pdu_size_bytes must be > 0, got {size}")
+            raise InvariantError(f"pdu_size_bytes must be > 0, got {_shown(size)}")
         if not self.bursts:
             raise InvariantError("a scenario needs at least one burst")
         if self.total_pdus > MAX_TOTAL_PDUS:
-            raise InvariantError(
-                f"a scenario offers at most {MAX_TOTAL_PDUS} PDUs, got {self.total_pdus}")
+            raise InvariantError(f"a scenario offers at most {MAX_TOTAL_PDUS} PDUs, "
+                                 f"got {_shown(self.total_pdus)}")
         # alpha: carrier 2's usable capacity over carrier 1's, in (0, 1].
         (num1, den1), (num2, den2) = self.carrier1._usable_terms(), self.carrier2._usable_terms()
         if num2 * den1 > num1 * den2:
@@ -414,7 +438,7 @@ class ScenarioConfig:
             n_pdu = share_bits // (8 * size * share_den)
             if n_pdu == 0:
                 raise InvariantError(
-                    f"PDU of {size} B exceeds the per-frame share of "
+                    f"PDU of {_shown(size)} B exceeds the per-frame share of "
                     f"{share_bits / (8 * share_den):.1f} B")
             # One FEC frame lasts 612540 / (9 M R_s) s and carries n_pdu PDUs;
             # the quotient is rounded once to integer ns, ties to even.
@@ -432,10 +456,10 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 # Each column's dtype: a carrier is 1 or 2, so one byte holds it.
-_DTYPES = {"carrier": np.int8, "t_scheduled_ns": np.int64, "t_tx_start_ns": np.int64,
-           "t_tx_end_ns": np.int64, "t_arrival_ns": np.int64}
+_DTYPES = {"carrier": np.int8, "t_scheduled_ns": np.int64, "t_tx_end_ns": np.int64,
+           "t_arrival_ns": np.int64}
 _FIELDS = tuple(_DTYPES)
-_seq_columns = attrgetter(*_FIELDS)
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 def _whole_numbers(name: str, values) -> np.ndarray:
@@ -459,27 +483,33 @@ def _whole_numbers(name: str, values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """One run, stored once: five columns indexed by sequence number, and
-    ``order``, the sequence numbers as the record lists them.
+    """One run, stored once, its rows in carrier order: carrier 1's PDUs in
+    sequence order, then carrier 2's.  ``order`` lists the rows.
 
-    ``carrier[s]`` (int8, 1 or 2) carries PDU ``s``.  The times are int64
-    ns: ``t_scheduled_ns[s]`` is its generator release instant,
-    ``t_tx_start_ns[s]`` / ``t_tx_end_ns[s]`` bracket its serialization, and
-    ``t_arrival_ns[s]`` is its delivery after propagation.  ``order`` is
-    int64 too.  A record is listed in sequence order, or in receive order
-    after ``receiver.merge``, which shares the columns.  The constructor
-    takes the five columns and refuses any value that is not a whole number
-    in int64, checks that they are one-dimensional and of one length, that
-    carriers are 1 or 2 and that ``tx_start <= tx_end <= arrival``, then
-    stores each column at its dtype (an array already of that dtype as is)
-    and lists the record in sequence order.
+    ``carrier[s]`` (int8, 1 or 2) carries PDU ``s``: it is the one column
+    indexed by sequence number.  ``service_ns`` holds each carrier's per-PDU
+    service time, an int in 0..2**63-1.  Row ``i`` is PDU ``seq[i]``; its
+    int64 ns times are ``t_scheduled_ns[i]``, its generator release instant,
+    ``t_tx_end_ns[i]``, the end of its serialization, which started its
+    carrier's service time earlier, and ``t_arrival_ns[i]``, its delivery
+    after propagation.  ``order`` (int64, like ``seq``) lists row indices:
+    in carrier order, or in receive order after ``receiver.merge``, which
+    shares the columns.  The constructor takes the carrier column, the two
+    service times and the three time columns, and refuses any value that is
+    not a whole number in int64.  It checks that the columns are
+    one-dimensional and of one length, that carriers are 1 or 2, and that
+    ``tx_start <= tx_end <= arrival``, with each tx_start in int64.  It
+    derives ``seq`` as a stable argsort of the carriers, stores each column
+    at its dtype (an array already of that dtype as is) and lists the rows in
+    carrier order.
     """
 
     carrier: np.ndarray
+    service_ns: tuple[int, int]
     t_scheduled_ns: np.ndarray
-    t_tx_start_ns: np.ndarray
     t_tx_end_ns: np.ndarray
     t_arrival_ns: np.ndarray
+    seq: np.ndarray = field(init=False)
     order: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -487,13 +517,29 @@ class RunTrace:
         carrier = columns[0]
         if carrier.ndim != 1 or len({c.shape for c in columns}) != 1:
             raise InvariantError("columns must be one-dimensional and of equal length")
-        if carrier.size and (np.minimum.reduce(carrier) < 1 or np.maximum.reduce(carrier) > 2):
+        seq = carrier.argsort(kind="stable")  # rows in carrier order
+        if seq.size and not 1 <= carrier[seq[0]] <= carrier[seq[-1]] <= 2:
             raise InvariantError("carrier must be 1 or 2")
+        try:
+            s1, s2 = self.service_ns
+        except (TypeError, ValueError):
+            raise InvariantError("service_ns must hold two service times") from None
+        service = (_integer("service_ns", s1), _integer("service_ns", s2))
+        if max(service) > _INT64_MAX:
+            raise InvariantError("service_ns exceeds the int64 range")
         for name, column in zip(_FIELDS, columns):  # values checked, so narrowing is exact
             object.__setattr__(self, name, column.astype(_DTYPES[name], copy=False))
-        _, _, tx_start, tx_end, arrival = self.seq_columns()
-        if np.count_nonzero(tx_start > tx_end) or np.count_nonzero(tx_end > arrival):
+        tx_end = self.t_tx_end_ns
+        # tx_start = tx_end - service: service >= 0 is tx_start <= tx_end
+        if min(service) < 0 or np.count_nonzero(tx_end > self.t_arrival_ns):
             raise InvariantError("trace times must satisfy tx_start <= tx_end <= arrival")
+        if tx_end.size and int(np.minimum.reduce(tx_end)) < _INT64_MIN + max(service):
+            m = np.count_nonzero(self.carrier == 1)  # so near -2**63, each carrier's own
+            if any(np.count_nonzero(part < _INT64_MIN + s)
+                   for part, s in zip((tx_end[:m], tx_end[m:]), service)):
+                raise InvariantError("tx_start exceeds the int64 range")
+        object.__setattr__(self, "service_ns", service)
+        object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "order", np.arange(carrier.size, dtype=np.int64))
 
     def _listed_in(self, order: np.ndarray) -> RunTrace:
@@ -504,7 +550,3 @@ class RunTrace:
 
     def __len__(self) -> int:
         return self.order.size
-
-    def seq_columns(self) -> tuple[np.ndarray, ...]:
-        """The five per-PDU columns, indexed by sequence number, in field order."""
-        return _seq_columns(self)

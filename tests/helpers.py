@@ -25,17 +25,39 @@ EIGHT_PSK_56 = MODCODS["8PSK 5/6"]
 def rows(trace: RunTrace) -> list[tuple[int, ...]]:
     """A record's listed rows as (seq, carrier, scheduled, tx_start, tx_end, arrival)."""
     order = trace.order
-    return list(zip(order.tolist(), *(column[order].tolist() for column in trace.seq_columns())))
+    seq = trace.seq[order]
+    service = (0, *trace.service_ns)
+    return [(s, c, scheduled, end - service[c], end, arrival)
+            for s, c, scheduled, end, arrival in zip(
+                seq.tolist(), trace.carrier[seq].tolist(), trace.t_scheduled_ns[order].tolist(),
+                trace.t_tx_end_ns[order].tolist(), trace.t_arrival_ns[order].tolist())]
 
 
 def record(trace_rows) -> RunTrace:
     """The record of (seq, carrier, scheduled, tx_start, tx_end, arrival) rows,
-    listed in sequence order.  The rows, in any order, name each seq 0..N-1
-    once; each row's values are stored at its seq."""
+    listed in carrier order.  The rows, in any order, name each seq 0..N-1
+    once, and each carrier's rows share one service time, tx_end - tx_start
+    (0 for a carrier with none)."""
     by_seq = sorted(tuple(row) for row in trace_rows)
     assert [row[0] for row in by_seq] == list(range(len(by_seq))), "each seq 0..N-1 once"
-    _, *columns = zip(*by_seq) if by_seq else [()] * 6
-    return RunTrace(*columns)
+    services = {}
+    for _, carrier, _, tx_start, tx_end, _ in by_seq:
+        services.setdefault(carrier, set()).add(tx_end - tx_start)
+    assert all(len(s) == 1 for s in services.values()), "one service time per carrier"
+    service = tuple(services.get(c, {0}).pop() for c in (1, 2))
+    in_rows = sorted(by_seq, key=lambda row: (row[1], row[0]))  # carrier order
+    _, _, scheduled, _, tx_end, arrival = zip(*in_rows) if in_rows else [()] * 6
+    return RunTrace([row[1] for row in by_seq], service, scheduled, tx_end, arrival)
+
+
+def seqs(trace: RunTrace) -> list[int]:
+    """A record's sequence numbers in its listed order."""
+    return trace.seq[trace.order].tolist()
+
+
+def columns(trace: RunTrace) -> tuple:
+    """The arrays a record stores, whichever order it lists."""
+    return trace.carrier, trace.seq, trace.t_scheduled_ns, trace.t_tx_end_ns, trace.t_arrival_ns
 
 
 def synthetic_report(trace: RunTrace, burst_sizes=None) -> OrderingReport:

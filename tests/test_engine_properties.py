@@ -3,14 +3,16 @@
 Scenarios come from the parameter space of ``helpers``' random builders:
 any bundled MODCOD and fill rate whose frame share holds the PDU, symbol
 rates of 0.5-8 Msym/s (or, for both carriers, rates of 1e14 sym/s and up,
-whose service times round to 0 ns), constant or sinusoidally varying paths,
-1-8 bursts whose gaps may be zero or shorter than the time a burst needs to
-drain, and either scheduler.  A multi-orbit prefix longer than the first
-bursts leaves the slow carrier with no PDU in them.  The vectorised path
-delay is checked on its own against the scalar oracle over random orbits and
-send times up to 2**62 ns, the carrier column against the per-PDU rule
-over random plans, and the multi-orbit prefix against the oracle's exact
-one.  Examples are derandomized, so the suite stays deterministic.
+whose service times round to 0 ns), constant or sinusoidally varying paths
+(some with sub-second periods, along which arrivals can fall from one PDU to
+the next on a carrier), 1-8 bursts whose gaps may be zero or shorter than
+the time a burst needs to drain, and either scheduler.  A multi-orbit
+prefix longer than the first bursts leaves the slow carrier with no PDU in
+them.  The vectorised path delay is checked on its own against the scalar
+oracle over random orbits and send times up to 2**62 ns, the carrier column
+against the per-PDU rule over random plans, and the multi-orbit prefix
+against the oracle's exact one.  Examples are derandomized, so the suite
+stays deterministic.
 """
 
 import math
@@ -23,8 +25,9 @@ from hypothesis import strategies as st
 
 from casim.emulator import propagation_delays_ns, run
 from casim.model import MODCODS, Burst, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind
+from casim.receiver import merge
 from casim.scheduler import SchedulingPlan, assignments, build_plan, multi_orbit_prefix
-from helpers import alpha_scenario, rows
+from helpers import alpha_scenario, rows, seqs
 import oracle
 
 FILL_RATES = tuple(Fraction(k, 4) for k in range(1, 5))
@@ -36,10 +39,12 @@ def carriers(draw, pdu_size: int, instant: bool = False) -> CarrierConfig:
         (modcod, fill) for modcod in MODCODS.values() for fill in FILL_RATES
         if 64800 * modcod.code_rate * fill / 8 >= pdu_size]))
     if draw(st.booleans()):
+        fast = draw(st.integers(0, 3)) == 0  # one varying path in four: a sub-second period
         orbit = OrbitModel.meo(
             float(draw(st.integers(8000, 15000))),
-            amplitude_km=float(draw(st.integers(50, 500))),
-            period_s=float(draw(st.integers(300, 1200))),
+            amplitude_km=float(draw(st.integers(50, 5000 if fast else 500))),
+            period_s=draw(st.floats(0.005, 1.0) if fast
+                          else st.integers(300, 1200).map(float)),
             phase_rad=draw(st.floats(0.0, 2.0 * math.pi)),
         )
     else:
@@ -82,7 +87,7 @@ def scenarios(draw) -> ScenarioConfig:
 @given(scenarios())
 def test_engine_invariants_and_heap_oracle(sc):
     plan = build_plan(sc)
-    trace_rows = rows(run(sc, plan))
+    trace_rows = sorted(rows(run(sc, plan)))
     assert [row[0] for row in trace_rows] == list(range(sc.total_pdus))
 
     service = dict(zip((1, 2), sc.service_ns))
@@ -95,6 +100,30 @@ def test_engine_invariants_and_heap_oracle(sc):
         last_end[carrier] = tx_end
 
     assert trace_rows == oracle.heap_run(sc, plan)
+
+
+# meo_geo with carrier 1's path varying every 10 ms by up to 5000 km: its
+# delay falls faster than its PDUs leave, so its arrivals fall at times.
+FAST_MEO = alpha_scenario(
+    Fraction(2, 5), orbit1=OrbitModel.meo(amplitude_km=5000.0, period_s=0.01),
+    orbit2=OrbitModel.geo(), bursts=(Burst(2500, 0.5), Burst(2500)))
+
+
+def test_fast_meo_arrivals_fall_along_a_carrier():
+    arrivals = [row[5] for row in rows(run(FAST_MEO, build_plan(FAST_MEO))) if row[1] == 1]
+    assert sum(b < a for a, b in zip(arrivals, arrivals[1:])) > 100
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(scenarios())
+@example(FAST_MEO)
+def test_merge_is_the_lexsort_of_the_rows(sc):
+    """The receive order of a run lists its rows by arrival, ties to carrier 1
+    and then to the lower sequence number, as a lexsort of its rows does."""
+    trace = run(sc, build_plan(sc))
+    seq, carrier, arrival = (np.array(column) for column in zip(*(
+        (row[0], row[1], row[5]) for row in rows(trace))))
+    assert seqs(merge(trace)) == seq[np.lexsort((seq, carrier, arrival))].tolist()
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -30,7 +30,7 @@ from casim.model import (
 )
 from casim.receiver import merge
 from casim.scheduler import build_plan, generate_sequence
-from helpers import carrier, record, rows
+from helpers import carrier, columns, record, rows
 import oracle
 
 
@@ -329,9 +329,9 @@ class TestDerivedNumbers:
 class TestRunTrace:
     def test_trace_time_ordering(self):
         record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])
-        with pytest.raises(InvariantError):
-            record([(0, 1, 0, 0, 5, 10), (1, 1, 0, 5, 4, 10)])
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="tx_start <= tx_end <= arrival"):
+            record([(0, 1, 0, 5, 4, 10)])  # a service time of -1
+        with pytest.raises(InvariantError, match="tx_start <= tx_end <= arrival"):
             record([(0, 1, 0, 0, 11, 10)])
         with pytest.raises(InvariantError, match="carrier must be 1 or 2"):
             record([(0, 3, 0, 0, 5, 10)])
@@ -339,61 +339,83 @@ class TestRunTrace:
             record([(0, 0, 0, 0, 5, 10)])
 
     def test_empty_trace(self):
-        assert len(RunTrace(*[[]] * 5)) == 0
-        with pytest.raises(TypeError):  # the five columns only: order is derived
-            RunTrace(*[[]] * 6)
+        trace = RunTrace([], (0, 0), [], [], [])
+        assert len(trace) == 0 and trace.seq.size == 0
+        with pytest.raises(TypeError):  # five fields only: seq and order are derived
+            RunTrace([], (0, 0), [], [], [], [])
 
     def test_columns_are_equal_length_int8_carrier_int64_times(self):
         trace = record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])
         assert len(trace) == 2
-        carrier, *times = trace.seq_columns()
-        assert carrier.dtype == np.int8 and carrier.shape == (2,)
-        assert all(c.dtype == np.int64 and c.shape == (2,) for c in (trace.order, *times))
+        assert trace.carrier.dtype == np.int8 and trace.carrier.shape == (2,)
+        assert all(c.dtype == np.int64 and c.shape == (2,) for c in (
+            trace.seq, trace.order, trace.t_scheduled_ns, trace.t_tx_end_ns, trace.t_arrival_ns))
+        assert trace.service_ns == (5, 10)
         assert trace.order.tolist() == [0, 1]
         with pytest.raises(InvariantError, match="equal length"):
-            RunTrace([1, 1], [0, 0], [0, 0], [5, 5], [10])
+            RunTrace([1, 1], (0, 0), [0, 0], [5, 5], [10])
         with pytest.raises(InvariantError, match="one-dimensional"):
-            RunTrace(*[[[1]]] * 5)
+            RunTrace([[1]], (0, 0), [[1]], [[1]], [[1]])
 
     def test_columns_list_rows_in_order(self):
-        listed = [(2, 2, 0, 1, 4, 9), (0, 1, 0, 0, 5, 10), (1, 1, 0, 5, 6, 11)]
-        trace = merge(record(listed))
-        assert trace.order.tolist() == [2, 0, 1]
-        assert trace.carrier.tolist() == [1, 1, 2]
-        assert rows(trace) == listed
+        # Rows are stored in carrier order: seq 1 and 3 on carrier 1, then 0 and 2.
+        listed = [(2, 2, 0, 1, 4, 9), (1, 1, 0, 5, 10, 10), (0, 2, 0, 0, 3, 11),
+                  (3, 1, 0, 10, 15, 15)]
+        trace = record(listed)
+        assert trace.seq.tolist() == [1, 3, 0, 2]
+        assert trace.carrier.tolist() == [2, 1, 2, 1]
+        assert sorted(rows(trace), key=lambda row: (row[1], row[0])) == rows(trace)
+        merged = merge(trace)
+        assert merged.order.tolist() == [3, 0, 2, 1]  # row indices in receive order
+        assert rows(merged) == sorted(listed, key=lambda row: row[5])
 
     def test_times_beyond_int64_rejected(self):
         with pytest.raises(InvariantError):
             record([(0, 1, 2**63, 2**63, 2**63, 2**63)])
 
     @pytest.mark.parametrize("columns, message", [
-        (([1.7, 2], [0, 0], [0, 1], [1, 2], [2, 3]), "carrier must hold whole numbers"),
-        (([1, 2], [0, 0], [0.5, 1.5], [1, 2], [2, 3]), "t_tx_start_ns must hold whole numbers"),
-        (([1], [0], [0], [1], [math.nan]), "t_arrival_ns must hold whole numbers"),
-        (([1], [0], [0], [1], ["2"]), "t_arrival_ns must hold whole numbers"),
-        (([1, 2], [0, 0], [0, 1], [1, 2], np.array([2.0, 1e19])),
+        (([1.7, 2], (0, 0), [0, 0], [1, 2], [2, 3]), "carrier must hold whole numbers"),
+        (([1, 2], (0.5, 1), [0, 0], [1, 2], [2, 3]), "service_ns must be an int, got 0.5"),
+        (([1], (0, 0), [0], [1], [math.nan]), "t_arrival_ns must hold whole numbers"),
+        (([1], (0, 0), [0], [1], ["2"]), "t_arrival_ns must hold whole numbers"),
+        (([1, 2], (0, 0), [0, 0], [1, 2], np.array([2.0, 1e19])),
          "t_arrival_ns exceeds the int64 range"),
-        (([1, 2], [0, 0], [0, 1], [1, 2], [2, 1e19]), "t_arrival_ns exceeds the int64 range"),
-        (([1], [0], [0], [1], [math.inf]), "t_arrival_ns exceeds the int64 range"),
-        (([1], [-2**63 - 1], [0], [1], [2]), "t_scheduled_ns exceeds the int64 range"),
-        ((np.array([1, 258]), [0, 0], [0, 1], [1, 2], [2, 3]), "carrier must be 1 or 2"),
+        (([1, 2], (0, 0), [0, 0], [1, 2], [2, 1e19]), "t_arrival_ns exceeds the int64 range"),
+        (([1], (0, 0), [0], [1], [math.inf]), "t_arrival_ns exceeds the int64 range"),
+        (([1], (0, 0), [-2**63 - 1], [1], [2]), "t_scheduled_ns exceeds the int64 range"),
+        ((np.array([1, 258]), (0, 0), [0, 0], [1, 2], [2, 3]), "carrier must be 1 or 2"),
+        (([1, 2], (0, 2**63), [0, 0], [1, 2], [2, 3]), "service_ns exceeds the int64 range"),
+        (([1, 2], 5, [0, 0], [1, 2], [2, 3]), "service_ns must hold two service times"),
+        (([1, 2], (0, 0, 0), [0, 0], [1, 2], [2, 3]), "service_ns must hold two service times"),
+        # tx_start = tx_end - service: -2**63 - 1 on carrier 1
+        (([1, 2], (2, 1), [0, 0], [-2**63 + 1, -2**63 + 1], [2, 3]),
+         "tx_start exceeds the int64 range"),
     ])
     def test_values_not_whole_int64_rejected(self, columns, message):
         # Never truncated or wrapped: 1.7 would store as 1, and 258 as int8 2.
         with pytest.raises(InvariantError, match=message):
             RunTrace(*columns)
 
+    def test_tx_start_at_the_int64_bound(self):
+        # Each carrier's own service time counts: carrier 2 starts at -2**63 exactly.
+        trace = RunTrace([1, 2], (1, 2), [0, 0], [-2**63 + 1, -2**63 + 2], [2, 3])
+        assert [row[3] for row in rows(trace)] == [-2**63, -2**63]
+        with pytest.raises(InvariantError, match="tx_start exceeds the int64 range"):
+            RunTrace([1, 2], (1, 3), [0, 0], [-2**63 + 1, -2**63 + 2], [2, 3])
+
     def test_whole_values_stored_exactly(self):
         # numpy reads [2**62 + 1, 2.0**62] as float64, where 2**62 + 1 rounds to 2**62.
-        trace = RunTrace([1.0, True], [0, 0], [0, 0], [0.0, 0], [2**62 + 1, 2.0**62])
+        trace = RunTrace([1.0, True], (np.int64(3), 0), [0, 0], [3.0, 3],
+                         [2**62 + 1, 2.0**62])
         assert trace.carrier.tolist() == [1, 1]
+        assert trace.service_ns == (3, 0) and type(trace.service_ns[0]) is int
         assert trace.t_arrival_ns.tolist() == [2**62 + 1, 2**62]
 
     def test_int8_carrier_and_int64_times_not_copied(self):
         carrier, times = np.array([1, 2], dtype=np.int8), np.zeros(2, dtype=np.int64)
-        trace = RunTrace(carrier, times, times, times, times)
+        trace = RunTrace(carrier, (0, 0), times, times, times)
         assert trace.carrier is carrier
-        assert all(column is times for column in trace.seq_columns()[1:])
+        assert all(column is times for column in columns(trace)[2:])
 
 
 class TestNonFinite:
@@ -442,11 +464,13 @@ _VALID = {
            ("bits_per_symbol", 3), ("code_rate", Fraction(1, 2)), ("kind", "MEO"),
            ("mean_leg_distance_km", 11933.0 * i), ("variation_amplitude_km", 300.0),
            ("variation_period_s", 600.0), ("variation_phase_rad", 0.5),
-           ("symbol_rate_sym_s", rate), ("fill_rate", Fraction(1, 2)), ("snr_db", 10.0))},
+           ("symbol_rate_sym_s", rate), ("fill_rate", Fraction(1, 2)), ("snr_db", 10.0),
+           ("modcod_name", "m"))},
     **{f"burst{j}.{name}": value
        for j in (1, 2) for name, value in (("pdu_count", 40), ("inter_burst_gap_s", 0.01))},
     "scheduler": "load_balancing",
     "pdu_size_bytes": 1500,
+    "label": "drawn",
 }
 _CASTS = (bool, int, lambda v: np.int64(int(v)), float, lambda v: np.float32(float(v)), str,
           Fraction, lambda v: None)
@@ -474,13 +498,13 @@ def _scenario(fields: dict) -> ScenarioConfig:
         orbit = OrbitModel(get("kind"), get("mean_leg_distance_km"), get("variation_amplitude_km"),
                            get("variation_period_s"), get("variation_phase_rad"))
         return CarrierConfig(get("symbol_rate_sym_s"),
-                             ModCod("m", get("bits_per_symbol"), get("code_rate")),
+                             ModCod(get("modcod_name"), get("bits_per_symbol"), get("code_rate")),
                              get("fill_rate"), get("snr_db"), orbit)
 
     bursts = [Burst(fields[f"burst{j}.pdu_count"], fields[f"burst{j}.inter_burst_gap_s"])
               for j in (1, 2)]
     return ScenarioConfig(carrier_(1), carrier_(2), fields["scheduler"], fields["pdu_size_bytes"],
-                          bursts)
+                          bursts, fields["label"])
 
 
 class TestFieldTypes:
@@ -503,8 +527,40 @@ class TestFieldTypes:
         (lambda: carrier(symbol_rate=math.inf), "symbol_rate_sym_s must be finite"),
         (lambda: ScenarioConfig(carrier(), carrier(), None), "scheduler must be one of"),
         (lambda: generate_sequence(None), "alpha must be an int, float or Fraction"),
+        (lambda: ModCod(None, 3, Fraction(1, 2)), "name must be a str, got None"),
+        (lambda: ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN, label=None),
+         "label must be a str, got None"),
+        (lambda: ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN, label=b"x"),
+         "label must be a str, got b'x'"),
     ])
     def test_refused_naming_the_field(self, build, message):
+        with pytest.raises(InvariantError, match=message):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Burst(-10**5000), r"pdu_count must be > 0, got -1\.00e\+5000$"),
+        (lambda: Burst(Fraction(10**5000, 3)), r"pdu_count must be an int, got 3\.33e\+4999$"),
+        (lambda: ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN, 10**5000),
+         r"PDU of 1\.00e\+5000 B exceeds the per-frame share"),
+        (lambda: ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN,
+                                bursts=(Burst(10**5000),)),
+         r"offers at most 10000000 PDUs, got 1\.00e\+5000$"),
+        (lambda: CarrierConfig(-10**5000, MODCODS["QPSK 1/2"], 1, 10.0, OrbitModel.geo()),
+         r"symbol_rate_sym_s must be > 0, got -1\.00e\+5000$"),
+        (lambda: carrier(fill_rate=Fraction(10**5000, 3)),
+         r"fill_rate must be in \(0, 1\], got 3\.33e\+4999$"),
+        (lambda: ModCod("x", 10**5000, Fraction(1, 2)),
+         r"bits_per_symbol must be in 1\.\.6, got 1\.00e\+5000$"),
+        (lambda: ModCod("x", 3, Fraction(10**5000)),
+         r"code_rate must be in \(0, 1\], got 1\.00e\+5000$"),
+        (lambda: ModCod("x", 3, Fraction(1, 10**5000)),
+         r"code_rate denominator must be <= 36, got 1e-5000$"),
+        (lambda: ScenarioConfig(carrier(), carrier(), 10**5000), r"got 1\.00e\+5000$"),
+        (lambda: ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN, label=-10**5000),
+         r"label must be a str, got -1\.00e\+5000$"),
+    ])
+    def test_numbers_past_the_text_limit_shown_to_three_digits(self, build, message):
+        # Python refuses to turn an int of more than 4300 digits into text.
         with pytest.raises(InvariantError, match=message):
             build()
 
@@ -534,8 +590,8 @@ class TestFieldTypes:
         assert float32 == python and hash(float32) == hash(python)
         assert type(float32.carrier2.orbit.mean_propagation_delay_s()) is float
         traces = [run(sc, build_plan(sc)) for sc in (float32, python)]
-        assert [c.tobytes() for c in traces[0].seq_columns()] == \
-            [c.tobytes() for c in traces[1].seq_columns()]
+        assert [c.tobytes() for c in columns(traces[0])] == \
+            [c.tobytes() for c in columns(traces[1])]
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.sampled_from(sorted(_VALID)).flatmap(_drawn_field), max_size=3), _ANY)
@@ -547,9 +603,8 @@ class TestFieldTypes:
         build_plan, run, merge and ordering_report, where InvariantError is the
         one exception allowed.  An accepted field is stored as its kind's
         Python type.  Fields that hold model objects (modcod, orbit, carrier1,
-        carrier2, each burst) are out of scope, as are the free-text MODCOD
-        name and scenario label.  ``generate_sequence`` takes the drawn alpha
-        on the same terms."""
+        carrier2, each burst) are out of scope.  ``generate_sequence`` takes
+        the drawn alpha on the same terms."""
         with contextlib.suppress(InvariantError):
             assert set(map(type, generate_sequence(alpha))) == {int}
         try:
@@ -565,5 +620,6 @@ class TestFieldTypes:
         assert {type(v) for c in carriers
                 for v in (c.symbol_rate_sym_s, c.fill_rate, c.modcod.code_rate)} == {Fraction}
         assert {type(b.inter_burst_gap_s) for b in scenario.bursts} == {float}
+        assert {type(v) for v in (scenario.label, *(c.modcod.name for c in carriers))} == {str}
         with contextlib.suppress(InvariantError):
             ordering_report(merge(run(scenario, build_plan(scenario))), scenario)
