@@ -98,6 +98,12 @@ def generate_sequence(alpha) -> list[int]:
         n, d = num, den
         while True:
             a = n // d
+            # `>=` here would give the same p/q.  At q0 + a*q1 == 64 it stops one
+            # step early with k = a, so its candidates are p1/q1 and the
+            # convergent this loop takes next, after which it stops with k = 0
+            # between the same two.  Alpha lies strictly nearer the later one,
+            # (n - a*d)/(64 den) against d/(q1 den) with n - a*d < d and
+            # q1 < 64, so neither tie rule is reached and both keep it.
             if q0 + a * q1 > MAX_GENERATOR_DENOMINATOR:
                 break
             p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1

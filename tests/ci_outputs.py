@@ -5,7 +5,9 @@
 CASIM_COMMAND is the console script, ``casim``, or ``python -m casim.cli``.
 The script runs ``suite --out OUT_DIR/suite``, then ``run --trace`` (into
 ``OUT_DIR/run/<config name>``), ``plan`` and ``prefix`` on each packaged
-config, all without CASIM_SEED; each must exit 0.  It then checks every
+config, all without CASIM_SEED; each must exit 0 and print, through a pipe,
+output that ends in a newline (so the console script is shown to deliver
+what it prints before it ends the process).  It then checks every
 ``run/unseeded/...`` and ``suite/...`` digest in DIGESTS_JSON (normally
 ``tests/output_digests.json``) against the file it names, and exits nonzero
 naming each file that is missing or differs.  pytest does not collect this
@@ -32,9 +34,12 @@ def main(argv: list[str]) -> int:
     env = {key: value for key, value in os.environ.items() if key != "CASIM_SEED"}
 
     def casim(*args: str) -> None:
-        code = subprocess.run([*command, *args], env=env).returncode
-        if code:
-            sys.exit(f"{' '.join([*command, *args])} exited {code}")
+        shown = " ".join([*command, *args])
+        proc = subprocess.run([*command, *args], env=env, stdout=subprocess.PIPE)
+        if proc.returncode:
+            sys.exit(f"{shown} exited {proc.returncode}")
+        if not proc.stdout.endswith(b"\n"):
+            sys.exit(f"{shown} printed {'nothing' if not proc.stdout else 'no final newline'}")
 
     casim("suite", "--out", str(out / "suite"))
     for config in sorted(bundled_scenario_dir().glob("*.cfg")):

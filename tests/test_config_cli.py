@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -21,8 +23,10 @@ from casim.config import (
 )
 from casim.errors import ConfigError, InvariantError
 from casim.model import (
+    FRAMES_PER_SUPERFRAME_BUNDLE,
     MAX_TOTAL_PDUS,
     MODCODS,
+    SUPERFRAME_SYMBOLS,
     Burst,
     CarrierConfig,
     ModCod,
@@ -341,6 +345,30 @@ class TestCli:
         err = assert_run_exits_3(tmp_path, capsys, "meo_geo", "bursts", "10:1e308,10:0")
         assert "transmission times exceed the int64 range" in err
         assert "Traceback" not in err
+
+    def test_transmission_times_at_the_int64_bound(self, tmp_path, capsys):
+        # geo_ca's carriers, both at one symbol rate, carry one 1500 B PDU per
+        # 8PSK (3 bits per symbol) frame.  At the rate given as p/q text below,
+        # a PDU's service is `service` ns exactly.  Seven PDUs in one burst
+        # take 7 x (2**63 - 1) / 7 ns, int64's max, which `run` allows; one
+        # ns more per PDU is refused.
+        def rate(service: int) -> str:
+            value = Fraction(SUPERFRAME_SYMBOLS * 10**9, FRAMES_PER_SUPERFRAME_BUNDLE * 3 * service)
+            return f"{value.numerator}/{value.denominator}"
+
+        edge = (2**63 - 1) // 7
+        assert 7 * edge == 2**63 - 1
+        text = with_value(bundled_path("geo_ca").read_text(), "bursts", "7:0.0")
+        for key in ("carrier1.symbol_rate_sym_s", "carrier2.symbol_rate_sym_s"):
+            text = with_value(text, key, rate(edge))
+        config = tmp_path / "edge.cfg"
+        config.write_text(text)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "edge")]) == 0
+        assert parse_scenario_file(config).service_ns == (edge, edge)
+        err = assert_run_exits_3(tmp_path, capsys, "geo_ca", "bursts", "7:0.0",
+                                 "carrier1.symbol_rate_sym_s", rate(edge + 1),
+                                 "carrier2.symbol_rate_sym_s", rate(edge + 1))
+        assert err == "error: transmission times exceed the int64 range\n"
 
     @pytest.mark.parametrize("command, values", [
         ("run", {"carrier1.symbol_rate_sym_s": "1e400",  # alpha 2/5: the cycle is fine
@@ -734,6 +762,59 @@ def test_edited_config_text_exits_0_2_or_3(text):
                      ["prefix", "--config", str(cfg)],
                      ["suite", "--dir", str(configs), "--out", str(Path(tmp) / "suite")]):
             assert main(argv) in (0, 2, 3)
+
+
+def casim_process(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m casim.cli *args`` as a process, with this checkout's
+    ``src`` first on its path, no CASIM_SEED, and PYTHONUNBUFFERED removed,
+    so stdout is block-buffered into a pipe or file as in a user's shell."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("CASIM_SEED", "PYTHONUNBUFFERED")}
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "casim.cli", *args], env=env,
+                          timeout=120, **kwargs)
+
+
+class TestProcessExit:
+    """The CLI as a process ends through ``entry``: same bytes as ``main``
+    in process, exit codes 0, 2 and 3, and no traceback."""
+
+    def test_suite_stdout_through_a_pipe_is_mains(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CASIM_SEED", raising=False)
+        out = str(tmp_path / "out")
+        proc = casim_process("suite", "--out", out, capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert main(["suite", "--out", out]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_missing_config_and_dominated_carrier_exit_2_and_3(self, tmp_path):
+        missing = casim_process("run", "--config", str(tmp_path / "nope.cfg"),
+                                "--out", str(tmp_path / "out"), capture_output=True, text=True)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_value(bundled_path("geo_ca").read_text(),
+                                  "carrier1.symbol_rate_sym_s", "1000000"))
+        dominated = casim_process("run", "--config", str(bad), "--out", str(tmp_path / "out"),
+                                  capture_output=True, text=True)
+        for proc, code in ((missing, 2), (dominated, 3)):
+            assert (proc.returncode, proc.stdout) == (code, "")
+            assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert "dominant" in dominated.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_console_script_and_module_share_the_entry_point(self):
+        root = Path(__file__).parent.parent
+        assert 'casim = "casim.cli:entry"' in (root / "pyproject.toml").read_text().splitlines()
+        cli_source = (root / "src" / "casim" / "cli.py").read_text()
+        assert cli_source.endswith('if __name__ == "__main__":\n    entry()\n')
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [("plan", "--alpha", "0.4"), ("--help",)])
+    def test_stdout_on_a_full_device_exits_2(self, args):
+        with open("/dev/full", "w") as full:
+            proc = casim_process(*args, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write outputs: [Errno 28] No space left on device\n"
 
 
 class TestSeedEnvVar:

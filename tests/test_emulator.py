@@ -11,7 +11,7 @@ from casim.cli import bundled_scenario_dir
 from casim.config import parse_scenario_file
 from casim.emulator import _CSV_BLOCK_ROWS, propagation_delays_ns, run, write_trace_csv
 from casim.errors import InvariantError
-from casim.model import Burst, OrbitModel, ScenarioConfig, SchedulerKind
+from casim.model import SPEED_OF_LIGHT_KM_S, Burst, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
 from casim.scheduler import SchedulingPlan, build_plan
 from helpers import (
@@ -146,6 +146,49 @@ class TestRun:
         assert empty.dtype == np.int64 and empty.shape == (0,)
         with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
             propagation_delays_ns(cfg, np.zeros(3, dtype=np.int64))
+
+    # At this leg, 2 L / c x 1e9 is 2.0**63 ns exactly, one past int64's max,
+    # and the next smaller leg gives the largest double below it.  A MEO path
+    # at t = 0 (sin 0 = 0) takes the same steps.
+    @pytest.mark.parametrize("kind", ["geo", "meo"])
+    def test_delay_of_2_to_the_63_ns_rejected(self, kind):
+        edge_leg_km = 1382548686988580.0
+        at_t0 = np.zeros(2, dtype=np.int64)
+
+        def delays(leg_km):
+            orbit = OrbitModel.geo(leg_km) if kind == "geo" else OrbitModel.meo(leg_km, 1.0)
+            return propagation_delays_ns(carrier(orbit=orbit), at_t0)
+
+        with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
+            delays(edge_leg_km)
+        assert delays(math.nextafter(edge_leg_km, 0)).tolist() == [2**63 - 1024] * 2
+
+    def test_arrivals_up_to_the_int64_max(self):
+        # Seven PDUs at alpha 1: each carrier's k-th PDU (k = 1, 2, ...) ends
+        # at k x service.  The path (amplitude = leg, period 6 services) peaks
+        # as the first ends and is 0 as the fourth ends, and service + peak
+        # delay is int64's max: each carrier's first PDU arrives at exactly
+        # 2**63 - 1, though its last ends later with no overflow.  One ns more
+        # service is refused.
+        leg_km = 614123189086445.1
+        peak_ns = int(np.rint(4 * leg_km / SPEED_OF_LIGHT_KM_S * 1e9))
+        service = 2**63 - 1 - peak_ns
+        assert 7 * service <= 2**63 - 1  # within run's bound on transmission times
+        orbit = OrbitModel.meo(leg_km, leg_km, 6 * service / 1e9, math.pi / 6)
+
+        def scenario(service_ns: int) -> ScenarioConfig:
+            rate = Fraction(612540 * 10**9, 27 * service_ns)  # one 1500 B PDU per frame
+            cfg = carrier(rate, orbit=orbit)
+            return ScenarioConfig(cfg, cfg, SchedulerKind.LOAD_BALANCING, bursts=(Burst(7),))
+
+        trace = run(scenario(service), build_plan(scenario(service)))
+        assert trace.service_ns == (service, service)
+        end = trace.t_tx_end_ns
+        assert (trace.t_arrival_ns[end == service] == 2**63 - 1).sum() == 2
+        assert (trace.t_arrival_ns[end != service] < 2**63 - 1).all()
+        assert trace.t_arrival_ns[end == 4 * service].tolist() == [4 * service]
+        with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
+            run(scenario(service + 1), build_plan(scenario(service + 1)))
 
     def test_nan_delay_rejected(self):
         # the phase overflows to inf, so sin, and the delay, is nan

@@ -58,9 +58,11 @@ def test_suite_outputs_match_digests(tmp_path, monkeypatch, capsys):
 
 
 def test_ci_outputs_script(tmp_path):
-    """``ci_outputs.py`` passes ``python -m casim.cli``'s outputs, and fails
+    """``ci_outputs.py`` passes ``python -m casim.cli``'s outputs, fails naming
+    a command whose output is empty or lacks its final newline, and fails
     naming the file whose digest a corrupted copy of the digests gets wrong."""
-    env = dict(os.environ)
+    # Without PYTHONUNBUFFERED, stdout into ci_outputs.py's pipes is block-buffered.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")]))
 
@@ -74,8 +76,14 @@ def test_ci_outputs_script(tmp_path):
     assert (tmp_path / "out" / "run" / "meo_geo" / "trace.csv").is_file()
     corrupted = tmp_path / "digests.json"
     corrupted.write_text(json.dumps({**DIGESTS, "run/unseeded/meo_geo/trace.csv": "0" * 64}))
-    # A command that does nothing leaves the outputs above, so only the check reruns.
-    failed = ci_outputs(corrupted, sys.executable, "-c", "")
+    for code, printed in (("", "nothing"), ("print(end='x')", "no final newline")):
+        silent = ci_outputs(DIGESTS_PATH, sys.executable, "-c", code)
+        assert silent.returncode == 1
+        assert silent.stderr == (f"{sys.executable} -c {code} suite --out "
+                                 f"{tmp_path / 'out' / 'suite'} printed {printed}\n")
+    # A command that prints a line and writes nothing leaves the outputs above,
+    # so only the check reruns.
+    failed = ci_outputs(corrupted, sys.executable, "-c", "print()")
     assert failed.returncode == 1
     assert failed.stderr == "outputs differ from their digests: run/unseeded/meo_geo/trace.csv\n"
 
