@@ -9,12 +9,14 @@ Subcommands:
     prefix  --config PATH                       print the multi-orbit prefix math
 
 Exit codes: 0 success, 2 config parse error, an output directory that
-cannot be created or written, or a failed write to stdout, 3 scenario
-invariant violation.  Every scenario is evaluated before ``--out`` is
-created, and each output file is written atomically (temp file + rename),
-so a config or invariant error leaves no outputs.  The CASIM_SEED
-environment variable, when set, draws a random phase offset for orbits with
-nonzero sinusoidal variation; runs stay deterministic for a fixed seed.
+cannot be created or written, or a failed write to stdout (``--help`` too),
+3 scenario invariant violation.  The code stands when the ``error:`` line
+itself cannot be written (stderr closed or read-only).  Every scenario is
+evaluated before ``--out`` is created, and each output file is written
+atomically (temp file + rename), so a config or invariant error leaves no
+outputs.  The CASIM_SEED environment variable, when set, draws a random
+phase offset for orbits with nonzero sinusoidal variation; runs stay
+deterministic for a fixed seed.
 
 ``casim`` and ``python -m casim.cli`` both start at ``entry``, which runs
 ``main`` and then ends the process with ``os._exit``, skipping interpreter
@@ -25,6 +27,10 @@ teardown (~20-30 ms, most of it numpy's).  What makes that safe:
 - ``main`` flushes stdout inside its error handling, so every byte printed
   is delivered or the failure is reported (exit 2); each command prints
   only after its last check, so an error exit leaves nothing unprinted;
+  argparse's own help and usage writes raise too (``_Parser``), where
+  argparse would drop an ``OSError`` and exit 0 having written nothing;
+- an ``error:`` line that cannot be written is dropped and the exit code
+  kept, as nothing is left to report the failure to;
 - stderr is flushed before ``os._exit``, and an error on that flush is
   ignored, as nothing is left to report it to;
 - handlers registered with ``atexit`` do not run; casim registers none;
@@ -236,8 +242,21 @@ def cmd_prefix(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed writes raise.  argparse's own
+    ``_print_message`` ignores an OSError, so ``--help`` into a full device
+    would exit 0 having written nothing."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            try:
+                (file or sys.stderr).write(message)
+            except AttributeError:  # no stream to write to, as argparse allows
+                pass
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="casim",
         description="Deterministic two-carrier satellite carrier-aggregation simulator.",
     )
@@ -279,14 +298,23 @@ def main(argv=None) -> int:
             sys.stdout.flush()  # a failed write is reported here, not lost at exit
         return code
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(2, exc)
     except CasimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(3, exc)
     except OSError as exc:  # a config read raises ConfigError: this is an output
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 2
+        return _error(2, f"cannot write outputs: {exc}")
+
+
+def _error(code: int, message) -> int:
+    """Write the ``error:`` line to stderr and return ``code``.  A line that
+    cannot be written (stderr closed or read-only) is dropped: nothing is
+    left to report that to, and the exit code still tells the failure."""
+    try:
+        sys.stderr.write(f"error: {message}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # no stderr, or nowhere left to report to
+        pass
+    return code
 
 
 def entry() -> None:

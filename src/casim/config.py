@@ -70,33 +70,36 @@ _CARRIER_KEYS = (
     "variation_phase_rad",
 )
 _TOP_KEYS = ("label", "scheduler", "pdu_size_bytes", "bursts")
-_KNOWN_KEYS = set(_TOP_KEYS) | {
-    f"carrier{i}.{key}" for i in (1, 2) for key in _CARRIER_KEYS
-}
+# Each carrier's key names, in _CARRIER_KEYS order, built once.
+_KEY_NAMES = {prefix: tuple(f"{prefix}.{key}" for key in _CARRIER_KEYS)
+              for prefix in ("carrier1", "carrier2")}
+_KNOWN_KEYS = set(_TOP_KEYS).union(*_KEY_NAMES.values())
 _REQUIRED_KEYS = set(_TOP_KEYS) | {
-    f"carrier{i}.{key}"
-    for i in (1, 2)
+    f"{prefix}.{key}"
+    for prefix in _KEY_NAMES
     for key in ("symbol_rate_sym_s", "fill_rate", "snr_db", "orbit", "leg_km")
 }
-# Built once: iterating an Enum on every parse costs more than the lookup.
-_ORBIT_KINDS = tuple(kind.value for kind in OrbitKind)
-_SCHEDULERS = tuple(kind.value for kind in SchedulerKind)
+# Text to member, built once: config hands model the member, which it keeps.
+_ORBIT_KINDS = {kind.value: kind for kind in OrbitKind}
+_SCHEDULERS = {kind.value: kind for kind in SchedulerKind}
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
+    comments = "#" in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        key, sep, value = raw.partition("#")[0].partition("=")
+        key, sep, value = (raw.partition("#")[0] if comments else raw).partition("=")
         if not sep:
             if key.strip():
                 raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
             continue
-        key, value = key.strip(), value.strip()
+        if key not in _KNOWN_KEYS:  # a known key has no surrounding whitespace
+            key = key.strip()
+            if key not in _KNOWN_KEYS:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        pairs[key] = value
+        pairs[key] = value.strip()
     missing = _REQUIRED_KEYS - pairs.keys()
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
@@ -114,12 +117,13 @@ def parse_fraction(text: str, name: str) -> Fraction:
 
 
 def _float(pairs: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in pairs:
+    text = pairs.get(key)
+    if text is None:
         return default
     try:
-        return float(pairs[key])
+        return float(text)
     except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {pairs[key]!r}") from exc
+        raise ConfigError(f"{key}: not a number: {text!r}") from exc
 
 
 def _int(pairs: dict[str, str], key: str) -> int:
@@ -148,33 +152,33 @@ def _parse_bursts(value: str) -> tuple[Burst, ...]:
 
 
 def _parse_carrier(pairs: dict[str, str], prefix: str) -> CarrierConfig:
-    orbit_kind = pairs[f"{prefix}.orbit"]
+    rate_key, modcod_key, fill_key, snr_key, orbit_key, leg_key, amplitude_key, period_key, \
+        phase_key = _KEY_NAMES[prefix]
+    orbit_kind = pairs[orbit_key]
     if orbit_kind not in _ORBIT_KINDS:
         raise ConfigError(
-            f"{prefix}.orbit: must be {' or '.join(_ORBIT_KINDS)}, got {orbit_kind!r}")
+            f"{orbit_key}: must be {' or '.join(_ORBIT_KINDS)}, got {orbit_kind!r}")
     orbit = OrbitModel(
-        kind=orbit_kind,
-        mean_leg_distance_km=_float(pairs, f"{prefix}.leg_km"),
-        variation_amplitude_km=_float(pairs, f"{prefix}.variation_amplitude_km", 0.0),
-        variation_period_s=_float(pairs, f"{prefix}.variation_period_s",
-                                  DEFAULT_MEO_VARIATION_PERIOD_S),
-        variation_phase_rad=_float(pairs, f"{prefix}.variation_phase_rad", 0.0),
+        kind=_ORBIT_KINDS[orbit_kind],
+        mean_leg_distance_km=_float(pairs, leg_key),
+        variation_amplitude_km=_float(pairs, amplitude_key, 0.0),
+        variation_period_s=_float(pairs, period_key, DEFAULT_MEO_VARIATION_PERIOD_S),
+        variation_phase_rad=_float(pairs, phase_key, 0.0),
     )
-    snr_db = _float(pairs, f"{prefix}.snr_db")
-    modcod_name = pairs.get(f"{prefix}.modcod")
+    snr_db = _float(pairs, snr_key)
+    modcod_name = pairs.get(modcod_key)
     if modcod_name is None:
         modcod = modcod_for_snr(snr_db)
     elif modcod_name in MODCODS:
         modcod = MODCODS[modcod_name]
     else:
         raise ConfigError(
-            f"{prefix}.modcod: unknown MODCOD {modcod_name!r} "
+            f"{modcod_key}: unknown MODCOD {modcod_name!r} "
             f"(known: {', '.join(sorted(MODCODS))})")
     return CarrierConfig(
-        symbol_rate_sym_s=parse_fraction(pairs[f"{prefix}.symbol_rate_sym_s"],
-                                         f"{prefix}.symbol_rate_sym_s"),
+        symbol_rate_sym_s=parse_fraction(pairs[rate_key], rate_key),
         modcod=modcod,
-        fill_rate=parse_fraction(pairs[f"{prefix}.fill_rate"], f"{prefix}.fill_rate"),
+        fill_rate=parse_fraction(pairs[fill_key], fill_key),
         snr_db=snr_db,
         orbit=orbit,
     )
@@ -190,7 +194,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         carrier1=_parse_carrier(pairs, "carrier1"),
         carrier2=_parse_carrier(pairs, "carrier2"),
-        scheduler=scheduler,
+        scheduler=_SCHEDULERS[scheduler],
         pdu_size_bytes=_int(pairs, "pdu_size_bytes"),
         bursts=_parse_bursts(pairs["bursts"]),
         label=pairs["label"],

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .model import NS_PER_S, CarrierConfig, RunTrace, ScenarioConfig
-from .scheduler import SchedulingPlan, assignments
+from .scheduler import SchedulingPlan, assignments, carrier2_counts
 
 __all__ = [
     "propagation_delays_ns",
@@ -31,28 +31,35 @@ __all__ = [
 INT64_MAX = np.iinfo(np.int64).max
 
 
-def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray) -> np.ndarray:
+def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Delays (int64 ns) of ``carrier``'s path for PDUs leaving at int64 ``t_ns``
     >= 0: ``OrbitModel.propagation_delay_s`` at float(t_ns) / 1e9, rounded half to
-    even.  Raises InvariantError unless every delay is a number in int64."""
+    even, written into the int64 array ``out`` if given, else into a new one.
+    Raises InvariantError unless every delay is a number in int64."""
     orbit = carrier.orbit
+    if out is None:
+        out = np.empty(t_ns.shape, dtype=np.int64)
     if orbit.variation_amplitude_km == 0.0:  # a constant path: one delay, never nan
         if not t_ns.size:  # no PDU takes it, so it is not evaluated
-            return np.empty(0, dtype=np.int64)
+            return out
         delay_ns = orbit.mean_propagation_delay_s() * NS_PER_S
         if not delay_ns < 2.0**63:
             raise InvariantError("arrival times exceed the int64 range")
-        return np.full(t_ns.shape, round(delay_ns), dtype=np.int64)
+        out.fill(round(delay_ns))
+        return out
     # Overflow leaves inf and sin(inf) nan, which the range check rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        buffer = t_ns / NS_PER_S  # the one float array: times in s, then delays in s, in ns
-        delay_ns = orbit.propagation_delay_s(buffer, out=buffer)
+        # The one float buffer is out's memory: times in s, then delays in s, in ns.
+        delay_ns = np.divide(t_ns, NS_PER_S, out=out.view(np.float64))
+        orbit.propagation_delay_s(delay_ns, out=delay_ns)
         np.rint(np.multiply(delay_ns, NS_PER_S, out=delay_ns), out=delay_ns)
     # A finite delay is >= 0 (amplitude <= mean leg), and nan fails the comparison.
     if delay_ns.size and not np.maximum.reduce(delay_ns) < 2.0**63:
         raise InvariantError("propagation delay is not finite" if np.isnan(delay_ns).any()
                              else "arrival times exceed the int64 range")
-    return delay_ns.astype(np.int64)
+    out[...] = delay_ns  # cast in place; whole numbers in range, so exact
+    return out
 
 
 def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
@@ -66,13 +73,13 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     the running max is taken over bursts, and each burst's peak is added to
     its slice of (k+1)·s.  A PDU arrives after its path's delay at end_k,
     taken for all of a carrier's PDUs at once (so never for a carrier that
-    carries none).  Each carrier's queue is one slice of the record's rows,
-    written in place.
+    carries none), and written into its row of arrivals.  Each carrier's
+    queue is one slice of the record's rows, written in place.
     """
     n = scenario.total_pdus
-    carriers = (scenario.carrier1, scenario.carrier2)
+    sizes = scenario.burst_sizes
     try:
-        gaps_ns = (round(burst.inter_burst_gap_s * NS_PER_S) for burst in scenario.bursts[:-1])
+        gaps_ns = [round(burst.inter_burst_gap_s * NS_PER_S) for burst in scenario.bursts[:-1]]
         burst_start_ns = list(accumulate(gaps_ns, initial=0))
         fits = burst_start_ns[-1] + n * max(scenario.service_ns) <= INT64_MAX
     except OverflowError:  # a gap so long its ns count is an infinite float
@@ -80,34 +87,34 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     if not fits:
         raise InvariantError("transmission times exceed the int64 range")
     carrier = assignments(plan, n)
-    burst_head = list(accumulate(scenario.burst_sizes[:-1], initial=0))  # first seq of each
-    # Carriers are 1 or 2, so a burst's carrier sum is its size plus its PDUs on carrier 2.
-    twos = [total - size for total, size in
-            zip(np.add.reduceat(carrier, burst_head).tolist(), scenario.burst_sizes)]
-    counts = ([size - k for size, k in zip(scenario.burst_sizes, twos)], twos)
-    release = np.array(burst_start_ns * 2, dtype=np.int64).repeat(counts[0] + counts[1])
-    tx_end, arrival = np.empty((2, n), dtype=np.int64)
+    twos = carrier2_counts(plan, sizes)
+    ones = [size - k for size, k in zip(sizes, twos)]
+    release = np.array(burst_start_ns * 2, dtype=np.int64).repeat(ones + twos)
+    tx_end = np.empty(n, dtype=np.int64)
+    arrival = np.empty(n, dtype=np.int64)
     row = 0  # this carrier's first row
-    for cfg, service, per_burst in zip(carriers, scenario.service_ns, counts):
+    for cfg, service, per_burst in zip((scenario.carrier1, scenario.carrier2),
+                                       scenario.service_ns, (ones, twos)):
         m = sum(per_burst)
         end = tx_end[row:row + m]
         np.multiply(np.arange(1, m + 1, dtype=np.int64), service, out=end)  # (k+1)·s
-        # Burst b's PDUs are this carrier's queue indices first[b]..first[b+1]-1.
-        # A burst with none has an empty slice, and its term r_b - first[b]·s
+        # Burst b's PDUs are this carrier's queue indices first..first+count-1.
+        # A burst with none has an empty slice, and its term r_b - first·s
         # raises no later peak: the next burst with PDUs here has its head at
         # the same index and a release no earlier, so its own term is at least
         # as large; if no later burst has any, no slice is left to raise.
-        first = list(accumulate(per_burst[:-1], initial=0))
-        peaks = accumulate((r - j * service for r, j in zip(burst_start_ns, first)), max)
-        for lo, hi, peak in zip(first, first[1:] + [m], peaks):
-            if peak:
-                end[lo:hi] += peak
-        delay = propagation_delays_ns(cfg, end)
+        peak = first = 0
+        for release_ns, count in zip(burst_start_ns, per_burst):
+            peak = max(peak, release_ns - first * service)
+            if peak and count:
+                end[first:first + count] += peak
+            first += count
+        delay = propagation_delays_ns(cfg, end, out=arrival[row:row + m])
         # end is nondecreasing, so end + delay can only wrap if end[-1] + max delay does
         if m and int(end[-1]) + int(np.maximum.reduce(delay)) > INT64_MAX \
                 and np.count_nonzero(delay > INT64_MAX - end):
             raise InvariantError("arrival times exceed the int64 range")
-        np.add(delay, end, out=arrival[row:row + m])
+        np.add(delay, end, out=delay)
         row += m
 
     return RunTrace(carrier, scenario.service_ns, release, tx_end, arrival)

@@ -88,6 +88,7 @@ def _windows(merged: RunTrace, burst_sizes: tuple[int, ...], starts: np.ndarray)
         if total > size:
             heads.append(row)
             row += total - size
+    heads = np.array(heads)
     lows = np.minimum.reduceat(merged.t_tx_end_ns, heads).tolist()
     highs = np.maximum.reduceat(merged.t_arrival_ns, heads).tolist()
     s1, s2 = merged.service_ns
@@ -141,13 +142,14 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
         grouped = grouped[burst_of_seq[grouped].argsort(kind="stable")]
     grouped -= np.arange(n)
     distance = np.abs(grouped, out=grouped)
-    counts = np.add.reduceat(distance > 0, starts).tolist()
     sums = np.add.reduceat(distance, starts).tolist()
     worst = np.maximum.reduceat(distance, starts).tolist()
+    misplaced = np.sign(distance, out=distance)  # 1 where misplaced, else 0
+    counts = np.add.reduceat(misplaced, starts).tolist()
 
     pdu_size = scenario.pdu_size_bytes
-    per_burst = tuple(BurstStats(*_figures(*burst, pdu_size))
-                      for burst in zip(burst_sizes, counts, sums, worst, windows))
+    per_burst = tuple([BurstStats(*_figures(*burst, pdu_size))
+                       for burst in zip(burst_sizes, counts, sums, worst, windows)])
     return OrderingReport(
         *_figures(n, sum(counts), sum(sums), max(worst), total_ns, pdu_size), per_burst)
 

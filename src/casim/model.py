@@ -65,7 +65,7 @@ NS_PER_S = 10**9
 
 # The most PDUs one scenario may offer: far above any bundled or benchmark
 # scenario, and low enough that a run's arrays fit in memory (run, merge and
-# report together peak at ~66 B per PDU, so ~0.66 GB at the ceiling; writing
+# report together peak at ~74 B per PDU, so ~0.74 GB at the ceiling; writing
 # trace.csv holds one block, ~1.4 MB, whatever N is).
 MAX_TOTAL_PDUS = 10**7
 
@@ -85,29 +85,29 @@ def to_fraction(value) -> Fraction:
     ``p/q``; ValueError names text that is none of these, or whose decimal
     exponent is beyond +-MAX_DECIMAL_EXPONENT.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+    if not isinstance(value, str):  # text, the common case, is tested once
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        if not isinstance(value, float):
+            raise TypeError(f"cannot convert {type(value).__name__} to a fraction")
         if not math.isfinite(value):
             raise ValueError(f"cannot convert {value!r} to a fraction")
         value = repr(value)
-    elif not isinstance(value, str):
-        raise TypeError(f"cannot convert {type(value).__name__} to a fraction")
-    match = _EXPONENT.search(value)
-    if match and int(match[1].replace("_", "")[:5]) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {value!r}")
-    try:  # ASCII digits, alone or as p/q, skip Fraction's text grammar
+    try:  # ASCII digits, alone or as p/q, hold no exponent and skip Fraction's grammar
         if value.isascii():
             if value.isdigit():
                 return Fraction(int(value))
-            num, slash, den = value.partition("/")
+            num, _, den = value.partition("/")
             if num.isdigit() and den.isdigit():
                 return Fraction(int(num), int(den))
-        return Fraction(value)
+        match = _EXPONENT.search(value)
+        if not (match and int(match[1].replace("_", "")[:5]) > MAX_DECIMAL_EXPONENT):
+            return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a number: {value!r}") from None
+    raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {value!r}")
 
 
 def approx(value: Fraction) -> str:
@@ -166,6 +166,8 @@ def _exact(name: str, value) -> Fraction:
 
 def _enum(name: str, value, kind: type[Enum]) -> Enum:
     """A choice: a member of ``kind`` or the value of one, stored as the member."""
+    if type(value) is kind:
+        return value
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -341,19 +343,25 @@ class CarrierConfig:
         if self.symbol_rate_sym_s.numerator <= 0:
             raise InvariantError(
                 f"symbol_rate_sym_s must be > 0, got {_shown(self.symbol_rate_sym_s)}")
-        if not 0 < self.fill_rate.numerator <= self.fill_rate.denominator:
+        fill_num, fill_den = self.fill_rate.as_integer_ratio()
+        if not 0 < fill_num <= fill_den:
             raise InvariantError(f"fill_rate must be in (0, 1], got {_shown(self.fill_rate)}")
 
     def usable_capacity_bps(self) -> Fraction:
         """Capacity share available to the studied user: symbol rate x
         bits/symbol x code rate x fill rate."""
-        return Fraction(*self._usable_terms())
+        rate_num, rate_den, bits, share_num, share_den = self._terms()
+        return Fraction(rate_num * bits * share_num, rate_den * share_den)
 
-    def _usable_terms(self) -> tuple[int, int]:
-        """Usable capacity as an unreduced numerator and denominator."""
-        rate, code_rate, fill = self.symbol_rate_sym_s, self.modcod.code_rate, self.fill_rate
-        return (rate.numerator * self.modcod.bits_per_symbol * code_rate.numerator
-                * fill.numerator, rate.denominator * code_rate.denominator * fill.denominator)
+    def _terms(self) -> tuple[int, int, int, int, int]:
+        """The rates as integers, each read once: the symbol rate's numerator
+        and denominator, bits per symbol, and code rate x fill rate (the
+        user's share of a frame) as an unreduced numerator and denominator."""
+        rate_num, rate_den = self.symbol_rate_sym_s.as_integer_ratio()
+        code_num, code_den = self.modcod.code_rate.as_integer_ratio()
+        fill_num, fill_den = self.fill_rate.as_integer_ratio()
+        return (rate_num, rate_den, self.modcod.bits_per_symbol, code_num * fill_num,
+                code_den * fill_den)
 
 
 # ---------------------------------------------------------------------------
@@ -408,33 +416,32 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheduler", _enum("scheduler", self.scheduler, SchedulerKind))
-        object.__setattr__(self, "bursts", tuple(self.bursts))
-        object.__setattr__(self, "burst_sizes", tuple(b.pdu_count for b in self.bursts))
-        object.__setattr__(self, "total_pdus", sum(self.burst_sizes))
+        bursts = tuple(self.bursts)
+        sizes = tuple([b.pdu_count for b in bursts])
         _set(self, _integer, "pdu_size_bytes")
         _set(self, _text, "label")
         size = self.pdu_size_bytes
         if size <= 0:
             raise InvariantError(f"pdu_size_bytes must be > 0, got {_shown(size)}")
-        if not self.bursts:
+        if not bursts:
             raise InvariantError("a scenario needs at least one burst")
-        if self.total_pdus > MAX_TOTAL_PDUS:
+        total = sum(sizes)
+        if total > MAX_TOTAL_PDUS:
             raise InvariantError(f"a scenario offers at most {MAX_TOTAL_PDUS} PDUs, "
-                                 f"got {_shown(self.total_pdus)}")
+                                 f"got {_shown(total)}")
         # alpha: carrier 2's usable capacity over carrier 1's, in (0, 1].
-        (num1, den1), (num2, den2) = self.carrier1._usable_terms(), self.carrier2._usable_terms()
+        terms = (self.carrier1._terms(), self.carrier2._terms())
+        (num1, den1), (num2, den2) = [(rate_num * bits * share_num, rate_den * share_den)
+                                      for rate_num, rate_den, bits, share_num, share_den in terms]
         if num2 * den1 > num1 * den2:
             raise InvariantError(
                 "carrier 1 must be dominant: usable capacity "
                 f"{approx(Fraction(num1, den1))} bps < carrier 2's "
                 f"{approx(Fraction(num2, den2))} bps (swap carrier1 and carrier2)")
-        object.__setattr__(self, "alpha", Fraction(num2 * den1, den2 * num1))
         per_frame, service_ns = [], []
-        for c in (self.carrier1, self.carrier2):
+        for rate_num, rate_den, bits, share_num, share_den in terms:
             # Whole PDUs in a FEC frame's per-user share: PDUs are never fragmented.
-            code_rate, fill = c.modcod.code_rate, c.fill_rate
-            share_bits = FECFRAME_BITS * code_rate.numerator * fill.numerator
-            share_den = code_rate.denominator * fill.denominator
+            share_bits = FECFRAME_BITS * share_num
             n_pdu = share_bits // (8 * size * share_den)
             if n_pdu == 0:
                 raise InvariantError(
@@ -442,11 +449,14 @@ class ScenarioConfig:
                     f"{share_bits / (8 * share_den):.1f} B")
             # One FEC frame lasts 612540 / (9 M R_s) s and carries n_pdu PDUs;
             # the quotient is rounded once to integer ns, ties to even.
-            rate = c.symbol_rate_sym_s
-            den = FRAMES_PER_SUPERFRAME_BUNDLE * c.modcod.bits_per_symbol * rate.numerator * n_pdu
-            ns, rest = divmod(SUPERFRAME_SYMBOLS * NS_PER_S * rate.denominator, den)
+            den = FRAMES_PER_SUPERFRAME_BUNDLE * bits * rate_num * n_pdu
+            ns, rest = divmod(SUPERFRAME_SYMBOLS * NS_PER_S * rate_den, den)
             per_frame.append(n_pdu)
             service_ns.append(ns + (2 * rest + ns % 2 > den))
+        object.__setattr__(self, "bursts", bursts)
+        object.__setattr__(self, "burst_sizes", sizes)
+        object.__setattr__(self, "total_pdus", total)
+        object.__setattr__(self, "alpha", Fraction(num2 * den1, den2 * num1))
         object.__setattr__(self, "pdus_per_frame", tuple(per_frame))
         object.__setattr__(self, "service_ns", tuple(service_ns))
 
@@ -456,8 +466,8 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 # Each column's dtype: a carrier is 1 or 2, so one byte holds it.
-_DTYPES = {"carrier": np.int8, "t_scheduled_ns": np.int64, "t_tx_end_ns": np.int64,
-           "t_arrival_ns": np.int64}
+_DTYPES = {"carrier": np.dtype(np.int8), "t_scheduled_ns": np.dtype(np.int64),
+           "t_tx_end_ns": np.dtype(np.int64), "t_arrival_ns": np.dtype(np.int64)}
 _FIELDS = tuple(_DTYPES)
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
@@ -514,11 +524,12 @@ class RunTrace:
 
     def __post_init__(self):
         columns = [_whole_numbers(name, getattr(self, name)) for name in _FIELDS]
-        carrier = columns[0]
-        if carrier.ndim != 1 or len({c.shape for c in columns}) != 1:
+        carrier, scheduled, tx_end, arrival = columns
+        if carrier.ndim != 1 or not carrier.shape == scheduled.shape == tx_end.shape \
+                == arrival.shape:
             raise InvariantError("columns must be one-dimensional and of equal length")
         seq = carrier.argsort(kind="stable")  # rows in carrier order
-        if seq.size and not 1 <= carrier[seq[0]] <= carrier[seq[-1]] <= 2:
+        if seq.size and not 1 <= carrier.item(seq.item(0)) <= carrier.item(seq.item(-1)) <= 2:
             raise InvariantError("carrier must be 1 or 2")
         try:
             s1, s2 = self.service_ns
@@ -528,7 +539,10 @@ class RunTrace:
         if max(service) > _INT64_MAX:
             raise InvariantError("service_ns exceeds the int64 range")
         for name, column in zip(_FIELDS, columns):  # values checked, so narrowing is exact
-            object.__setattr__(self, name, column.astype(_DTYPES[name], copy=False))
+            if column.dtype is not _DTYPES[name]:
+                object.__setattr__(self, name, column.astype(_DTYPES[name], copy=False))
+            elif column is not getattr(self, name):  # converted from a sequence
+                object.__setattr__(self, name, column)
         tx_end = self.t_tx_end_ns
         # tx_start = tx_end - service: service >= 0 is tx_start <= tx_end
         if min(service) < 0 or np.count_nonzero(tx_end > self.t_arrival_ns):

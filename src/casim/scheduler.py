@@ -7,7 +7,7 @@ balancing factor alpha.  Every scheduling decision lives here:
 ``generate_sequence`` is the one place that makes a cycle,
 ``multi_orbit_prefix`` the one prefix computation (the fast carrier and each
 step that sizes its prefix), and ``assignments`` the one prefix-then-cycle
-rule.
+rule, which ``carrier2_counts`` counts per burst in closed form.
 All operations are pure functions of their arguments.
 """
 
@@ -33,6 +33,7 @@ __all__ = [
     "multi_orbit_prefix",
     "build_plan",
     "assignments",
+    "carrier2_counts",
 ]
 
 # The planner's delay arithmetic uses the nominal light-speed constant;
@@ -53,8 +54,10 @@ class SchedulingPlan:
     prefix_length: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "cycle", tuple(self.cycle))
-        if not set(self.cycle) <= {1, 2} or 1 not in self.cycle:
+        cycle = tuple(self.cycle)
+        object.__setattr__(self, "cycle", cycle)
+        ones = cycle.count(1)
+        if not ones or ones + cycle.count(2) != len(cycle):
             raise InvariantError(
                 f"cycle must hold carrier 1 and only indices 1 or 2, got {self.cycle}")
         if not isinstance(self.prefix_length, int) or self.prefix_length < 0:
@@ -82,12 +85,13 @@ def generate_sequence(alpha) -> list[int]:
     The cycle holds q ones and p twos, the j-th one after ceil(p j / q) - 1
     twos: carrier 1 comes next unless that would leave the count of twos more
     than one PDU short of p/q times the count of ones, so every prefix
-    satisfies |count2 - (p/q)*count1| <= 1.  This is the Christoffel-word
-    (Bresenham) construction, and it reproduces every row of the paper's
-    lookup table.
+    satisfies |count2 - (p/q)*count1| <= 1.  Equivalently, as p <= q, the
+    k-th two (k = 0, 1, ...) is at index floor((k (p + q) + q) / p), which is
+    how it is written.  This is the Christoffel-word (Bresenham)
+    construction, and it reproduces every row of the paper's lookup table.
     """
     alpha = _exact("alpha", alpha)
-    num, den = alpha.numerator, alpha.denominator
+    num, den = alpha.as_integer_ratio()
     if not 0 < num <= den:
         raise InvariantError(f"alpha must be in (0, 1], got {approx(alpha)}")
     p, q = num, den
@@ -120,9 +124,10 @@ def generate_sequence(alpha) -> list[int]:
             f"alpha = {approx(alpha)} is at most 1/{2 * MAX_GENERATOR_DENOMINATOR} "
             f"and rounds to 0 at denominator <= {MAX_GENERATOR_DENOMINATOR}; "
             "carrier 2 is too slow to schedule")
-    sequence = [2] * (p + q)
-    for j in range(1, q + 1):
-        sequence[j - 2 - (-p * j // q)] = 1
+    size = p + q
+    sequence = [1] * size
+    for k in range(p):
+        sequence[(k * size + q) // p] = 2
     return sequence
 
 
@@ -159,8 +164,9 @@ def multi_orbit_prefix(scenario: ScenarioConfig) -> Prefix:
     delay_s = 2.0 * delta_leg_km / NOMINAL_LIGHT_SPEED_KM_S
     if delay_s == 0:
         return Prefix(carrier, 0.0, 0.0, n_pdu, 0.0, 0)
+    rate_num, rate_den = fast.symbol_rate_sym_s.as_integer_ratio()
     try:
-        rate = float(fast.symbol_rate_sym_s)
+        rate = rate_num / rate_den  # as float(Fraction) computes it
     except OverflowError:
         raise InvariantError(
             f"symbol_rate_sym_s {approx(fast.symbol_rate_sym_s)} exceeds the float "
@@ -207,3 +213,26 @@ def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
     column[k:n - tail].reshape(full, size)[:] = cycle
     column[n - tail:] = cycle[:tail]
     return column
+
+
+def carrier2_counts(plan: SchedulingPlan, sizes) -> list[int]:
+    """PDUs on carrier 2 in each burst, for bursts of ``sizes`` consecutive
+    sequence numbers from 0: what ``assignments(plan, sum(sizes))`` holds per
+    burst, counted in closed form.  Of the first x PDUs past the prefix,
+    carrier 2 has the cycle's twos once per whole cycle, plus the twos of
+    the cycle's head for the rest; the prefix's PDUs count if it is on
+    carrier 2."""
+    cycle, k = plan.cycle, plan.prefix_length
+    on_prefix = k if plan.prefix_carrier == 2 else 0
+    per_cycle, size = cycle.count(2), len(cycle)
+    counts, before, end = [], 0, 0
+    for burst in sizes:
+        end += burst
+        if end <= k:
+            upto = end if on_prefix else 0
+        else:
+            full, rest = divmod(end - k, size)
+            upto = on_prefix + full * per_cycle + cycle[:rest].count(2)
+        counts.append(upto - before)
+        before = upto
+    return counts

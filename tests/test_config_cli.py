@@ -764,12 +764,15 @@ def test_edited_config_text_exits_0_2_or_3(text):
             assert main(argv) in (0, 2, 3)
 
 
-def casim_process(*args: str, **kwargs) -> subprocess.CompletedProcess:
+def casim_process(*args: str, unbuffered: bool = False, **kwargs) -> subprocess.CompletedProcess:
     """``python -m casim.cli *args`` as a process, with this checkout's
     ``src`` first on its path, no CASIM_SEED, and PYTHONUNBUFFERED removed,
-    so stdout is block-buffered into a pipe or file as in a user's shell."""
+    so stdout is block-buffered into a pipe or file as in a user's shell
+    (or set, if ``unbuffered``, so each write reaches the file at once)."""
     env = {key: value for key, value in os.environ.items()
            if key not in ("CASIM_SEED", "PYTHONUNBUFFERED")}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     src = str(Path(__file__).parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "casim.cli", *args], env=env,
@@ -811,10 +814,35 @@ class TestProcessExit:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("args", [("plan", "--alpha", "0.4"), ("--help",)])
     def test_stdout_on_a_full_device_exits_2(self, args):
+        self._exits_2_on_a_full_device(args, unbuffered=False)
+
+    # Unbuffered, --help fails inside argparse, which would drop the OSError.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [("plan", "--alpha", "0.4"), ("--help",), ("run", "--help")])
+    def test_unbuffered_stdout_on_a_full_device_exits_2(self, args):
+        self._exits_2_on_a_full_device(args, unbuffered=True)
+
+    @staticmethod
+    def _exits_2_on_a_full_device(args, unbuffered):
         with open("/dev/full", "w") as full:
-            proc = casim_process(*args, stdout=full, stderr=subprocess.PIPE, text=True)
+            proc = casim_process(*args, unbuffered=unbuffered, stdout=full,
+                                 stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot write outputs: [Errno 28] No space left on device\n"
+
+    # The error line cannot be written, so it is dropped; the exit code stands.
+    def test_unwritable_stderr_keeps_exit_codes(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_value(bundled_path("geo_ca").read_text(),
+                                  "carrier1.symbol_rate_sym_s", "1000000"))
+        cases = [(("run", "--config", str(tmp_path / "nope.cfg")), 2),
+                 (("run", "--config", str(bad)), 3), (("run", "--bogus"), 2)]
+        for args, code in cases:
+            with open(os.devnull, "rb") as read_only:
+                proc = casim_process(*args, "--out", str(tmp_path / "out"),
+                                     stdout=subprocess.PIPE, stderr=read_only)
+            assert (proc.returncode, proc.stdout) == (code, b"")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSeedEnvVar:

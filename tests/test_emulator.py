@@ -11,6 +11,7 @@ from casim.cli import bundled_scenario_dir
 from casim.config import parse_scenario_file
 from casim.emulator import _CSV_BLOCK_ROWS, propagation_delays_ns, run, write_trace_csv
 from casim.errors import InvariantError
+from casim.metrics import ordering_report
 from casim.model import SPEED_OF_LIGHT_KM_S, Burst, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
 from casim.scheduler import SchedulingPlan, build_plan
@@ -239,9 +240,9 @@ class TestRun:
 
     def test_peak_memory_per_pdu(self):
         # The record is 33 B per PDU of columns (an int8 carrier, seq and three
-        # int64 times) plus 8 B of order; the rest is one carrier's working
-        # arrays.  Each carrier's queue is written in place, so a full-length
-        # int64 temporary more (8 B), such as a scattered column, fails.
+        # int64 times) plus 8 B of order, and it is the peak: each carrier's
+        # queue and delays are written in place, in the record's own columns.
+        # So a full-length int64 array more alive with the record (8 B) fails.
         sc = _long_meo_geo()
         plan = build_plan(sc)
         tracemalloc.start()
@@ -250,7 +251,7 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / sc.total_pdus < 50
+        assert peak / sc.total_pdus < 45
 
     def test_merge_peak_memory_per_pdu(self):
         # One argsort of the arrivals, 8 B per PDU: no column is gathered or copied.
@@ -263,6 +264,21 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak / sc.total_pdus < 12
+
+    def test_report_peak_memory_per_pdu(self):
+        # Receive-order sequence numbers, grouped by burst through one stable
+        # argsort of one-byte labels, with the distance taken in place: ~25 B
+        # per PDU, so one int64 temporary more as they are grouped (8 B), or
+        # int64 labels, fails.
+        sc = _long_meo_geo()
+        merged = merge(run(sc, build_plan(sc)))
+        tracemalloc.start()
+        try:
+            ordering_report(merged, sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / sc.total_pdus < 30
 
     def test_trace_csv_peak_memory_is_one_block(self, tmp_path):
         # The writer holds one block of rows and its text (~1.4 MB), not a

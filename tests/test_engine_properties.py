@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from casim.emulator import propagation_delays_ns, run
 from casim.model import MODCODS, Burst, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind
 from casim.receiver import merge
-from casim.scheduler import SchedulingPlan, assignments, build_plan, multi_orbit_prefix
+from casim.scheduler import (SchedulingPlan, assignments, build_plan, carrier2_counts,
+                             multi_orbit_prefix)
 from helpers import alpha_scenario, rows, seqs
 import oracle
 
@@ -187,3 +188,12 @@ def test_assignments_match_per_pdu_rule(plan, n):
     column = assignments(plan, n)
     assert column.dtype == np.int8
     assert column.tolist() == [oracle._carrier_of(plan, seq) for seq in range(n)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(plans(), st.lists(st.integers(1, 150), min_size=1, max_size=8))
+def test_carrier2_counts_match_per_pdu_rule(plan, sizes):
+    column = [oracle._carrier_of(plan, seq) for seq in range(sum(sizes))]
+    heads = [sum(sizes[:b]) for b in range(len(sizes) + 1)]
+    assert carrier2_counts(plan, sizes) == [column[lo:hi].count(2)
+                                            for lo, hi in zip(heads, heads[1:])]

@@ -105,6 +105,41 @@ class TestToFraction:
             got = to_fraction(text)
             assert type(got) is Fraction and got == expected
 
+    # Any text: where Fraction reads it, to_fraction gives the same Fraction,
+    # unless its decimal exponent is beyond +-4000; where Fraction raises, a
+    # ValueError.  Exponents are drawn bounded, as Fraction's time grows with them.
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(
+        st.text(st.sampled_from("0123456789/_+-. \t\n\u0661\u0662\u00b2"), max_size=12),
+        st.builds(lambda zeros, p, q: f"{'0' * zeros}{p}/{'0' * zeros}{q}",
+                  st.integers(0, 3), st.integers(0, 10**30), st.integers(0, 10**6)),
+        st.builds(lambda mantissa, e, sign, exponent: f"{mantissa}{e}{sign}{exponent}",
+                  st.sampled_from(["1", "2.5", "-0.75", "\u0661", " 3", "1_0", "+.5"]),
+                  st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                  st.one_of(st.integers(0, 4100).map(str),
+                            st.sampled_from(["4000", "4001", "04000", "4_001", "00004001"])))))
+    @example("1e4000")
+    @example("1e4001")
+    @example("1E-4001 ")
+    @example("\u0661\u0662")
+    @example("3/0")
+    @example("007/0020")
+    @example(" -1_000 ")
+    def test_text_parses_as_fraction_does(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError):
+                to_fraction(text)
+            return
+        _, e, exponent = text.strip().upper().rpartition("E")
+        if e and abs(int(exponent)) > 4000:
+            with pytest.raises(ValueError, match="^decimal exponent beyond"):
+                to_fraction(text)
+        else:
+            got = to_fraction(text)
+            assert type(got) is Fraction and got == expected
+
 
 class TestModCod:
     def test_known_table(self):
