@@ -8,15 +8,12 @@ Subcommands:
     plan    --alpha F | --config PATH           print the scheduling plan
     prefix  --config PATH                       print the multi-orbit prefix math
 
-Exit codes: 0 success, 2 config parse error, an output directory that
-cannot be created or written, or a failed write to stdout (``--help`` too),
-3 scenario invariant violation.  The code stands when the ``error:`` line
-itself cannot be written (stderr closed or read-only).  Every scenario is
-evaluated before ``--out`` is created, and each output file is written
-atomically (temp file + rename), so a config or invariant error leaves no
-outputs.  The CASIM_SEED environment variable, when set, draws a random
-phase offset for orbits with nonzero sinusoidal variation; runs stay
-deterministic for a fixed seed.
+The exit codes, 0, 2 and 3, and what each covers are listed once, in the
+README.  Every scenario is evaluated before ``--out`` is created, and each
+output file is written atomically (temp file + rename), so a config or
+invariant error leaves no outputs.  The CASIM_SEED environment variable,
+when set, draws a random phase offset for orbits with nonzero sinusoidal
+variation; runs stay deterministic for a fixed seed.
 
 ``casim`` and ``python -m casim.cli`` both start at ``entry``, which runs
 ``main`` and then ends the process with ``os._exit``, skipping interpreter
@@ -30,7 +27,8 @@ teardown (~20-30 ms, most of it numpy's).  What makes that safe:
   argparse's own help and usage writes raise too (``_Parser``), where
   argparse would drop an ``OSError`` and exit 0 having written nothing;
 - an ``error:`` line that cannot be written is dropped and the exit code
-  kept, as nothing is left to report the failure to;
+  kept, as nothing is left to report the failure to; with no stderr, a
+  usage error's usage line is dropped too, never moved to stdout;
 - stderr is flushed before ``os._exit``, and an error on that flush is
   ignored, as nothing is left to report it to;
 - handlers registered with ``atexit`` do not run; casim registers none;
@@ -253,6 +251,9 @@ class _Parser(argparse.ArgumentParser):
                 (file or sys.stderr).write(message)
             except AttributeError:  # no stream to write to, as argparse allows
                 pass
+
+    def print_usage(self, file=None):  # None is stderr, as _print_message reads it: never stdout
+        self._print_message(self.format_usage(), file)
 
 
 def _build_parser() -> argparse.ArgumentParser:

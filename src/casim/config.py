@@ -1,7 +1,8 @@
 """Flat key=value scenario files.
 
 One ``key=value`` pair per line, ``#`` starts a comment, blank lines are
-ignored.  Keys (all required unless noted):
+ignored.  Each key is required unless it has a default in ``_CARRIER_KEYS``,
+the one table of the carrier keys, their canonical order and the defaults:
 
     label                           scenario name used in reports
     scheduler                       load_balancing | round_robin
@@ -10,17 +11,14 @@ ignored.  Keys (all required unless noted):
                                     separates this burst's release from the
                                     next one's (last gap unused)
     carrier1.symbol_rate_sym_s      integer/decimal/rational symbols per second
-    carrier1.modcod                 MODCOD name (optional; derived from snr_db
-                                    when absent)
+    carrier1.modcod                 MODCOD name
     carrier1.fill_rate              fraction of capacity for this user, (0, 1]
     carrier1.snr_db                 float label, drives MODCOD selection
     carrier1.orbit                  GEO | MEO
     carrier1.leg_km                 mean one-leg slant distance, km
-    carrier1.variation_amplitude_km peak sinusoidal leg deviation, at most
-                                    leg_km (optional; 0 = constant)
-    carrier1.variation_period_s     sinusoid period, seconds (optional;
-                                    DEFAULT_MEO_VARIATION_PERIOD_S = 600)
-    carrier1.variation_phase_rad    optional phase, omitted when 0
+    carrier1.variation_amplitude_km peak sinusoidal leg deviation, at most leg_km
+    carrier1.variation_period_s     sinusoid period, seconds
+    carrier1.variation_phase_rad    sinusoid phase, radians; written when not 0
     carrier2.*                      same keys for the second carrier
 
 Rates and fill rates are read by ``model.to_fraction``, as ``casim plan
@@ -58,34 +56,35 @@ __all__ = [
     "parse_fraction",
 ]
 
-_CARRIER_KEYS = (
-    "symbol_rate_sym_s",
-    "modcod",
-    "fill_rate",
-    "snr_db",
-    "orbit",
-    "leg_km",
-    "variation_amplitude_km",
-    "variation_period_s",
-    "variation_phase_rad",
-)
+# Each carrier's keys in canonical order, with the text an absent key reads
+# as: _REQUIRED for a required key, None for a MODCOD derived from snr_db.
+_REQUIRED = object()
+_CARRIER_KEYS = {
+    "symbol_rate_sym_s": _REQUIRED,
+    "modcod": None,
+    "fill_rate": _REQUIRED,
+    "snr_db": _REQUIRED,
+    "orbit": _REQUIRED,
+    "leg_km": _REQUIRED,
+    "variation_amplitude_km": "0",
+    "variation_period_s": repr(DEFAULT_MEO_VARIATION_PERIOD_S),
+    "variation_phase_rad": "0",
+}
 _TOP_KEYS = ("label", "scheduler", "pdu_size_bytes", "bursts")
 # Each carrier's key names, in _CARRIER_KEYS order, built once.
 _KEY_NAMES = {prefix: tuple(f"{prefix}.{key}" for key in _CARRIER_KEYS)
               for prefix in ("carrier1", "carrier2")}
 _KNOWN_KEYS = set(_TOP_KEYS).union(*_KEY_NAMES.values())
-_REQUIRED_KEYS = set(_TOP_KEYS) | {
-    f"{prefix}.{key}"
-    for prefix in _KEY_NAMES
-    for key in ("symbol_rate_sym_s", "fill_rate", "snr_db", "orbit", "leg_km")
-}
+_DEFAULTS = {f"{prefix}.{key}": default for prefix in _KEY_NAMES
+             for key, default in _CARRIER_KEYS.items() if default is not _REQUIRED}
+_REQUIRED_KEYS = _KNOWN_KEYS - _DEFAULTS.keys()
 # Text to member, built once: config hands model the member, which it keeps.
 _ORBIT_KINDS = {kind.value: kind for kind in OrbitKind}
 _SCHEDULERS = {kind.value: kind for kind in SchedulerKind}
 
 
-def _parse_pairs(text: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
+def _parse_pairs(text: str) -> dict[str, str | None]:
+    pairs: dict[str, str | None] = {}
     comments = "#" in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         key, sep, value = (raw.partition("#")[0] if comments else raw).partition("=")
@@ -103,7 +102,7 @@ def _parse_pairs(text: str) -> dict[str, str]:
     missing = _REQUIRED_KEYS - pairs.keys()
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
-    return pairs
+    return {**_DEFAULTS, **pairs}
 
 
 def parse_fraction(text: str, name: str) -> Fraction:
@@ -116,14 +115,11 @@ def parse_fraction(text: str, name: str) -> Fraction:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _float(pairs: dict[str, str], key: str, default: float | None = None) -> float:
-    text = pairs.get(key)
-    if text is None:
-        return default
+def _float(pairs: dict[str, str], key: str) -> float:
     try:
-        return float(text)
+        return float(pairs[key])
     except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {text!r}") from exc
+        raise ConfigError(f"{key}: not a number: {pairs[key]!r}") from exc
 
 
 def _int(pairs: dict[str, str], key: str) -> int:
@@ -161,12 +157,12 @@ def _parse_carrier(pairs: dict[str, str], prefix: str) -> CarrierConfig:
     orbit = OrbitModel(
         kind=_ORBIT_KINDS[orbit_kind],
         mean_leg_distance_km=_float(pairs, leg_key),
-        variation_amplitude_km=_float(pairs, amplitude_key, 0.0),
-        variation_period_s=_float(pairs, period_key, DEFAULT_MEO_VARIATION_PERIOD_S),
-        variation_phase_rad=_float(pairs, phase_key, 0.0),
+        variation_amplitude_km=_float(pairs, amplitude_key),
+        variation_period_s=_float(pairs, period_key),
+        variation_phase_rad=_float(pairs, phase_key),
     )
     snr_db = _float(pairs, snr_key)
-    modcod_name = pairs.get(modcod_key)
+    modcod_name = pairs[modcod_key]
     if modcod_name is None:
         modcod = modcod_for_snr(snr_db)
     elif modcod_name in MODCODS:

@@ -468,27 +468,7 @@ class ScenarioConfig:
 # Each column's dtype: a carrier is 1 or 2, so one byte holds it.
 _DTYPES = {"carrier": np.dtype(np.int8), "t_scheduled_ns": np.dtype(np.int64),
            "t_tx_end_ns": np.dtype(np.int64), "t_arrival_ns": np.dtype(np.int64)}
-_FIELDS = tuple(_DTYPES)
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
-
-
-def _whole_numbers(name: str, values) -> np.ndarray:
-    """``values`` as an array of a signed integer type: itself if it is one,
-    else converted exactly, through Python numbers, to int64.  InvariantError
-    names column ``name`` unless each value is a whole number in int64, where
-    numpy's own casts would truncate a fraction or wrap an overflow."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
-        return values
-    exact = np.array(values, dtype=object)
-    try:
-        column = exact.astype(np.int64)
-    except OverflowError:
-        raise InvariantError(f"{name} exceeds the int64 range") from None
-    except (TypeError, ValueError):  # nan, text, or no number at all
-        column = None
-    if column is None or np.count_nonzero(column != exact):
-        raise InvariantError(f"{name} must hold whole numbers")
-    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,14 +484,13 @@ class RunTrace:
     carrier's service time earlier, and ``t_arrival_ns[i]``, its delivery
     after propagation.  ``order`` (int64, like ``seq``) lists row indices:
     in carrier order, or in receive order after ``receiver.merge``, which
-    shares the columns.  The constructor takes the carrier column, the two
-    service times and the three time columns, and refuses any value that is
-    not a whole number in int64.  It checks that the columns are
-    one-dimensional and of one length, that carriers are 1 or 2, and that
-    ``tx_start <= tx_end <= arrival``, with each tx_start in int64.  It
-    derives ``seq`` as a stable argsort of the carriers, stores each column
-    at its dtype (an array already of that dtype as is) and lists the rows in
-    carrier order.
+    shares the columns.  The constructor takes the carrier column as an int8
+    array, the two service times and the three time columns as int64
+    arrays, and stores the arrays it is given; a column of any other type is
+    refused, not converted.  It checks that the columns are one-dimensional
+    and of one length, that carriers are 1 or 2, and that ``tx_start <=
+    tx_end <= arrival``, with each tx_start in int64.  It derives ``seq`` as
+    a stable argsort of the carriers and lists the rows in carrier order.
     """
 
     carrier: np.ndarray
@@ -523,10 +502,13 @@ class RunTrace:
     order: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        columns = [_whole_numbers(name, getattr(self, name)) for name in _FIELDS]
-        carrier, scheduled, tx_end, arrival = columns
-        if carrier.ndim != 1 or not carrier.shape == scheduled.shape == tx_end.shape \
-                == arrival.shape:
+        for name, dtype in _DTYPES.items():  # native dtypes are singletons
+            column = getattr(self, name)
+            if not isinstance(column, np.ndarray) or column.dtype is not dtype:
+                raise InvariantError(f"{name} must be an {dtype} array")
+        carrier, tx_end, arrival = self.carrier, self.t_tx_end_ns, self.t_arrival_ns
+        if carrier.ndim != 1 or not carrier.shape == self.t_scheduled_ns.shape \
+                == tx_end.shape == arrival.shape:
             raise InvariantError("columns must be one-dimensional and of equal length")
         seq = carrier.argsort(kind="stable")  # rows in carrier order
         if seq.size and not 1 <= carrier.item(seq.item(0)) <= carrier.item(seq.item(-1)) <= 2:
@@ -538,17 +520,11 @@ class RunTrace:
         service = (_integer("service_ns", s1), _integer("service_ns", s2))
         if max(service) > _INT64_MAX:
             raise InvariantError("service_ns exceeds the int64 range")
-        for name, column in zip(_FIELDS, columns):  # values checked, so narrowing is exact
-            if column.dtype is not _DTYPES[name]:
-                object.__setattr__(self, name, column.astype(_DTYPES[name], copy=False))
-            elif column is not getattr(self, name):  # converted from a sequence
-                object.__setattr__(self, name, column)
-        tx_end = self.t_tx_end_ns
         # tx_start = tx_end - service: service >= 0 is tx_start <= tx_end
-        if min(service) < 0 or np.count_nonzero(tx_end > self.t_arrival_ns):
+        if min(service) < 0 or np.count_nonzero(tx_end > arrival):
             raise InvariantError("trace times must satisfy tx_start <= tx_end <= arrival")
         if tx_end.size and int(np.minimum.reduce(tx_end)) < _INT64_MIN + max(service):
-            m = np.count_nonzero(self.carrier == 1)  # so near -2**63, each carrier's own
+            m = np.count_nonzero(carrier == 1)  # so near -2**63, each carrier's own
             if any(np.count_nonzero(part < _INT64_MIN + s)
                    for part, s in zip((tx_end[:m], tx_end[m:]), service)):
                 raise InvariantError("tx_start exceeds the int64 range")

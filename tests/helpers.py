@@ -6,6 +6,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from casim.metrics import OrderingReport, ordering_report
 from casim.model import (
     MODCODS,
@@ -47,7 +49,14 @@ def record(trace_rows) -> RunTrace:
     service = tuple(services.get(c, {0}).pop() for c in (1, 2))
     in_rows = sorted(by_seq, key=lambda row: (row[1], row[0]))  # carrier order
     _, _, scheduled, _, tx_end, arrival = zip(*in_rows) if in_rows else [()] * 6
-    return RunTrace([row[1] for row in by_seq], service, scheduled, tx_end, arrival)
+    return RunTrace(*typed([row[1] for row in by_seq], service, scheduled, tx_end, arrival))
+
+
+def typed(carrier, service, *times) -> tuple:
+    """``RunTrace``'s arguments: ``carrier`` as an int8 array, ``service`` as
+    given and each of the three ``times`` as an int64 array."""
+    return (np.array(carrier, dtype=np.int8), service,
+            *(np.array(column, dtype=np.int64) for column in times))
 
 
 def seqs(trace: RunTrace) -> list[int]:

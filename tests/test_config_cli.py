@@ -23,6 +23,7 @@ from casim.config import (
 )
 from casim.errors import ConfigError, InvariantError
 from casim.model import (
+    DEFAULT_MEO_VARIATION_PERIOD_S,
     FRAMES_PER_SUPERFRAME_BUNDLE,
     MAX_TOTAL_PDUS,
     MODCODS,
@@ -109,6 +110,18 @@ class TestConfigRoundTrip:
             line for line in text.splitlines() if ".modcod=" not in line)
         sc = parse_scenario_text(stripped)
         assert sc.carrier1.modcod.name == "8PSK 5/6"
+
+    def test_absent_path_keys_take_their_defaults(self):
+        text = bundled_path("meo_geo").read_text()
+        stripped = "\n".join(line for line in text.splitlines() if ".variation_" not in line)
+        orbit = parse_scenario_text(stripped).carrier1.orbit
+        assert (orbit.variation_amplitude_km, orbit.variation_period_s,
+                orbit.variation_phase_rad) == (0.0, DEFAULT_MEO_VARIATION_PERIOD_S, 0.0)
+
+    def test_empty_modcod_is_refused_not_derived(self):
+        text = with_value(bundled_path("geo_ca").read_text(), "carrier1.modcod", "")
+        with pytest.raises(ConfigError, match="carrier1.modcod: unknown MODCOD ''"):
+            parse_scenario_text(text)
 
     # the first gave text the parser refuses, the second read back as the
     # table's QPSK 1/2 (2 bits per symbol), which holds no PDU here
@@ -841,6 +854,10 @@ class TestProcessExit:
             with open(os.devnull, "rb") as read_only:
                 proc = casim_process(*args, "--out", str(tmp_path / "out"),
                                      stdout=subprocess.PIPE, stderr=read_only)
+            assert (proc.returncode, proc.stdout) == (code, b"")
+            # fd 2 closed, so sys.stderr is None: the usage line is not moved to stdout
+            proc = casim_process(*args, "--out", str(tmp_path / "out"),
+                                 stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
             assert (proc.returncode, proc.stdout) == (code, b"")
         assert not (tmp_path / "out").exists()
 

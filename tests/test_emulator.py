@@ -191,6 +191,30 @@ class TestRun:
         with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
             run(scenario(service + 1), build_plan(scenario(service + 1)))
 
+    def test_last_arrival_at_the_int64_max(self):
+        # A constant path of delay D just above 2**62.  Six PDUs at alpha 1
+        # put three on each carrier, whose last ends at 3 x service and
+        # arrives at exactly 2**63 - 1.  Seven put four on carrier 1, whose
+        # last arrives at 2**63 with its service a quarter of 2**63 - D.
+        # (D, a float above 2**53, is even, so only an odd end reaches the max.)
+        leg_km = 691274343494290.4
+        delay_ns = round(2 * leg_km / SPEED_OF_LIGHT_KM_S * 1e9)
+        assert delay_ns > 2**62 and (2**63 - 1 - delay_ns) % 3 == 0
+
+        def scenario(service_ns: int, n: int) -> ScenarioConfig:
+            rate = Fraction(612540 * 10**9, 27 * service_ns)  # one 1500 B PDU per frame
+            cfg = carrier(rate, orbit=OrbitModel.meo(leg_km, 0.0))
+            assert n * service_ns <= 2**63 - 1  # within run's bound on transmission times
+            return ScenarioConfig(cfg, cfg, SchedulerKind.LOAD_BALANCING, bursts=(Burst(n),))
+
+        accepted = scenario((2**63 - 1 - delay_ns) // 3, 6)
+        trace = run(accepted, build_plan(accepted))
+        assert np.bincount(trace.carrier).tolist() == [0, 3, 3]
+        assert trace.t_arrival_ns.tolist()[2::3] == [2**63 - 1, 2**63 - 1]  # each last
+        refused = scenario((2**63 - delay_ns) // 4, 7)
+        with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
+            run(refused, build_plan(refused))
+
     def test_nan_delay_rejected(self):
         # the phase overflows to inf, so sin, and the delay, is nan
         orbit = OrbitModel.meo(period_s=1e-320)
