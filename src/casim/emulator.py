@@ -19,45 +19,26 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantError
-from .model import NS_PER_S, CarrierConfig, RunTrace, ScenarioConfig
+from .model import INT64_MAX, NS_PER_S, SPEED_OF_LIGHT_KM_S, OrbitModel, RunTrace, ScenarioConfig
 from .scheduler import SchedulingPlan, assignments, carrier2_counts
 
 __all__ = [
-    "propagation_delays_ns",
     "run",
     "write_trace_csv",
 ]
 
-INT64_MAX = np.iinfo(np.int64).max
 
-
-def propagation_delays_ns(carrier: CarrierConfig, t_ns: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """Delays (int64 ns) of ``carrier``'s path for PDUs leaving at int64 ``t_ns``
+def _delays_ns(orbit: OrbitModel, t_ns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Delays (int64 ns) of ``orbit``'s path for PDUs leaving at int64 ``t_ns``
     >= 0: ``OrbitModel.propagation_delay_s`` at float(t_ns) / 1e9, rounded half to
-    even, written into the int64 array ``out`` if given, else into a new one.
-    Raises InvariantError unless every delay is a number in int64."""
-    orbit = carrier.orbit
-    if out is None:
-        out = np.empty(t_ns.shape, dtype=np.int64)
-    if orbit.variation_amplitude_km == 0.0:  # a constant path: one delay, never nan
-        if not t_ns.size:  # no PDU takes it, so it is not evaluated
-            return out
-        delay_ns = orbit.mean_propagation_delay_s() * NS_PER_S
-        if not delay_ns < 2.0**63:
-            raise InvariantError("arrival times exceed the int64 range")
-        out.fill(round(delay_ns))
+    even, written into the int64 array ``out``.  ``run`` has bounded them."""
+    if orbit.variation_amplitude_km == 0.0:  # a constant path: one delay
+        out.fill(round(orbit.mean_propagation_delay_s() * NS_PER_S))
         return out
-    # Overflow leaves inf and sin(inf) nan, which the range check rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # The one float buffer is out's memory: times in s, then delays in s, in ns.
-        delay_ns = np.divide(t_ns, NS_PER_S, out=out.view(np.float64))
-        orbit.propagation_delay_s(delay_ns, out=delay_ns)
-        np.rint(np.multiply(delay_ns, NS_PER_S, out=delay_ns), out=delay_ns)
-    # A finite delay is >= 0 (amplitude <= mean leg), and nan fails the comparison.
-    if delay_ns.size and not np.maximum.reduce(delay_ns) < 2.0**63:
-        raise InvariantError("propagation delay is not finite" if np.isnan(delay_ns).any()
-                             else "arrival times exceed the int64 range")
+    # The one float buffer is out's memory: times in s, then delays in s, in ns.
+    delay_ns = np.divide(t_ns, NS_PER_S, out=out.view(np.float64))
+    orbit.propagation_delay_s(delay_ns, out=delay_ns)
+    np.rint(np.multiply(delay_ns, NS_PER_S, out=delay_ns), out=delay_ns)
     out[...] = delay_ns  # cast in place; whole numbers in range, so exact
     return out
 
@@ -74,7 +55,9 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     its slice of (k+1)·s.  A PDU arrives after its path's delay at end_k,
     taken for all of a carrier's PDUs at once (so never for a carrier that
     carries none), and written into its row of arrivals.  Each carrier's
-    queue is one slice of the record's rows, written in place.
+    queue is one slice of the record's rows, written in place.  Times are
+    int64 ns: each carrier's last tx end plus its path's peak delay,
+    2 (mean leg + amplitude) / c, must fit, and is checked before its delays.
     """
     n = scenario.total_pdus
     sizes = scenario.burst_sizes
@@ -93,9 +76,11 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     tx_end = np.empty(n, dtype=np.int64)
     arrival = np.empty(n, dtype=np.int64)
     row = 0  # this carrier's first row
-    for cfg, service, per_burst in zip((scenario.carrier1, scenario.carrier2),
-                                       scenario.service_ns, (ones, twos)):
+    for orbit, service, per_burst in zip((scenario.carrier1.orbit, scenario.carrier2.orbit),
+                                         scenario.service_ns, (ones, twos)):
         m = sum(per_burst)
+        if not m:  # no PDU takes this path, so its delay is never evaluated
+            continue
         end = tx_end[row:row + m]
         np.multiply(np.arange(1, m + 1, dtype=np.int64), service, out=end)  # (k+1)·s
         # Burst b's PDUs are this carrier's queue indices first..first+count-1.
@@ -109,11 +94,13 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
             if peak and count:
                 end[first:first + count] += peak
             first += count
-        delay = propagation_delays_ns(cfg, end, out=arrival[row:row + m])
-        # end is nondecreasing, so end + delay can only wrap if end[-1] + max delay does
-        if m and int(end[-1]) + int(np.maximum.reduce(delay)) > INT64_MAX \
-                and np.count_nonzero(delay > INT64_MAX - end):
+        # Ends never decrease, so end[-1] is the last; no delay on this path
+        # passes its peak, taken in propagation_delay_s's steps at sin = 1.
+        peak_delay_ns = 2.0 * (orbit.mean_leg_distance_km + orbit.variation_amplitude_km) \
+            / SPEED_OF_LIGHT_KM_S * NS_PER_S
+        if not peak_delay_ns < 2.0**63 or int(end[-1]) + round(peak_delay_ns) > INT64_MAX:
             raise InvariantError("arrival times exceed the int64 range")
+        delay = _delays_ns(orbit, end, arrival[row:row + m])
         np.add(delay, end, out=delay)
         row += m
 

@@ -31,6 +31,7 @@ __all__ = [
     "FRAMES_PER_SUPERFRAME_BUNDLE",
     "FECFRAME_BITS",
     "NS_PER_S",
+    "INT64_MAX",
     "MAX_TOTAL_PDUS",
     "to_fraction",
     "approx",
@@ -62,6 +63,7 @@ FRAMES_PER_SUPERFRAME_BUNDLE = 9
 FECFRAME_BITS = 64800
 
 NS_PER_S = 10**9
+INT64_MAX = 2**63 - 1  # every time is int64 ns: the horizon of a run
 
 # The most PDUs one scenario may offer: far above any bundled or benchmark
 # scenario, and low enough that a run's arrays fit in memory (run, merge and
@@ -285,6 +287,9 @@ class OrbitModel:
             raise InvariantError("GEO orbits are constant: variation_amplitude_km must be 0")
         if self.variation_period_s <= 0:
             raise InvariantError("variation_period_s must be > 0")
+        phase = 2.0 * math.pi * (2.0**63 / NS_PER_S) / self.variation_period_s  # at t = 2**63 ns
+        if self.variation_amplitude_km and not math.isfinite(phase + self.variation_phase_rad):
+            raise InvariantError("variation_period_s is too small: the phase overflows by 2**63 ns")
 
     @classmethod
     def geo(cls, leg_km: float = GEO_LEG_KM) -> "OrbitModel":
@@ -468,7 +473,7 @@ class ScenarioConfig:
 # Each column's dtype: a carrier is 1 or 2, so one byte holds it.
 _DTYPES = {"carrier": np.dtype(np.int8), "t_scheduled_ns": np.dtype(np.int64),
            "t_tx_end_ns": np.dtype(np.int64), "t_arrival_ns": np.dtype(np.int64)}
-_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+_INT64_MIN = -2**63
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,7 +523,7 @@ class RunTrace:
         except (TypeError, ValueError):
             raise InvariantError("service_ns must hold two service times") from None
         service = (_integer("service_ns", s1), _integer("service_ns", s2))
-        if max(service) > _INT64_MAX:
+        if max(service) > INT64_MAX:
             raise InvariantError("service_ns exceeds the int64 range")
         # tx_start = tx_end - service: service >= 0 is tx_start <= tx_end
         if min(service) < 0 or np.count_nonzero(tx_end > arrival):

@@ -9,7 +9,7 @@ import pytest
 
 from casim.cli import bundled_scenario_dir
 from casim.config import parse_scenario_file
-from casim.emulator import _CSV_BLOCK_ROWS, propagation_delays_ns, run, write_trace_csv
+from casim.emulator import _CSV_BLOCK_ROWS, _delays_ns, run, write_trace_csv
 from casim.errors import InvariantError
 from casim.metrics import ordering_report
 from casim.model import SPEED_OF_LIGHT_KM_S, Burst, OrbitModel, ScenarioConfig, SchedulerKind
@@ -133,63 +133,71 @@ class TestRun:
         OrbitModel.geo(), OrbitModel.meo(amplitude_km=0.0), OrbitModel.geo(1.35e15),
         OrbitModel.geo(0.0002248443435), OrbitModel.geo(0.00037474057249999997)])
     def test_constant_path_delay_matches_oracle(self, orbit):
-        cfg = carrier(orbit=orbit)
         times = [0, 1, 10**9, 2**62]
-        delays = propagation_delays_ns(cfg, np.array(times, dtype=np.int64))
-        assert delays.dtype == np.int64
-        assert delays.tolist() == [oracle._path_delay_ns(cfg, t) for t in times]
+        delays = _delays_ns(orbit, np.array(times, dtype=np.int64), np.empty(4, dtype=np.int64))
+        assert delays.tolist() == [oracle._path_delay_ns(carrier(orbit=orbit), t) for t in times]
 
     # a finite delay past int64, then one that overflows to inf
     @pytest.mark.parametrize("leg_km", [1e300, 1e308])
     def test_constant_delay_past_int64_unless_no_pdu_takes_it(self, leg_km):
-        cfg = carrier(orbit=OrbitModel.geo(leg_km))
-        empty = propagation_delays_ns(cfg, np.empty(0, dtype=np.int64))
-        assert empty.dtype == np.int64 and empty.shape == (0,)
+        far = carrier(orbit=OrbitModel.geo(leg_km))
+        sc = ScenarioConfig(far, far, SchedulerKind.LOAD_BALANCING, bursts=(Burst(2),))
         with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
-            propagation_delays_ns(cfg, np.zeros(3, dtype=np.int64))
+            run(sc, build_plan(sc))  # alpha 1: one PDU on each carrier
+        sc = replace(sc, carrier1=carrier())
+        assert run(sc, SchedulingPlan((1,))).carrier.tolist() == [1, 1]  # none on the far path
 
     # At this leg, 2 L / c x 1e9 is 2.0**63 ns exactly, one past int64's max,
     # and the next smaller leg gives the largest double below it.  A MEO path
-    # at t = 0 (sin 0 = 0) takes the same steps.
+    # whose mean leg + amplitude is that leg peaks there, and at phase pi / 2
+    # it is at its peak at t = 0, where service times of 0 ns send both PDUs.
     @pytest.mark.parametrize("kind", ["geo", "meo"])
     def test_delay_of_2_to_the_63_ns_rejected(self, kind):
         edge_leg_km = 1382548686988580.0
-        at_t0 = np.zeros(2, dtype=np.int64)
 
-        def delays(leg_km):
-            orbit = OrbitModel.geo(leg_km) if kind == "geo" else OrbitModel.meo(leg_km, 1.0)
-            return propagation_delays_ns(carrier(orbit=orbit), at_t0)
+        def arrivals(leg_km):
+            orbit = (OrbitModel.geo(leg_km) if kind == "geo"
+                     else OrbitModel.meo(leg_km - 1.0, 1.0, phase_rad=math.pi / 2))
+            cfg = carrier(10**15, orbit=orbit)
+            sc = ScenarioConfig(cfg, cfg, SchedulerKind.LOAD_BALANCING, bursts=(Burst(2),))
+            assert sc.service_ns == (0, 0)
+            return run(sc, build_plan(sc)).t_arrival_ns.tolist()
 
         with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
-            delays(edge_leg_km)
-        assert delays(math.nextafter(edge_leg_km, 0)).tolist() == [2**63 - 1024] * 2
+            arrivals(edge_leg_km)
+        assert arrivals(math.nextafter(edge_leg_km, 0)) == [2**63 - 1024] * 2
 
     def test_arrivals_up_to_the_int64_max(self):
-        # Seven PDUs at alpha 1: each carrier's k-th PDU (k = 1, 2, ...) ends
-        # at k x service.  The path (amplitude = leg, period 6 services) peaks
-        # as the first ends and is 0 as the fourth ends, and service + peak
-        # delay is int64's max: each carrier's first PDU arrives at exactly
-        # 2**63 - 1, though its last ends later with no overflow.  One ns more
-        # service is refused.
-        leg_km = 614123189086445.1
-        peak_ns = int(np.rint(4 * leg_km / SPEED_OF_LIGHT_KM_S * 1e9))
-        service = 2**63 - 1 - peak_ns
-        assert 7 * service <= 2**63 - 1  # within run's bound on transmission times
-        orbit = OrbitModel.meo(leg_km, leg_km, 6 * service / 1e9, math.pi / 6)
+        # A varying path (amplitude = leg) that peaks at P ns.  Six PDUs at
+        # alpha 1 put three on each carrier.  With a period of 12 services,
+        # each carrier's last ends at 3 x service as sin reaches 1, and
+        # 3 x service + P is int64's max: it arrives at exactly 2**63 - 1.
+        # One ns more service is refused, by the peak, also on the same path
+        # half a period on, where the last PDU ends at the trough and every
+        # arrival would fit.
+        leg_km = 380200888921859.56
+        peak_ns = round(2.0 * (leg_km + leg_km) / SPEED_OF_LIGHT_KM_S * 1e9)
+        service = (2**63 - 1 - peak_ns) // 3
+        assert 3 * service + peak_ns == 2**63 - 1
+        assert 6 * service <= 2**63 - 1  # within run's bound on transmission times
 
-        def scenario(service_ns: int) -> ScenarioConfig:
+        def scenario(service_ns: int, phase_rad: float = 0.0) -> ScenarioConfig:
             rate = Fraction(612540 * 10**9, 27 * service_ns)  # one 1500 B PDU per frame
+            orbit = OrbitModel.meo(leg_km, leg_km, 12 * service / 1e9, phase_rad)
             cfg = carrier(rate, orbit=orbit)
-            return ScenarioConfig(cfg, cfg, SchedulerKind.LOAD_BALANCING, bursts=(Burst(7),))
+            return ScenarioConfig(cfg, cfg, SchedulerKind.LOAD_BALANCING, bursts=(Burst(6),))
 
-        trace = run(scenario(service), build_plan(scenario(service)))
+        accepted = scenario(service)
+        plan = build_plan(accepted)
+        trace = run(accepted, plan)
         assert trace.service_ns == (service, service)
-        end = trace.t_tx_end_ns
-        assert (trace.t_arrival_ns[end == service] == 2**63 - 1).sum() == 2
-        assert (trace.t_arrival_ns[end != service] < 2**63 - 1).all()
-        assert trace.t_arrival_ns[end == 4 * service].tolist() == [4 * service]
-        with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
-            run(scenario(service + 1), build_plan(scenario(service + 1)))
+        assert trace.t_arrival_ns.tolist()[2::3] == [2**63 - 1, 2**63 - 1]  # each last
+        assert sorted(rows(trace)) == oracle.heap_run(accepted, plan)
+        for phase_rad in (0.0, math.pi):  # the last PDU ends at the peak, then the trough
+            refused = scenario(service + 1, phase_rad)
+            with pytest.raises(InvariantError, match="arrival times exceed the int64 range"):
+                run(refused, build_plan(refused))
+        assert max(row[5] for row in oracle.heap_run(refused, build_plan(refused))) < 2**63 - 1
 
     def test_last_arrival_at_the_int64_max(self):
         # A constant path of delay D just above 2**62.  Six PDUs at alpha 1
@@ -216,11 +224,17 @@ class TestRun:
             run(refused, build_plan(refused))
 
     def test_nan_delay_rejected(self):
-        # the phase overflows to inf, so sin, and the delay, is nan
-        orbit = OrbitModel.meo(period_s=1e-320)
+        # A varying path's phase, 2 pi t / period + phase, must be finite up to
+        # t = 2**63 ns, or sin, and so the delay of a PDU sent that late, is
+        # nan.  This is the smallest period at phase 0; a phase of 1e300 needs
+        # a larger one.
+        edge_s = 3.2236956653369823e-298
+        orbit = OrbitModel.meo(period_s=edge_s)
         sc = alpha_scenario(Fraction(1), orbit1=orbit, orbit2=orbit, bursts=(Burst(5),))
-        with pytest.raises(InvariantError, match="propagation delay is not finite"):
-            run(sc, build_plan(sc))
+        assert sorted(rows(run(sc, build_plan(sc)))) == oracle.heap_run(sc, build_plan(sc))
+        for period_s, phase_rad in ((math.nextafter(edge_s, 0), 0.0), (edge_s, 1e300)):
+            with pytest.raises(InvariantError, match="variation_period_s is too small"):
+                OrbitModel.meo(period_s=period_s, phase_rad=phase_rad)
 
     def test_queue_carries_across_overlapping_bursts(self):
         # gap shorter than the drain time: the second burst must queue behind

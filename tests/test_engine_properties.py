@@ -8,27 +8,33 @@ whose service times round to 0 ns), constant or sinusoidally varying paths
 the next on a carrier), 1-8 bursts whose gaps may be zero or shorter than
 the time a burst needs to drain, and either scheduler.  A multi-orbit
 prefix longer than the first bursts leaves the slow carrier with no PDU in
-them.  The vectorised path delay is checked on its own against the scalar
-oracle over random orbits and send times up to 2**62 ns, the carrier column
+them.  Runs whose times end near 2**63 ns are checked against the
+documented int64 horizon and the oracle.  The vectorised path delay is
+checked on its own against the scalar oracle over random orbits and send
+times up to 2**62 ns, the carrier column
 against the per-PDU rule over random plans, and the multi-orbit prefix
 against the oracle's exact one.  Examples are derandomized, so the suite
 stays deterministic.
 """
 
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from casim.emulator import propagation_delays_ns, run
-from casim.model import MODCODS, Burst, CarrierConfig, OrbitModel, ScenarioConfig, SchedulerKind
+from casim.emulator import _delays_ns, run
+from casim.errors import InvariantError
+from casim.model import (MODCODS, SPEED_OF_LIGHT_KM_S, Burst, CarrierConfig, OrbitModel,
+                         ScenarioConfig, SchedulerKind)
 from casim.receiver import merge
 from casim.scheduler import (SchedulingPlan, assignments, build_plan, carrier2_counts,
                              multi_orbit_prefix)
-from helpers import alpha_scenario, rows, seqs
+from helpers import alpha_scenario, carrier, rows, seqs
 import oracle
 
 FILL_RATES = tuple(Fraction(k, 4) for k in range(1, 5))
@@ -169,9 +175,63 @@ def test_path_delays_match_scalar_oracle(orbit, times):
     cfg = CarrierConfig(
         symbol_rate_sym_s=1_000_000, modcod=MODCODS["QPSK 1/2"], fill_rate=1,
         snr_db=10.0, orbit=orbit)
-    delays = propagation_delays_ns(cfg, np.array(times, dtype=np.int64))
-    assert delays.dtype == np.int64
+    delays = _delays_ns(orbit, np.array(times, dtype=np.int64), np.empty(len(times), np.int64))
     assert delays.tolist() == [oracle._path_delay_ns(cfg, t) for t in times]
+
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def horizon_scenarios(draw) -> ScenarioConfig:
+    """2-12 PDUs whose times end near 2**63 ns: service times near 2**63 / N,
+    gaps of up to 2e9 s, legs up to 1.5e15 km (a peak delay of up to ~2.2 x
+    2**63 ns), amplitudes up to the leg, and periods down to the smallest a
+    phase in [0, 2 pi] allows.  Some runs fit in int64 and some do not."""
+    n = draw(st.integers(2, 12))
+    cfgs = []
+    # carrier 1 takes the shorter service time, so it does not dominate
+    for service in sorted(draw(st.integers(2**63 // (4 * n), 2**63 // n)) for _ in range(2)):
+        leg = draw(st.floats(1.0, 1.5e15))
+        orbit = OrbitModel.meo(
+            leg,
+            amplitude_km=draw(st.one_of(st.sampled_from((0.0, leg)), st.floats(0.0, leg))),
+            period_s=draw(st.one_of(st.floats(3.3e-298, 1e-290), st.floats(1e-3, 1e12))),
+            phase_rad=draw(st.floats(0.0, 2.0 * math.pi)),
+        )
+        rate = Fraction(612540 * 10**9, 27 * service)  # one 1500 B PDU per frame
+        cfgs.append(carrier(rate, orbit=orbit))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2)))
+    bursts = [Burst(hi - lo, draw(st.one_of(st.just(0.0), st.floats(0.0, 2e9))))
+              for lo, hi in zip([0, *cuts], [*cuts, n])]
+    return ScenarioConfig(*cfgs, draw(st.sampled_from(list(SchedulerKind))), bursts=bursts)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(horizon_scenarios())
+def test_runs_near_the_int64_horizon(sc):
+    """``run`` refuses a scenario exactly when its documented horizon is
+    passed: the last release plus N times the larger service time, or a
+    carrier's last tx end plus its path's peak delay, 2 (leg + amplitude) /
+    c, for a carrier that takes a PDU.  Otherwise its rows are the oracle's,
+    with no RuntimeWarning on the way."""
+    plan = build_plan(sc)
+    expected = oracle.heap_run(sc, plan)
+    last_release = expected[-1][2]
+    over = last_release + sc.total_pdus * max(sc.service_ns) > INT64_MAX
+    for i, cfg in ((1, sc.carrier1), (2, sc.carrier2)):
+        ends = [row[4] for row in expected if row[1] == i]
+        orbit = cfg.orbit
+        peak = 2.0 * (orbit.mean_leg_distance_km + orbit.variation_amplitude_km) \
+            / SPEED_OF_LIGHT_KM_S * 1e9
+        over |= bool(ends) and max(ends) + round(peak) > INT64_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if over:
+            with pytest.raises(InvariantError, match="int64 range"):
+                run(sc, plan)
+        else:
+            assert sorted(rows(run(sc, plan))) == expected
 
 
 @st.composite

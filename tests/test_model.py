@@ -490,7 +490,9 @@ _TINY = math.nextafter(0.0, 1.0)
 
 @pytest.mark.parametrize("build, refused, accepted, message", [
     (lambda v: OrbitModel.geo(v), 0.0, _TINY, "mean_leg_distance_km must be > 0"),
-    (lambda v: OrbitModel.meo(period_s=v), 0.0, _TINY, "variation_period_s must be > 0"),
+    # a constant path: a varying one's period is bounded by its phase rule
+    (lambda v: OrbitModel.meo(amplitude_km=0.0, period_s=v), 0.0, _TINY,
+     "variation_period_s must be > 0"),
     (lambda v: ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN, v), 0, 1,
      "pdu_size_bytes must be > 0"),
 ], ids=["mean_leg_distance_km", "variation_period_s", "pdu_size_bytes"])
