@@ -61,7 +61,7 @@ from .metrics import (
     ordering_report,
     write_comparison_csv,
 )
-from .model import RunTrace, ScenarioConfig
+from .model import RunTrace, ScenarioConfig, _shown
 from .receiver import merge
 from .scheduler import SchedulingPlan, build_plan, generate_sequence, multi_orbit_prefix
 
@@ -201,7 +201,7 @@ def cmd_plan(args) -> int:
     if args.alpha is not None:
         alpha = parse_fraction(args.alpha, "--alpha")
         plan = SchedulingPlan(generate_sequence(alpha))
-        print(f"alpha: {alpha} = {float(alpha):.6f}")
+        print(f"alpha: {_shown(alpha)} = {float(alpha):.6f}")
         if plan.alpha_used != alpha:
             print(f"alpha_used: {plan.alpha_used} = {float(plan.alpha_used):.6f}")
         print(f"cycle: [{','.join(str(c) for c in plan.cycle)}]")
@@ -212,7 +212,7 @@ def cmd_plan(args) -> int:
     plan = build_plan(scenario)
     print(f"label: {scenario.label}")
     print(f"scheduler: {scenario.scheduler.value}")
-    print(f"alpha: {scenario.alpha}")
+    print(f"alpha: {_shown(scenario.alpha)}")  # exact where Python will print it
     print(f"alpha_used: {plan.alpha_used} = {float(plan.alpha_used):.6f}")
     print(f"cycle: [{','.join(str(c) for c in plan.cycle)}]")
     if plan.prefix_carrier is None:
@@ -302,7 +302,9 @@ def main(argv=None) -> int:
         return _error(2, exc)
     except CasimError as exc:
         return _error(3, exc)
-    except OSError as exc:  # a config read raises ConfigError: this is an output
+    # A config read raises ConfigError: this is an output write, or a label
+    # that stdout's encoding cannot hold.
+    except (OSError, UnicodeEncodeError) as exc:
         return _error(2, f"cannot write outputs: {exc}")
 
 

@@ -2,7 +2,9 @@
 
 One ``key=value`` pair per line, ``#`` starts a comment, blank lines are
 ignored.  Each key is required unless it has a default in ``_CARRIER_KEYS``,
-the one table of the carrier keys, their canonical order and the defaults:
+the one table of the carrier keys, their canonical order and the defaults.
+That table, with ``_TOP_KEYS``, names and orders the keys for both reading
+and writing a file:
 
     label                           scenario name used in reports
     scheduler                       load_balancing | round_robin
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import io
 from contextlib import contextmanager
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,19 +151,13 @@ def _parse_bursts(value: str) -> tuple[Burst, ...]:
 
 
 def _parse_carrier(pairs: dict[str, str], prefix: str) -> CarrierConfig:
-    rate_key, modcod_key, fill_key, snr_key, orbit_key, leg_key, amplitude_key, period_key, \
-        phase_key = _KEY_NAMES[prefix]
+    rate_key, modcod_key, fill_key, snr_key, orbit_key, *path_keys = _KEY_NAMES[prefix]
     orbit_kind = pairs[orbit_key]
     if orbit_kind not in _ORBIT_KINDS:
         raise ConfigError(
             f"{orbit_key}: must be {' or '.join(_ORBIT_KINDS)}, got {orbit_kind!r}")
-    orbit = OrbitModel(
-        kind=_ORBIT_KINDS[orbit_kind],
-        mean_leg_distance_km=_float(pairs, leg_key),
-        variation_amplitude_km=_float(pairs, amplitude_key),
-        variation_period_s=_float(pairs, period_key),
-        variation_phase_rad=_float(pairs, phase_key),
-    )
+    # The path keys give OrbitModel's fields after kind, in order.
+    orbit = OrbitModel(_ORBIT_KINDS[orbit_kind], *[_float(pairs, key) for key in path_keys])
     snr_db = _float(pairs, snr_key)
     modcod_name = pairs[modcod_key]
     if modcod_name is None:
@@ -243,16 +240,13 @@ def _serialize_carrier(lines: list[str], prefix: str, carrier: CarrierConfig) ->
     orbit = carrier.orbit
     if MODCODS.get(carrier.modcod.name) != carrier.modcod:
         raise ValueError(f"a scenario file names only MODCODS entries, not {carrier.modcod}")
-    lines.append(f"{prefix}.symbol_rate_sym_s={_fraction_str(carrier.symbol_rate_sym_s)}")
-    lines.append(f"{prefix}.modcod={carrier.modcod.name}")
-    lines.append(f"{prefix}.fill_rate={_fraction_str(carrier.fill_rate)}")
-    lines.append(f"{prefix}.snr_db={carrier.snr_db!r}")
-    lines.append(f"{prefix}.orbit={orbit.kind.value}")
-    lines.append(f"{prefix}.leg_km={orbit.mean_leg_distance_km!r}")
-    lines.append(f"{prefix}.variation_amplitude_km={orbit.variation_amplitude_km!r}")
-    lines.append(f"{prefix}.variation_period_s={orbit.variation_period_s!r}")
-    if orbit.variation_phase_rad != 0.0:
-        lines.append(f"{prefix}.variation_phase_rad={orbit.variation_phase_rad!r}")
+    # In table order; the path values are OrbitModel's fields after kind.
+    values = [_fraction_str(carrier.symbol_rate_sym_s), carrier.modcod.name,
+              _fraction_str(carrier.fill_rate), repr(carrier.snr_db), orbit.kind.value,
+              *[repr(getattr(orbit, path.name)) for path in fields(orbit)[1:]]]
+    if orbit.variation_phase_rad == 0.0:
+        values.pop()  # the phase, last: zip then writes no phase line
+    lines += [f"{key}={value}" for key, value in zip(_KEY_NAMES[prefix], values)]
 
 
 def serialize_scenario(scenario: ScenarioConfig) -> str:
@@ -268,12 +262,8 @@ def serialize_scenario(scenario: ScenarioConfig) -> str:
     bursts = ",".join(
         f"{b.pdu_count}:{b.inter_burst_gap_s!r}" for b in scenario.bursts
     )
-    lines = [
-        f"label={label}",
-        f"scheduler={scenario.scheduler.value}",
-        f"pdu_size_bytes={scenario.pdu_size_bytes}",
-        f"bursts={bursts}",
-    ]
+    values = (label, scenario.scheduler.value, scenario.pdu_size_bytes, bursts)
+    lines = [f"{key}={value}" for key, value in zip(_TOP_KEYS, values)]
     _serialize_carrier(lines, "carrier1", scenario.carrier1)
     _serialize_carrier(lines, "carrier2", scenario.carrier2)
     return "\n".join(lines) + "\n"

@@ -78,38 +78,26 @@ MAX_DECIMAL_EXPONENT = 4000
 _EXPONENT = re.compile(r"[eE][-+]?[0_]*(\d[\d_]*)\s*\Z")
 
 
-def to_fraction(value) -> Fraction:
-    """Coerce int/float/str/Fraction to an exact Fraction.
+def to_fraction(text: str) -> Fraction:
+    """Read ``text``, an integer, decimal or ``p/q``, as an exact Fraction.
 
-    Floats are converted through their decimal repr so that e.g. ``0.25``
-    becomes 1/4 and ``0.1`` becomes 1/10 (the value the caller wrote), not
-    the binary expansion of the float.  Text is an integer, decimal or
-    ``p/q``; ValueError names text that is none of these, or whose decimal
-    exponent is beyond +-MAX_DECIMAL_EXPONENT.
+    It reads text only; a rate field reads a float through its repr (see
+    ``_exact``).  ValueError names text that is none of these, or whose
+    decimal exponent is beyond +-MAX_DECIMAL_EXPONENT.
     """
-    if not isinstance(value, str):  # text, the common case, is tested once
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if not isinstance(value, float):
-            raise TypeError(f"cannot convert {type(value).__name__} to a fraction")
-        if not math.isfinite(value):
-            raise ValueError(f"cannot convert {value!r} to a fraction")
-        value = repr(value)
     try:  # ASCII digits, alone or as p/q, hold no exponent and skip Fraction's grammar
-        if value.isascii():
-            if value.isdigit():
-                return Fraction(int(value))
-            num, _, den = value.partition("/")
+        if text.isascii():
+            if text.isdigit():
+                return Fraction(int(text))
+            num, _, den = text.partition("/")
             if num.isdigit() and den.isdigit():
                 return Fraction(int(num), int(den))
-        match = _EXPONENT.search(value)
+        match = _EXPONENT.search(text)
         if not (match and int(match[1].replace("_", "")[:5]) > MAX_DECIMAL_EXPONENT):
-            return Fraction(value)
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a number: {value!r}") from None
-    raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {value!r}")
+        raise ValueError(f"not a number: {text!r}") from None
+    raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
 
 
 def approx(value: Fraction) -> str:
@@ -155,7 +143,8 @@ def _real(name: str, value) -> float:
 
 
 def _exact(name: str, value) -> Fraction:
-    """A rate: a Fraction, int or float (read by ``to_fraction``), stored as a Fraction."""
+    """A rate: a Fraction, int or float, stored as a Fraction.  A float is read
+    through its repr, so 0.1 is 1/10 (the value written), not its binary value."""
     if type(value) is Fraction:
         return value
     if type(value) is int or isinstance(value, np.integer):
@@ -163,7 +152,7 @@ def _exact(name: str, value) -> Fraction:
     if type(value) is not float and not isinstance(value, np.floating):
         raise InvariantError(
             f"{name} must be an int, float or Fraction, got {_shown(value, repr)}")
-    return to_fraction(_real(name, value))
+    return to_fraction(repr(_real(name, value)))
 
 
 def _enum(name: str, value, kind: type[Enum]) -> Enum:

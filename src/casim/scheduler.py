@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .model import (FRAMES_PER_SUPERFRAME_BUNDLE, SUPERFRAME_SYMBOLS, ScenarioConfig,
-                    SchedulerKind, _exact, approx)
+                    SchedulerKind, _exact, _integer, _set, _shown, approx)
 
 __all__ = [
     "NOMINAL_LIGHT_SPEED_KM_S",
@@ -60,14 +60,15 @@ class SchedulingPlan:
         if not ones or ones + cycle.count(2) != len(cycle):
             raise InvariantError(
                 f"cycle must hold carrier 1 and only indices 1 or 2, got {self.cycle}")
-        if not isinstance(self.prefix_length, int) or self.prefix_length < 0:
+        _set(self, _integer, "prefix_length")
+        if self.prefix_carrier is not None:
+            _set(self, _integer, "prefix_carrier")
+        length, carrier = self.prefix_length, self.prefix_carrier
+        if length < 0:
+            raise InvariantError(f"prefix_length must be >= 0, got {_shown(length)}")
+        if carrier not in ((None,) if length == 0 else (1, 2)):
             raise InvariantError(
-                f"prefix_length must be an int >= 0, got {self.prefix_length!r}")
-        expected = (None,) if self.prefix_length == 0 else (1, 2)
-        if self.prefix_carrier not in expected:
-            raise InvariantError(
-                f"a prefix of {self.prefix_length} PDUs cannot be on carrier "
-                f"{self.prefix_carrier}")
+                f"a prefix of {_shown(length)} PDUs cannot be on carrier {_shown(carrier)}")
 
     @property
     def alpha_used(self) -> Fraction:

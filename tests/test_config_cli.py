@@ -643,6 +643,25 @@ class TestCli:
         assert main(["prefix", "--config", str(cfg)]) == 0
         assert "prefix_length: 0\n" in capsys.readouterr().out
 
+    def test_alpha_too_long_to_print(self, tmp_path, capsys):
+        # each term has 4200 digits, which Python reads; alpha's have more
+        # than the 4300 it will print, so plan shows alpha to three digits
+        text = with_value(bundled_path("geo_ca").read_text(), "carrier1.symbol_rate_sym_s",
+                          f"7{'3' * 4199}/{'9' * 4200}")
+        cfg = tmp_path / "long_alpha.cfg"
+        cfg.write_text(with_value(text, "carrier2.symbol_rate_sym_s",
+                                  f"7{'1' * 4199}/{'9' * 4199}7"))
+        assert main(["plan", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert "\nalpha: 0.970\nalpha_used: 32/33 = 0.969697\n" in out and err == ""
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert main(["prefix", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        # 4299 decimals at exponent -1: a denominator of 4301 digits
+        assert main(["plan", "--alpha", f"0.5{'0' * 4297}1e-1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("alpha: 0.0500 = 0.050000\nalpha_used: 1/20 = ") and err == ""
+
     def test_equal_orbits_give_a_zero_raw_prefix(self, tmp_path, capsys):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text(
@@ -842,6 +861,22 @@ class TestProcessExit:
                                  stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 2
         assert proc.stderr == "error: cannot write outputs: [Errno 28] No space left on device\n"
+
+    # The outputs are written before the table that prints the label, which
+    # an ASCII stdout cannot encode: a failed output write, as a full disk is.
+    def test_stdout_that_cannot_encode_the_label_exits_2(self, tmp_path, monkeypatch):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "cafe.cfg").write_text(
+            with_value(bundled_path("geo_ca").read_text(), "label", "café"), "utf-8")
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        monkeypatch.setenv("PYTHONUTF8", "1")  # the config reads as UTF-8 in any locale
+        for args in (("run", "--config", str(tmp_path / "in" / "cafe.cfg")),
+                     ("suite", "--dir", str(tmp_path / "in"))):
+            proc = casim_process(*args, "--out", str(tmp_path / args[0]),
+                                 capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == ("error: cannot write outputs: 'ascii' codec can't encode "
+                                   "character '\\xe9' in position 117: ordinal not in range(128)\n")
 
     # The error line cannot be written, so it is dropped; the exit code stands.
     def test_unwritable_stderr_keeps_exit_codes(self, tmp_path):

@@ -36,18 +36,24 @@ import oracle
 
 class TestToFraction:
     def test_decimal_float_is_exact(self):
-        assert to_fraction(0.25) == Fraction(1, 4)
-        assert to_fraction(0.1) == Fraction(1, 10)
-        assert to_fraction(4640000.0) == 4640000
+        # a rate field reads a float through its repr: the value written
+        assert carrier(fill_rate=0.25).fill_rate == Fraction(1, 4)
+        assert carrier(fill_rate=0.1).fill_rate == Fraction(1, 10)
+        assert carrier(fill_rate=np.float64(0.1)).fill_rate == Fraction(1, 10)
+        assert carrier(4640000.0).symbol_rate_sym_s == 4640000
+        assert generate_sequence(0.4) == generate_sequence(Fraction(2, 5))
 
     def test_strings_and_ints(self):
         assert to_fraction("2/5") == Fraction(2, 5)
         assert to_fraction("0.4") == Fraction(2, 5)
-        assert to_fraction(3) == 3
+        rate = carrier(3).symbol_rate_sym_s
+        assert type(rate) is Fraction and rate == 3
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            to_fraction(float("nan"))
+        # refused where a rate field reads the float, before its repr
+        for value in (float("nan"), float("inf"), np.float64("-inf")):
+            with pytest.raises(InvariantError, match=f"^fill_rate must be finite, got {value}$"):
+                carrier(fill_rate=value)
 
     @pytest.mark.parametrize("text", ["abc", "1/0"])
     def test_malformed_text_rejected(self, text):
@@ -192,7 +198,7 @@ class TestCapacity:
         usable = base.usable_capacity_bps()
         for _ in range(50):
             k = 1 + rng.random()
-            higher_rate = carrier(to_fraction(k) * 2_000_000, modcod=base.modcod)
+            higher_rate = carrier(Fraction(k) * 2_000_000, modcod=base.modcod)
             assert higher_rate.usable_capacity_bps() > usable
         for better in (carrier(2_000_000, modcod=ModCod("m", 3, Fraction(1, 2))),
                        carrier(2_000_000, modcod=ModCod("m", 2, Fraction(3, 4))),

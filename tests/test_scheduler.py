@@ -357,10 +357,15 @@ class TestAssign:
         for cycle, carrier_, length in [
             ((), None, 0), ((2,), None, 0), ((1, 3), None, 0),
             ((1, 2), 1, 0), ((1, 2), None, 5), ((1, 2), 3, 5), ((1, 2), 1, -1),
-            ((1, 2), 1, 2.0),
+            ((1, 2), 1, 2.0), ((1, 2), 1, True), ((1, 2), True, 1), ((1, 2), None, False),
+            ((1, 2), 1, -10**5000),
         ]:
             with pytest.raises(InvariantError):
                 SchedulingPlan(cycle, carrier_, length)
+        # a numpy integer is stored as an int, so report.json writes a number
+        plan = SchedulingPlan((1, 2), np.int8(2), np.int64(3))
+        assert (type(plan.prefix_carrier), type(plan.prefix_length)) == (int, int)
+        assert (plan.prefix_carrier, plan.prefix_length) == (2, 3)
 
 
 ALPHA_TEXT = st.one_of(
