@@ -12,11 +12,7 @@ in carrier order.  A record lists its rows in carrier order, or in receive
 order after ``merge``, which copies no column.
 """
 
-from .config import (
-    parse_scenario_file,
-    parse_scenario_text,
-    serialize_scenario,
-)
+from .config import parse_scenario_file, parse_scenario_text
 from .emulator import run, write_trace_csv
 from .errors import CasimError, ConfigError, InvariantError
 from .metrics import (

@@ -9,11 +9,11 @@ Subcommands:
     prefix  --config PATH                       print the multi-orbit prefix math
 
 The exit codes, 0, 2 and 3, and what each covers are listed once, in the
-README.  Every scenario is evaluated before ``--out`` is created, and each
-output file is written atomically (temp file + rename), so a config or
-invariant error leaves no outputs.  The CASIM_SEED environment variable,
-when set, draws a random phase offset for orbits with nonzero sinusoidal
-variation; runs stay deterministic for a fixed seed.
+README.  Every scenario is evaluated before ``--out`` is created, and the
+outputs are written in order, each atomically (temp file + rename): a config
+or invariant error leaves no outputs, a failed write only those before it.
+Setting CASIM_SEED draws a random phase offset for orbits with nonzero
+sinusoidal variation; runs stay deterministic for a fixed seed.
 
 ``casim`` and ``python -m casim.cli`` both start at ``entry``, which runs
 ``main`` and then ends the process with ``os._exit``, skipping interpreter
@@ -133,39 +133,44 @@ def _report_json(scenario: ScenarioConfig, plan: SchedulingPlan, report: Orderin
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _write_outputs(out: str, files: dict, labeled: list[tuple[str, OrderingReport]]) -> None:
+    """Create directory ``out`` and write ``files`` (name -> path-taking
+    writer) into it, each atomically and in order; then print the comparison
+    of the ``labeled`` reports."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, writer in files.items():
+        _atomic_write(out_dir / name, writer)
+    print(format_comparison(labeled))
+    print(f"outputs written to {out_dir}")
+
+
 def cmd_run(args) -> int:
     started = time.perf_counter()
     scenario, config_hash = _load(args.config)
     plan, report, merged = _execute(scenario)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-
+    labeled = [(scenario.label, report)]
     report_text = _report_json(scenario, plan, report)
-    _atomic_write(out_dir / "report.json", lambda p: p.write_text(report_text))
-    outputs.append("report.json")
-    _atomic_write(
-        out_dir / "comparison.csv",
-        lambda p: write_comparison_csv([(scenario.label, report)], p),
-    )
-    outputs.append("comparison.csv")
-    if args.trace:
-        _atomic_write(out_dir / "trace.csv", lambda p: write_trace_csv(merged, p))
-        outputs.append("trace.csv")
-
-    # provenance of the run, not part of the deterministic outputs
-    manifest = {
-        "label": scenario.label,
-        "config_sha256": config_hash,
-        "outputs": outputs,
-        "duration_s": time.perf_counter() - started,
+    files = {
+        "report.json": lambda p: p.write_text(report_text),
+        "comparison.csv": lambda p: write_comparison_csv(labeled, p),
     }
-    manifest_text = json.dumps(manifest, indent=2) + "\n"
-    _atomic_write(out_dir / "manifest.json", lambda p: p.write_text(manifest_text))
+    if args.trace:
+        files["trace.csv"] = lambda p: write_trace_csv(merged, p)
+    outputs = list(files)
 
-    print(format_comparison([(scenario.label, report)]))
-    print(f"outputs written to {out_dir}")
+    def write_manifest(path: Path) -> None:
+        # provenance of the run, not part of the deterministic outputs
+        manifest = {
+            "label": scenario.label,
+            "config_sha256": config_hash,
+            "outputs": outputs,
+            "duration_s": time.perf_counter() - started,
+        }
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+    files["manifest.json"] = write_manifest
+    _write_outputs(args.out, files, labeled)
     return 0
 
 
@@ -176,24 +181,15 @@ def cmd_suite(args) -> int:
         raise ConfigError(f"no *.cfg files in {config_dir}")
 
     labeled: list[tuple[str, OrderingReport]] = []
-    report_texts = []
+    files = {}
     for path in config_paths:
         scenario, _ = _load(str(path))
         plan, report, _merged = _execute(scenario)
         labeled.append((scenario.label, report))
-        report_texts.append(_report_json(scenario, plan, report))
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, report_text in zip(config_paths, report_texts):
-        _atomic_write(
-            out_dir / f"{path.stem}.report.json",
-            lambda p: p.write_text(report_text),
-        )
-    _atomic_write(
-        out_dir / "comparison.csv", lambda p: write_comparison_csv(labeled, p))
-    print(format_comparison(labeled))
-    print(f"outputs written to {out_dir}")
+        text = _report_json(scenario, plan, report)
+        files[f"{path.stem}.report.json"] = lambda p, text=text: p.write_text(text)
+    files["comparison.csv"] = lambda p: write_comparison_csv(labeled, p)
+    _write_outputs(args.out, files, labeled)
     return 0
 
 

@@ -3,8 +3,7 @@
 One ``key=value`` pair per line, ``#`` starts a comment, blank lines are
 ignored.  Each key is required unless it has a default in ``_CARRIER_KEYS``,
 the one table of the carrier keys, their canonical order and the defaults.
-That table, with ``_TOP_KEYS``, names and orders the keys for both reading
-and writing a file:
+That table, with ``_TOP_KEYS``, names and orders the keys a file holds:
 
     label                           scenario name used in reports
     scheduler                       load_balancing | round_robin
@@ -20,21 +19,18 @@ and writing a file:
     carrier1.leg_km                 mean one-leg slant distance, km
     carrier1.variation_amplitude_km peak sinusoidal leg deviation, at most leg_km
     carrier1.variation_period_s     sinusoid period, seconds
-    carrier1.variation_phase_rad    sinusoid phase, radians; written when not 0
+    carrier1.variation_phase_rad    sinusoid phase, radians
     carrier2.*                      same keys for the second carrier
 
 Rates and fill rates are read by ``model.to_fraction``, as ``casim plan
 --alpha`` is: malformed text or a decimal exponent beyond +-4000 is a
-ConfigError naming the key.  Parsing a canonical file and re-serializing it
-reproduces it key for key; ``serialize_scenario`` refuses a label or a
-MODCOD that would not read back as written.
+ConfigError naming the key.
 """
 
 from __future__ import annotations
 
 import io
 from contextlib import contextmanager
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,7 +51,6 @@ from .model import (
 __all__ = [
     "parse_scenario_text",
     "parse_scenario_file",
-    "serialize_scenario",
     "parse_fraction",
 ]
 
@@ -215,55 +210,3 @@ def parse_scenario_file(path: str | Path, raw: bytes | None = None) -> ScenarioC
         text = io.TextIOWrapper(io.BytesIO(raw)).read()
     return parse_scenario_text(text)
 
-
-def _fraction_str(value: Fraction) -> str:
-    """Shortest exact rendering: integer, finite decimal, or p/q."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return f"{value.numerator}/{value.denominator}"
-    digits = max(twos, fives)
-    scaled = value.numerator * 10**digits // value.denominator
-    text = f"{scaled:0{digits + 1}d}"
-    return f"{text[:-digits]}.{text[-digits:]}" if digits else text
-
-
-def _serialize_carrier(lines: list[str], prefix: str, carrier: CarrierConfig) -> None:
-    orbit = carrier.orbit
-    if MODCODS.get(carrier.modcod.name) != carrier.modcod:
-        raise ValueError(f"a scenario file names only MODCODS entries, not {carrier.modcod}")
-    # In table order; the path values are OrbitModel's fields after kind.
-    values = [_fraction_str(carrier.symbol_rate_sym_s), carrier.modcod.name,
-              _fraction_str(carrier.fill_rate), repr(carrier.snr_db), orbit.kind.value,
-              *[repr(getattr(orbit, path.name)) for path in fields(orbit)[1:]]]
-    if orbit.variation_phase_rad == 0.0:
-        values.pop()  # the phase, last: zip then writes no phase line
-    lines += [f"{key}={value}" for key, value in zip(_KEY_NAMES[prefix], values)]
-
-
-def serialize_scenario(scenario: ScenarioConfig) -> str:
-    """Render a scenario in canonical key order (floats via repr, exact).
-
-    Raises ValueError for what would not read back as written: a label with
-    a ``#``, a line break (any that ``str.splitlines`` breaks on) or
-    surrounding whitespace, and a MODCOD not the ``MODCODS`` entry of its name.
-    """
-    label = scenario.label
-    if "#" in label or label != label.strip() or "".join(label.splitlines()) != label:
-        raise ValueError(f"a scenario file cannot hold the label {label!r}")
-    bursts = ",".join(
-        f"{b.pdu_count}:{b.inter_burst_gap_s!r}" for b in scenario.bursts
-    )
-    values = (label, scenario.scheduler.value, scenario.pdu_size_bytes, bursts)
-    lines = [f"{key}={value}" for key, value in zip(_TOP_KEYS, values)]
-    _serialize_carrier(lines, "carrier1", scenario.carrier1)
-    _serialize_carrier(lines, "carrier2", scenario.carrier2)
-    return "\n".join(lines) + "\n"
