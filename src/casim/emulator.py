@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantError
-from .model import INT64_MAX, NS_PER_S, SPEED_OF_LIGHT_KM_S, OrbitModel, RunTrace, ScenarioConfig
-from .scheduler import SchedulingPlan, assignments, carrier2_counts
+from .model import (INT64_MAX, NS_PER_S, SPEED_OF_LIGHT_KM_S, OrbitModel, RunTrace,
+                    ScenarioConfig, _carrier_split)
+from .scheduler import SchedulingPlan, assignments
 
 __all__ = [
     "run",
@@ -55,12 +56,12 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     its slice of (k+1)·s.  A PDU arrives after its path's delay at end_k,
     taken for all of a carrier's PDUs at once (so never for a carrier that
     carries none), and written into its row of arrivals.  Each carrier's
-    queue is one slice of the record's rows, written in place.  Times are
+    queue is one slice of the record's rows, written in place, and each
+    burst's PDUs on it are counted by ``model._carrier_split``.  Times are
     int64 ns: each carrier's last tx end plus its path's peak delay,
     2 (mean leg + amplitude) / c, must fit, and is checked before its delays.
     """
     n = scenario.total_pdus
-    sizes = scenario.burst_sizes
     try:
         gaps_ns = [round(burst.inter_burst_gap_s * NS_PER_S) for burst in scenario.bursts[:-1]]
         burst_start_ns = list(accumulate(gaps_ns, initial=0))
@@ -70,8 +71,7 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
     if not fits:
         raise InvariantError("transmission times exceed the int64 range")
     carrier = assignments(plan, n)
-    twos = carrier2_counts(plan, sizes)
-    ones = [size - k for size, k in zip(sizes, twos)]
+    ones, twos = _carrier_split(carrier, scenario.burst_sizes)
     release = np.array(burst_start_ns * 2, dtype=np.int64).repeat(ones + twos)
     tx_end = np.empty(n, dtype=np.int64)
     arrival = np.empty(n, dtype=np.int64)

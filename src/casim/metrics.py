@@ -4,7 +4,9 @@ Misplacement distance is the absolute difference between a PDU's position
 in the merged receive order and its original sequence position, with
 sequence numbering restarted per burst (each burst is an independent ramp).
 The mean is taken over misplaced PDUs only; the max over all PDUs.
-``ordering_report`` is the one place these figures are computed.
+``ordering_report`` is the one place these figures are computed.  A burst's
+active window is reduced over its ranges of rows, one per carrier, whose
+lengths ``model._carrier_split`` gives.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantError
-from .model import NS_PER_S, RunTrace, ScenarioConfig
+from .model import NS_PER_S, RunTrace, ScenarioConfig, _carrier_split
 
 __all__ = [
     "BurstStats",
@@ -69,35 +71,29 @@ def _figures(n_pdus: int, misplaced: int, distance_sum: int, max_distance: int,
             n_pdus * pdu_size_bytes * 8 * NS_PER_S / window_ns if window_ns > 0 else 0.0)
 
 
-def _windows(merged: RunTrace, burst_sizes: tuple[int, ...], starts: np.ndarray) -> list[int]:
+def _windows(merged: RunTrace, burst_sizes: tuple[int, ...]) -> list[int]:
     """Each burst's active window in ns, from its first tx start to its last arrival.
 
     Rows are stored in carrier order, so a burst's PDUs on one carrier are
-    one range of rows: each non-empty range is reduced once, carrier 1's
-    ranges first.  Carriers are 1 or 2, so a burst's sum of carriers is its
-    size plus its PDUs on carrier 2.
+    one range of rows, whose lengths ``_carrier_split`` gives: carrier 1's
+    ranges, then carrier 2's.  Each non-empty range is reduced once.
     """
-    sums = np.add.reduceat(merged.carrier, starts).tolist()
+    ones, twos = _carrier_split(merged.carrier, burst_sizes)
     heads, row = [], 0
-    for size, total in zip(burst_sizes, sums):
-        if total < 2 * size:
+    for count in ones + twos:
+        if count:
             heads.append(row)
-            row += 2 * size - total
-    j = len(heads)  # carrier 2's first range
-    for size, total in zip(burst_sizes, sums):
-        if total > size:
-            heads.append(row)
-            row += total - size
+            row += count
     heads = np.array(heads)
     lows = np.minimum.reduceat(merged.t_tx_end_ns, heads).tolist()
     highs = np.maximum.reduceat(merged.t_arrival_ns, heads).tolist()
     s1, s2 = merged.service_ns
-    windows, i = [], 0
-    for size, total in zip(burst_sizes, sums):
-        if total == size:  # on carrier 1 only
+    windows, i, j = [], 0, len(ones) - ones.count(0)  # j: carrier 2's first range
+    for one, two in zip(ones, twos):
+        if not two:  # on carrier 1 only
             windows.append(highs[i] - lows[i] + s1)
             i += 1
-        elif total == 2 * size:  # on carrier 2 only
+        elif not one:  # on carrier 2 only
             windows.append(highs[j] - lows[j] + s2)
             j += 1
         else:
@@ -127,8 +123,7 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
     if n < 2:
         raise InvariantError(f"throughput needs at least 2 PDUs, got {n}")
     n_bursts = len(burst_sizes)
-    starts = np.array(list(accumulate(burst_sizes[:-1], initial=0)))
-    windows = _windows(merged, burst_sizes, starts)
+    windows = _windows(merged, burst_sizes)
     total_ns = sum(windows)
     if total_ns <= 0:
         raise InvariantError("total active time is zero")
@@ -142,6 +137,7 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
         grouped = grouped[burst_of_seq[grouped].argsort(kind="stable")]
     grouped -= np.arange(n)
     distance = np.abs(grouped, out=grouped)
+    starts = np.array(list(accumulate(burst_sizes[:-1], initial=0)))
     sums = np.add.reduceat(distance, starts).tolist()
     worst = np.maximum.reduceat(distance, starts).tolist()
     misplaced = np.sign(distance, out=distance)  # 1 where misplaced, else 0

@@ -4,7 +4,8 @@ All types are immutable value objects validated at construction; they carry
 no behaviour beyond derived-quantity accessors.  Counts are ints; times,
 distances and SNR finite floats; rates exact ``Fraction``s, so capacity
 ratios come out as exact rationals.  ``RunTrace`` holds a run's per-PDU
-times as integer nanoseconds.
+times as integer nanoseconds, and ``_carrier_split`` counts each burst's PDUs
+on each carrier: the lengths of its ranges of rows.
 """
 
 from __future__ import annotations
@@ -534,3 +535,20 @@ class RunTrace:
 
     def __len__(self) -> int:
         return self.order.size
+
+
+def _carrier_split(carrier: np.ndarray, burst_sizes) -> tuple[list[int], list[int]]:
+    """Each burst's PDUs on carrier 1 and on carrier 2, for bursts of
+    ``burst_sizes`` consecutive sequence numbers from 0, counted from the int8
+    carrier column indexed by sequence number.  In a ``RunTrace`` these are
+    the lengths of the rows' ranges: carrier 1's, burst by burst, then
+    carrier 2's.  ``emulator.run`` sizes its queues from them and
+    ``metrics`` reads each burst's rows through them."""
+    on2 = carrier == 2
+    ones, twos, start = [], [], 0
+    for size in burst_sizes:
+        k = int(np.count_nonzero(on2[start:start + size]))
+        ones.append(size - k)
+        twos.append(k)
+        start += size
+    return ones, twos

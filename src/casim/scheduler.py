@@ -7,7 +7,7 @@ balancing factor alpha.  Every scheduling decision lives here:
 ``generate_sequence`` is the one place that makes a cycle,
 ``multi_orbit_prefix`` the one prefix computation (the fast carrier and each
 step that sizes its prefix), and ``assignments`` the one prefix-then-cycle
-rule, which ``carrier2_counts`` counts per burst in closed form.
+rule, which writes a run's carrier column.
 All operations are pure functions of their arguments.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "multi_orbit_prefix",
     "build_plan",
     "assignments",
-    "carrier2_counts",
 ]
 
 # The planner's delay arithmetic uses the nominal light-speed constant;
@@ -215,25 +214,3 @@ def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
     column[n - tail:] = cycle[:tail]
     return column
 
-
-def carrier2_counts(plan: SchedulingPlan, sizes) -> list[int]:
-    """PDUs on carrier 2 in each burst, for bursts of ``sizes`` consecutive
-    sequence numbers from 0: what ``assignments(plan, sum(sizes))`` holds per
-    burst, counted in closed form.  Of the first x PDUs past the prefix,
-    carrier 2 has the cycle's twos once per whole cycle, plus the twos of
-    the cycle's head for the rest; the prefix's PDUs count if it is on
-    carrier 2."""
-    cycle, k = plan.cycle, plan.prefix_length
-    on_prefix = k if plan.prefix_carrier == 2 else 0
-    per_cycle, size = cycle.count(2), len(cycle)
-    counts, before, end = [], 0, 0
-    for burst in sizes:
-        end += burst
-        if end <= k:
-            upto = end if on_prefix else 0
-        else:
-            full, rest = divmod(end - k, size)
-            upto = on_prefix + full * per_cycle + cycle[:rest].count(2)
-        counts.append(upto - before)
-        before = upto
-    return counts

@@ -205,6 +205,10 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="scheduler"):
             parse_scenario_text(text)
 
+    def test_empty_burst_entry_is_skipped(self):
+        text = with_value(bundled_path("geo_ca").read_text(), "bursts", "10:0.0,,20:0.0")
+        assert parse_scenario_text(text).burst_sizes == (10, 20)
+
     def test_bad_burst_entry(self):
         text = bundled_path("geo_ca").read_text().replace(
             "bursts=2500:20.0,2500:0.0", "bursts=lots")
@@ -912,6 +916,18 @@ class TestSeedEnvVar:
         seeded_again = (out_c / "trace.csv").read_bytes()
         assert seeded != baseline  # phase offset moved the MEO sinusoid
         assert seeded == seeded_again  # still deterministic for a fixed seed
+
+    def test_seed_keeps_a_phase_the_file_sets(self, tmp_path, monkeypatch):
+        config = tmp_path / "phased.cfg"
+        config.write_text(bundled_path("meo_geo").read_text()
+                          + "carrier1.variation_phase_rad=1.25\n")
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        monkeypatch.delenv("CASIM_SEED", raising=False)
+        assert main(["run", "--config", str(config), "--out", str(out_a)]) == 0
+        monkeypatch.setenv("CASIM_SEED", "42")
+        assert main(["run", "--config", str(config), "--out", str(out_b)]) == 0
+        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
     def test_seed_is_inert_for_constant_orbits(self, tmp_path, monkeypatch):
         config = str(bundled_path("geo_ca"))

@@ -11,9 +11,10 @@ prefix longer than the first bursts leaves the slow carrier with no PDU in
 them.  Runs whose times end near 2**63 ns are checked against the
 documented int64 horizon and the oracle.  The vectorised path delay is
 checked on its own against the scalar oracle over random orbits and send
-times up to 2**62 ns, the carrier column
-against the per-PDU rule over random plans, and the multi-orbit prefix
-against the oracle's exact one.  Examples are derandomized, so the suite
+times up to 2**62 ns, the carrier column and each burst's split across the
+carriers against the per-PDU rule over random plans, the ordering report
+against the row-by-row oracle, and the multi-orbit prefix against the
+oracle's exact one.  Examples are derandomized, so the suite
 stays deterministic.
 """
 
@@ -29,11 +30,11 @@ from hypothesis import strategies as st
 
 from casim.emulator import _delays_ns, run
 from casim.errors import InvariantError
+from casim.metrics import ordering_report
 from casim.model import (MODCODS, SPEED_OF_LIGHT_KM_S, Burst, CarrierConfig, OrbitModel,
-                         ScenarioConfig, SchedulerKind)
+                         ScenarioConfig, SchedulerKind, _carrier_split)
 from casim.receiver import merge
-from casim.scheduler import (SchedulingPlan, assignments, build_plan, carrier2_counts,
-                             multi_orbit_prefix)
+from casim.scheduler import SchedulingPlan, assignments, build_plan, multi_orbit_prefix
 from helpers import alpha_scenario, carrier, rows, seqs
 import oracle
 
@@ -131,6 +132,18 @@ def test_merge_is_the_lexsort_of_the_rows(sc):
     seq, carrier, arrival = (np.array(column) for column in zip(*(
         (row[0], row[1], row[5]) for row in rows(trace))))
     assert seqs(merge(trace)) == seq[np.lexsort((seq, carrier, arrival))].tolist()
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(scenarios())
+@example(FAST_MEO)
+def test_ordering_report_matches_row_by_row_oracle(sc):
+    """Each burst's window reads its rows on each carrier through the split,
+    including bursts wholly on one carrier (behind a prefix, or of one PDU)."""
+    assume(sc.total_pdus >= 2)
+    merged = merge(run(sc, build_plan(sc)))
+    assert ordering_report(merged, sc).as_dict() == oracle.burst_report(
+        rows(merged), sc.burst_sizes, sc.pdu_size_bytes)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -252,8 +265,12 @@ def test_assignments_match_per_pdu_rule(plan, n):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(plans(), st.lists(st.integers(1, 150), min_size=1, max_size=8))
-def test_carrier2_counts_match_per_pdu_rule(plan, sizes):
+# the first two bursts lie inside a carrier-2 prefix, the third straddles its end
+@example(SchedulingPlan((1, 1, 2), 2, 50), [10, 40, 30])
+def test_carrier_split_matches_per_pdu_rule(plan, sizes):
     column = [oracle._carrier_of(plan, seq) for seq in range(sum(sizes))]
     heads = [sum(sizes[:b]) for b in range(len(sizes) + 1)]
-    assert carrier2_counts(plan, sizes) == [column[lo:hi].count(2)
-                                            for lo, hi in zip(heads, heads[1:])]
+    parts = [column[lo:hi] for lo, hi in zip(heads, heads[1:])]
+    ones, twos = split = _carrier_split(assignments(plan, sum(sizes)), sizes)
+    assert split == ([part.count(1) for part in parts], [part.count(2) for part in parts])
+    assert all(type(count) is int for count in ones + twos)

@@ -629,6 +629,15 @@ class TestFieldTypes:
         stored = getattr(build(), field)
         assert type(stored) is type(value) and stored == value
 
+    def test_str_subclass_label_stored_as_str(self):
+        class Label(str):
+            def __str__(self):
+                return "not the value"
+
+        scenario = ScenarioConfig(carrier(), carrier(), SchedulerKind.ROUND_ROBIN,
+                                  label=Label("geo_rr"))
+        assert type(scenario.label) is str and scenario.label == "geo_rr"
+
     def test_float32_orbit_runs_as_its_float_twin(self):
         # Stored as float32, a GEO leg equal to its float twin would put float32
         # arithmetic into the delay: 267858620 ns against 267858639.7.
