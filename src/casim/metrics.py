@@ -111,6 +111,9 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
     order within a burst, so a burst's k-th received PDU lands at index
     start + k of the grouped order, while its sequence number is start + its
     local sequence position: the burst start cancels out of the distance.
+    A receive order with every burst apart is grouped already; otherwise
+    only the span between the first and last PDU received outside their
+    burst's positions is sorted.
     A burst's active window runs from its first tx start to its last
     arrival.  Throughput is total bits over the summed per-burst windows, so
     inter-burst gaps are excluded; a burst with a zero window reports 0.0.
@@ -128,16 +131,31 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
     if total_ns <= 0:
         raise InvariantError("total active time is zero")
 
-    # Sequence numbers in receive order, then grouped by burst, with the
-    # distance taken in place: at most three full-length int64 arrays are
-    # alive at once, and the burst labels are of the smallest type.
+    # Sequence numbers in receive order, grouped by burst, then the distance
+    # taken in place.  Burst b's grouped positions are its own sequence
+    # numbers, from starts[b] up to the next burst's head, so the receive
+    # order is already grouped iff no burst's positions hold a PDU of a later
+    # burst: the largest seq in each lies below the next head.  Otherwise each
+    # PDU is labelled by burst (burst_of_seq[i] is also the burst whose
+    # positions include i), and only the span from the first PDU outside its
+    # burst's positions to the last is stably sorted by label.  That is exact:
+    # each PDU before the span is in its burst's positions, and so among the
+    # first received of its burst, in receive order, where grouping puts it;
+    # each PDU after the span is likewise among the last received.  So the
+    # span holds exactly the rest, as many of each burst as it has of that
+    # burst's positions.  The labels are of the smallest type.
     grouped = merged.seq[merged.order]
-    if n_bursts > 1:
+    starts = np.array(list(accumulate(burst_sizes[:-1], initial=0)))
+    if n_bursts > 1 and np.count_nonzero(
+            np.maximum.reduceat(grouped, starts)[:-1] >= starts[1:]):
         burst_of_seq = np.arange(n_bursts, dtype=np.min_scalar_type(n_bursts)).repeat(burst_sizes)
-        grouped = grouped[burst_of_seq[grouped].argsort(kind="stable")]
+        label = burst_of_seq[grouped]
+        outside = np.flatnonzero(label != burst_of_seq)
+        lo, hi = outside[0], outside[-1] + 1
+        span = grouped[lo:hi]
+        span[...] = span[label[lo:hi].argsort(kind="stable")]
     grouped -= np.arange(n)
     distance = np.abs(grouped, out=grouped)
-    starts = np.array(list(accumulate(burst_sizes[:-1], initial=0)))
     sums = np.add.reduceat(distance, starts).tolist()
     worst = np.maximum.reduceat(distance, starts).tolist()
     misplaced = np.sign(distance, out=distance)  # 1 where misplaced, else 0

@@ -484,8 +484,9 @@ class RunTrace:
     arrays, and stores the arrays it is given; a column of any other type is
     refused, not converted.  It checks that the columns are one-dimensional
     and of one length, that carriers are 1 or 2, and that ``tx_start <=
-    tx_end <= arrival``, with each tx_start in int64.  It derives ``seq`` as
-    a stable argsort of the carriers and lists the rows in carrier order.
+    tx_end <= arrival``, with each tx_start in int64.  It derives ``seq``
+    as the positions of carrier 1 in the carrier column, then those of
+    carrier 2, and lists the rows in carrier order.
     """
 
     carrier: np.ndarray
@@ -505,9 +506,19 @@ class RunTrace:
         if carrier.ndim != 1 or not carrier.shape == self.t_scheduled_ns.shape \
                 == tx_end.shape == arrival.shape:
             raise InvariantError("columns must be one-dimensional and of equal length")
-        seq = carrier.argsort(kind="stable")  # rows in carrier order
-        if seq.size and not 1 <= carrier.item(seq.item(0)) <= carrier.item(seq.item(-1)) <= 2:
+        # Rows in carrier order: carrier 1's positions, then carrier 2's, each
+        # dropped once written into seq.  The counts add up to n iff every
+        # carrier is 1 or 2.
+        seq = np.empty(carrier.size, dtype=np.int64)
+        ones = (carrier == 1).nonzero()[0]
+        m = ones.size  # carrier 1's rows are 0..m-1
+        seq[:m] = ones
+        del ones
+        twos = (carrier == 2).nonzero()[0]
+        if m + twos.size != carrier.size:
             raise InvariantError("carrier must be 1 or 2")
+        seq[m:] = twos
+        del twos
         try:
             s1, s2 = self.service_ns
         except (TypeError, ValueError):
@@ -519,7 +530,7 @@ class RunTrace:
         if min(service) < 0 or np.count_nonzero(tx_end > arrival):
             raise InvariantError("trace times must satisfy tx_start <= tx_end <= arrival")
         if tx_end.size and int(np.minimum.reduce(tx_end)) < _INT64_MIN + max(service):
-            m = np.count_nonzero(carrier == 1)  # so near -2**63, each carrier's own
+            # so near -2**63, each carrier's own (rows 0..m-1 are carrier 1's)
             if any(np.count_nonzero(part < _INT64_MIN + s)
                    for part, s in zip((tx_end[:m], tx_end[m:]), service)):
                 raise InvariantError("tx_start exceeds the int64 range")

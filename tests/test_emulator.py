@@ -304,19 +304,27 @@ class TestRun:
         assert peak / sc.total_pdus < 12
 
     def test_report_peak_memory_per_pdu(self):
-        # Receive-order sequence numbers, grouped by burst through one stable
-        # argsort of one-byte labels, with the distance taken in place: ~25 B
-        # per PDU, so one int64 temporary more as they are grouped (8 B), or
-        # int64 labels, fails.
-        sc = _long_meo_geo()
-        merged = merge(run(sc, build_plan(sc)))
-        tracemalloc.start()
-        try:
-            ordering_report(merged, sc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / sc.total_pdus < 30
+        # Receive-order sequence numbers with the distance taken in place (8 B
+        # per PDU) and the positions subtracted from them (8 B).  At the
+        # bundled phase every burst is received apart; at 2.842385 rad two
+        # PDUs swap at one burst boundary, so the one-byte labels and burst of
+        # each position (2 B) are made and two PDUs regrouped.  A stable
+        # argsort and gather of every PDU by burst (~25 B) fails.
+        for phase_rad, outside in ((0.0, 0), (2.842385, 2)):
+            sc = _long_meo_geo()
+            orbit = replace(sc.carrier1.orbit, variation_phase_rad=phase_rad)
+            sc = replace(sc, carrier1=replace(sc.carrier1, orbit=orbit))
+            merged = merge(run(sc, build_plan(sc)))
+            burst_of_seq = np.arange(sc.total_pdus) // 25_000
+            received = burst_of_seq[merged.seq[merged.order]]
+            assert np.count_nonzero(received != burst_of_seq) == outside
+            tracemalloc.start()
+            try:
+                ordering_report(merged, sc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / sc.total_pdus < 20
 
     def test_trace_csv_peak_memory_is_one_block(self, tmp_path):
         # The writer holds one block of rows and its text (~1.4 MB), not a

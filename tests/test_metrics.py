@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casim.errors import InvariantError
 from casim.metrics import (
@@ -83,6 +85,66 @@ class TestMisplacement:
     def test_burst_sizes_must_cover_stream(self):
         with pytest.raises(InvariantError):
             misplacement_stats(range(6), burst_sizes=(3, 2))
+
+
+def fifo_stream(received):
+    """A record a FIFO queue can produce whose merge receives ``received``
+    (a permutation of 0..N-1, N >= 2) in order: even sequence numbers on
+    carrier 1 and odd on carrier 2, each carrier's PDUs sent back to back in
+    sequence order, and every arrival after the last tx end, one per step in
+    receive order."""
+    service = (10, 25)  # carrier 1's, carrier 2's
+    last_tx_end = 25 * len(received)
+    return record((s, 1 + s % 2, 0, s // 2 * service[s % 2], (s // 2 + 1) * service[s % 2],
+                   last_tx_end + 100 * (i + 1)) for i, s in enumerate(received))
+
+
+def assert_matches_oracle(received, burst_sizes):
+    trace = fifo_stream(received)
+    merged = merge(trace)
+    assert [row[0] for row in rows(merged)] == list(received)
+    report = synthetic_report(trace, burst_sizes)
+    assert report.as_dict() == oracle.burst_report(rows(merged), burst_sizes, 1500)
+
+
+class TestRegroup:
+    """The received sequence numbers are grouped by burst, the receive order
+    kept within each; only the span from the first PDU received outside its
+    burst's positions to the last is regrouped."""
+
+    @pytest.mark.parametrize("burst_sizes, received", [
+        # received apart, with misplacement inside bursts: nothing regrouped
+        ((3, 4, 3), [1, 0, 2, 3, 6, 4, 5, 7, 9, 8]),
+        # only the next burst's first PDU before the previous burst's last:
+        # burst 0's largest seq equals burst 1's head
+        ((3, 3), [0, 1, 3, 2, 4, 5]),
+        ((4, 3, 3), [0, 1, 2, 3, 4, 5, 7, 6, 8, 9]),
+        # two interleaved boundaries with a clean burst between them, inside
+        # the span
+        ((2, 2, 3, 2, 2), [0, 2, 1, 3, 6, 5, 4, 7, 9, 8, 10]),
+        # a whole burst received before the one ahead of it
+        ((2, 3, 2), [0, 1, 5, 6, 2, 3, 4]),
+        ((2, 3), [3, 4, 0, 2, 1]),
+        # the span from the first position to the last
+        ((2, 2, 2), [5, 1, 2, 3, 4, 0]),
+    ], ids=["apart", "head-first-1", "head-first-2", "span-holds-a-clean-burst",
+            "burst-before-1", "burst-before-2", "whole-stream"])
+    def test_matches_row_by_row_oracle(self, burst_sizes, received):
+        assert_matches_oracle(received, burst_sizes)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=6).flatmap(
+        lambda sizes: st.tuples(st.just(tuple(sizes)), st.lists(
+            st.tuples(st.integers(0, sum(sizes) - 1), st.integers(0, sum(sizes) - 1)),
+            max_size=4))))
+    def test_swapped_pairs_match_row_by_row_oracle(self, drawn):
+        # Bursts received in order, then a few pairs of PDUs swapped, within a
+        # burst or across any number of bursts.
+        burst_sizes, swaps = drawn
+        received = list(range(sum(burst_sizes)))
+        for i, j in swaps:
+            received[i], received[j] = received[j], received[i]
+        assert_matches_oracle(received, burst_sizes)
 
 
 class TestThroughput:

@@ -453,6 +453,24 @@ class TestRunTrace:
         with pytest.raises(InvariantError, match=message):
             RunTrace(*columns)
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2]), max_size=40))
+    @example([])
+    @example([1, 1, 1])
+    @example([2, 2])
+    @example([2, 1, 1, 2, 1])
+    def test_seq_is_carrier_1_then_carrier_2_in_sequence_order(self, carrier):
+        zeros = [0] * len(carrier)
+        trace = RunTrace(*typed(carrier, (0, 0), zeros, zeros, zeros))
+        assert trace.seq.dtype == np.int64
+        assert trace.seq.tolist() == sorted(range(len(carrier)), key=lambda s: (carrier[s], s))
+
+    @pytest.mark.parametrize("carrier", [[1, 3, 2], [2, 0, 1], [1, 1, -1, 2]])
+    def test_carrier_neither_1_nor_2_refused_between_valid_ones(self, carrier):
+        zeros = [0] * len(carrier)
+        with pytest.raises(InvariantError, match=r"^carrier must be 1 or 2$"):
+            RunTrace(*typed(carrier, (0, 0), zeros, zeros, zeros))
+
     def test_tx_start_at_the_int64_bound(self):
         # Each carrier's own service time counts: carrier 2 starts at -2**63 exactly.
         trace = RunTrace(*typed([1, 2], (1, 2), [0, 0], [-2**63 + 1, -2**63 + 2], [2, 3]))
