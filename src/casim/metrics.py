@@ -7,6 +7,15 @@ The mean is taken over misplaced PDUs only; the max over all PDUs.
 ``ordering_report`` is the one place these figures are computed.  A burst's
 active window is reduced over its ranges of rows, one per carrier, whose
 lengths ``model._carrier_split`` gives.
+
+One law of misplacement follows from the scheduler's cycle: on equal
+constant paths, when the cycle's ratio ``plan.alpha_used``, p/q, equals
+``Fraction(s1, s2)`` of the carriers' service times in ns, a single burst
+on empty queues has nothing misplaced.  A cycle of q ones and p twos then
+lasts q s1 = p s2 on either carrier, and its k-th two (k = 1..p), whose tx
+end is k s2 = k q s1 / p, follows floor(k q / p) ones, each ending no
+later; the next one ends after it, and an equal arrival goes to carrier 1,
+whose PDU comes first.
 """
 
 from __future__ import annotations

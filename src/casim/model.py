@@ -297,13 +297,12 @@ class OrbitModel:
 
     def propagation_delay_s(self, t_s, out=None):
         """One-trip (two-leg) propagation delay at time ``t_s`` (seconds, a
-        float or an array).  An array of delays is written into ``out`` if
-        given (``t_s`` itself may be passed), else into one new array."""
+        float or an array).  Every step writes into ``out`` if given (``t_s``
+        itself may be passed); without it, each step returns a new value."""
         if np.fmin.reduce(np.asarray(t_s), axis=None, initial=0.0) < 0:  # fmin skips nan, as nan < 0 is false
             raise ValueError("t_s must be >= 0")
         # 2 (mean leg + amplitude sin(2 pi t_s / period + phase)) / c, a step a ufunc
         x = np.multiply(2.0 * np.pi, t_s, out=out)
-        out = x if isinstance(x, np.ndarray) else None
         x = np.divide(x, self.variation_period_s, out=out)
         x = np.add(x, self.variation_phase_rad, out=out)
         x = np.sin(x, out=out)
@@ -463,7 +462,6 @@ class ScenarioConfig:
 # Each column's dtype: a carrier is 1 or 2, so one byte holds it.
 _DTYPES = {"carrier": np.dtype(np.int8), "t_scheduled_ns": np.dtype(np.int64),
            "t_tx_end_ns": np.dtype(np.int64), "t_arrival_ns": np.dtype(np.int64)}
-_INT64_MIN = -2**63
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,8 +481,9 @@ class RunTrace:
     array, the two service times and the three time columns as int64
     arrays, and stores the arrays it is given; a column of any other type is
     refused, not converted.  It checks that the columns are one-dimensional
-    and of one length, that carriers are 1 or 2, and that ``tx_start <=
-    tx_end <= arrival``, with each tx_start in int64.  It derives ``seq``
+    and of one length, that carriers are 1 or 2, that ``0 <= tx_end``, and
+    that ``tx_start <= tx_end <= arrival``; so every tx start is at least
+    ``-(2**63 - 1)``, in int64.  It derives ``seq``
     as the positions of carrier 1 in the carrier column, then those of
     carrier 2, and lists the rows in carrier order.
     """
@@ -526,14 +525,12 @@ class RunTrace:
         service = (_integer("service_ns", s1), _integer("service_ns", s2))
         if max(service) > INT64_MAX:
             raise InvariantError("service_ns exceeds the int64 range")
-        # tx_start = tx_end - service: service >= 0 is tx_start <= tx_end
-        if min(service) < 0 or np.count_nonzero(tx_end > arrival):
-            raise InvariantError("trace times must satisfy tx_start <= tx_end <= arrival")
-        if tx_end.size and int(np.minimum.reduce(tx_end)) < _INT64_MIN + max(service):
-            # so near -2**63, each carrier's own (rows 0..m-1 are carrier 1's)
-            if any(np.count_nonzero(part < _INT64_MIN + s)
-                   for part, s in zip((tx_end[:m], tx_end[m:]), service)):
-                raise InvariantError("tx_start exceeds the int64 range")
+        # tx_start = tx_end - service: service >= 0 is tx_start <= tx_end, and
+        # tx_end >= 0 keeps each tx_start >= -(2**63 - 1), in int64
+        if min(service) < 0 or np.minimum.reduce(tx_end, initial=0) < 0 \
+                or np.count_nonzero(tx_end > arrival):
+            raise InvariantError("trace times must satisfy 0 <= tx_end, "
+                                 "tx_start <= tx_end <= arrival")
         object.__setattr__(self, "service_ns", service)
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "order", np.arange(carrier.size, dtype=np.int64))

@@ -178,7 +178,7 @@ def _scenario_text(scenario: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_scenarios())
 def test_drawn_scenario_reads_back(scenario):
     assert parse_scenario_text(_scenario_text(scenario)) == scenario
@@ -737,7 +737,7 @@ def _mutated_configs(draw) -> str:
     return with_value(text, key, draw(_BURSTS if key == "bursts" else _VALUES))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(_mutated_configs())
 @example(with_value(bundled_path("meo_geo").read_text(), "bursts", "10:1e308,10:0"))
 @example(with_value(bundled_path("meo_geo").read_text(), "carrier1.symbol_rate_sym_s", "1e400"))
@@ -784,7 +784,7 @@ def _edited_configs(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(_edited_configs())
 def test_edited_config_text_exits_0_2_or_3(text):
     with tempfile.TemporaryDirectory() as tmp:

@@ -356,15 +356,17 @@ class TestTraceCsv:
     @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
                                    _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3])
     def test_same_bytes_at_every_block_boundary(self, n, tmp_path):
-        # Values span the int64 range, signs and digit counts; each carrier
-        # has its own service time.  The oracle formats every row in one piece.
+        # Values span their ranges, signs and digit counts: releases all of
+        # int64, tx ends 0..2**63-1, so tx starts down to -(2**63 - 1); each
+        # carrier has its own service time.  The oracle formats every row in
+        # one piece.
         rng = random.Random(n)
         bound = 2**63 - 1
         service = {c: rng.randint(0, bound) for c in (1, 2)}
 
         def row(seq):
             c = rng.choice((1, 2))
-            tx_end = rng.randint(-bound - 1 + service[c], bound)
+            tx_end = rng.randint(0, bound)
             return (seq, c, rng.randint(-bound - 1, bound), tx_end - service[c], tx_end,
                     rng.randint(tx_end, bound))
 

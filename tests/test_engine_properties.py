@@ -14,8 +14,8 @@ checked on its own against the scalar oracle over random orbits and send
 times up to 2**62 ns, the carrier column and each burst's split across the
 carriers against the per-PDU rule over random plans, the ordering report
 against the row-by-row oracle, and the multi-orbit prefix against the
-oracle's exact one.  Examples are derandomized, so the suite
-stays deterministic.
+oracle's exact one.  Examples are derandomized (``conftest``'s profile),
+so the suite stays deterministic.
 """
 
 import math
@@ -91,7 +91,7 @@ def scenarios(draw) -> ScenarioConfig:
     )
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60)
 @given(scenarios())
 def test_engine_invariants_and_heap_oracle(sc):
     plan = build_plan(sc)
@@ -122,7 +122,7 @@ def test_fast_meo_arrivals_fall_along_a_carrier():
     assert sum(b < a for a, b in zip(arrivals, arrivals[1:])) > 100
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60)
 @given(scenarios())
 @example(FAST_MEO)
 def test_merge_is_the_lexsort_of_the_rows(sc):
@@ -134,7 +134,7 @@ def test_merge_is_the_lexsort_of_the_rows(sc):
     assert seqs(merge(trace)) == seq[np.lexsort((seq, carrier, arrival))].tolist()
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100)
 @given(scenarios())
 @example(FAST_MEO)
 def test_ordering_report_matches_row_by_row_oracle(sc):
@@ -146,7 +146,7 @@ def test_ordering_report_matches_row_by_row_oracle(sc):
         rows(merged), sc.burst_sizes, sc.pdu_size_bytes)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(scenarios())
 @example(alpha_scenario(Fraction(2, 5)))  # equal orbits
 @example(alpha_scenario(Fraction(2, 5), orbit1=OrbitModel.meo(), orbit2=OrbitModel.geo()))
@@ -180,7 +180,7 @@ send_times = st.lists(
     st.one_of(st.integers(0, 2**53), st.integers(2**53, 2**62)), min_size=1, max_size=40)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(orbits(), send_times)
 # float(t_ns) / 1e9 and t_ns / 10**9 give delays 1 ns apart at this time
 @example(OrbitModel.meo(), [163639291176357672])
@@ -220,7 +220,7 @@ def horizon_scenarios(draw) -> ScenarioConfig:
     return ScenarioConfig(*cfgs, draw(st.sampled_from(list(SchedulerKind))), bursts=bursts)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(horizon_scenarios())
 def test_runs_near_the_int64_horizon(sc):
     """``run`` refuses a scenario exactly when its documented horizon is
@@ -255,7 +255,7 @@ def plans(draw) -> SchedulingPlan:
     return SchedulingPlan(cycle, draw(st.sampled_from((1, 2))) if length else None, length)
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(plans(), st.integers(0, 300))
 def test_assignments_match_per_pdu_rule(plan, n):
     column = assignments(plan, n)
@@ -263,7 +263,7 @@ def test_assignments_match_per_pdu_rule(plan, n):
     assert column.tolist() == [oracle._carrier_of(plan, seq) for seq in range(n)]
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(plans(), st.lists(st.integers(1, 150), min_size=1, max_size=8))
 # the first two bursts lie inside a carrier-2 prefix, the third straddles its end
 @example(SchedulingPlan((1, 1, 2), 2, 50), [10, 40, 30])

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from casim.errors import InvariantError
@@ -16,11 +16,12 @@ from casim.metrics import (
     ordering_report,
     write_comparison_csv,
 )
-from casim.model import Burst
+from casim.model import (FRAMES_PER_SUPERFRAME_BUNDLE, MODCODS, NS_PER_S, SUPERFRAME_SYMBOLS,
+                         Burst, OrbitModel, ScenarioConfig, SchedulerKind)
 from casim.receiver import merge
 from casim.emulator import run
 from casim.scheduler import SchedulingPlan, build_plan
-from helpers import (alpha_scenario, random_overlapping_meo_scenario, record, rows,
+from helpers import (alpha_scenario, carrier, random_overlapping_meo_scenario, record, rows,
                      synthetic_report)
 import oracle
 
@@ -132,7 +133,7 @@ class TestRegroup:
     def test_matches_row_by_row_oracle(self, burst_sizes, received):
         assert_matches_oracle(received, burst_sizes)
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=6).flatmap(
         lambda sizes: st.tuples(st.just(tuple(sizes)), st.lists(
             st.tuples(st.integers(0, sum(sizes) - 1), st.integers(0, sum(sizes) - 1)),
@@ -145,6 +146,42 @@ class TestRegroup:
         for i, j in swaps:
             received[i], received[j] = received[j], received[i]
         assert_matches_oracle(received, burst_sizes)
+
+
+@st.composite
+def _scaled_pair(draw):
+    """Two carriers alike on one GEO path, but for carrier 2's symbol rate:
+    carrier 1's x p/q, with p < q <= 64.  Carrier 1's rate is whole, or, in
+    half the draws, the one whose service time (1500 B PDUs) is p m ns, so
+    that carrier 2's is q m ns exactly."""
+    modcod = draw(st.sampled_from(list(MODCODS.values())))
+    fill = Fraction(draw(st.integers(24, 64)), 64)
+    q = draw(st.integers(2, 64))
+    p = draw(st.integers(1, q - 1))
+    if draw(st.booleans()):
+        rate = Fraction(draw(st.integers(100_000, 10_000_000)))
+    else:
+        per_frame = int(64800 * modcod.code_rate * fill / (8 * 1500))
+        rate = Fraction(SUPERFRAME_SYMBOLS * NS_PER_S, FRAMES_PER_SUPERFRAME_BUNDLE
+                        * modcod.bits_per_symbol * per_frame * p * draw(st.integers(100, 10**5)))
+    path = OrbitModel.geo(draw(st.floats(1000.0, 50_000.0)))
+    return carrier(rate, modcod, fill, orbit=path), carrier(rate * p / q, modcod, fill, orbit=path)
+
+
+class TestLaws:
+    # The exact-ratio law of the metrics module.  Alpha is p/q, and only
+    # draws whose service times keep that ratio after rounding to whole ns
+    # are kept.
+    @settings(max_examples=100)
+    @given(_scaled_pair(), st.integers(2, 3000))
+    def test_exact_service_ratio_misplaces_nothing(self, pair, n_pdus):
+        sc = ScenarioConfig(*pair, SchedulerKind.LOAD_BALANCING, bursts=(Burst(n_pdus),))
+        plan = build_plan(sc)
+        s1, s2 = sc.service_ns
+        assume(plan.alpha_used == Fraction(s1, s2))
+        assert plan.prefix_length == 0
+        report = ordering_report(merge(run(sc, plan)), sc)
+        assert (report.misplaced_count, report.max_misplace) == (0, 0)
 
 
 class TestThroughput:

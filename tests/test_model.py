@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casim.emulator import run
+from casim.emulator import run, write_trace_csv
 from casim.errors import InvariantError
 from casim.metrics import ordering_report
 from casim.model import (
@@ -87,7 +87,7 @@ class TestToFraction:
 
     # p/q text: ASCII digits on both sides take the int path; everything
     # else (signs, spaces, underscores, other scripts' digits) is Fraction's.
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(
         st.text(st.sampled_from("0139/+-_ .\t\u0663\u00b2"), max_size=10),
         st.builds(lambda zeros, p, q: f"{'0' * zeros}{p}/{'0' * zeros}{q}",
@@ -115,7 +115,7 @@ class TestToFraction:
     # Any text: where Fraction reads it, to_fraction gives the same Fraction,
     # unless its decimal exponent is beyond +-4000; where Fraction raises, a
     # ValueError.  Exponents are drawn bounded, as Fraction's time grows with them.
-    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=500)
     @given(st.one_of(
         st.text(st.sampled_from("0123456789/_+-. \t\n\u0661\u0662\u00b2"), max_size=12),
         st.builds(lambda zeros, p, q: f"{'0' * zeros}{p}/{'0' * zeros}{q}",
@@ -351,7 +351,7 @@ class TestDerivedNumbers:
     # 2.5 ns, which rounds half to even, to 2
     @example(carrier(13_612_000_000_000, MODCODS["QPSK 1/2"], 1),
              carrier(13_612_000_000_000, MODCODS["QPSK 1/2"], 1), 4050)
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(_CARRIERS, _CARRIERS, st.integers(1, 8000))
     def test_against_exact_fractions(self, a, b, pdu_size):
         c1, c2 = (a, b) if _usable(a) >= _usable(b) else (b, a)
@@ -433,9 +433,9 @@ class TestRunTrace:
         (_with(1, (0, 2**63)), "service_ns exceeds the int64 range"),
         (_with(1, 5), "service_ns must hold two service times"),
         (_with(1, (0, 0, 0)), "service_ns must hold two service times"),
-        # tx_start = tx_end - service: -2**63 - 1 on carrier 1
-        (typed([1, 2], (2, 1), [0, 0], [-2**63 + 1, -2**63 + 1], [2, 3]),
-         "tx_start exceeds the int64 range"),
+        # a tx end below 0, though tx_start <= tx_end <= arrival
+        (_with(3, np.array([-1, 2], dtype=np.int64)),
+         "must satisfy 0 <= tx_end, tx_start <= tx_end <= arrival"),
         (_with(0, np.array([1.0, 2.0])), "carrier must be an int8 array"),
         (_with(0, np.array([True, True])), "carrier must be an int8 array"),
         (_with(0, np.array([1, 258], dtype=np.int16)), "carrier must be an int8 array"),
@@ -453,7 +453,7 @@ class TestRunTrace:
         with pytest.raises(InvariantError, match=message):
             RunTrace(*columns)
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.sampled_from([1, 2]), max_size=40))
     @example([])
     @example([1, 1, 1])
@@ -471,12 +471,18 @@ class TestRunTrace:
         with pytest.raises(InvariantError, match=r"^carrier must be 1 or 2$"):
             RunTrace(*typed(carrier, (0, 0), zeros, zeros, zeros))
 
-    def test_tx_start_at_the_int64_bound(self):
-        # Each carrier's own service time counts: carrier 2 starts at -2**63 exactly.
-        trace = RunTrace(*typed([1, 2], (1, 2), [0, 0], [-2**63 + 1, -2**63 + 2], [2, 3]))
-        assert [row[3] for row in rows(trace)] == [-2**63, -2**63]
-        with pytest.raises(InvariantError, match="tx_start exceeds the int64 range"):
-            RunTrace(*typed([1, 2], (1, 3), [0, 0], [-2**63 + 1, -2**63 + 2], [2, 3]))
+    def test_tx_start_at_the_int64_bound(self, tmp_path):
+        # With 0 <= tx_end and a service time of at most 2**63 - 1, no tx
+        # start passes -(2**63 - 1): a tx end of 0 on the longest service.
+        bound = 2**63 - 1
+        trace = RunTrace(*typed([1, 2], (bound, 1), [0, 0], [0, 1], [0, 1]))
+        assert [row[3] for row in rows(trace)] == [-bound, 0]
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes().splitlines()[1:] == [
+            b"0,1,0,%d,0,0" % -bound, b"1,2,0,0,1,1"]
+        for tx_end in ([-1, 1], [0, -1]):  # one step below 0, on either carrier
+            with pytest.raises(InvariantError, match="0 <= tx_end, tx_start <= tx_end <= arrival"):
+                RunTrace(*typed([1, 2], (bound, 1), [0, 0], tx_end, [0, 1]))
 
     def test_int8_carrier_and_int64_times_not_copied(self):
         carrier, times = np.array([1, 2], dtype=np.int8), np.zeros(2, dtype=np.int64)
@@ -672,7 +678,7 @@ class TestFieldTypes:
         assert [c.tobytes() for c in columns(traces[0])] == \
             [c.tobytes() for c in columns(traces[1])]
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.sampled_from(sorted(_VALID)).flatmap(_drawn_field), max_size=3), _ANY)
     @example([], Fraction(2, 5))
     def test_constructors_refuse_or_the_scenario_runs(self, drawn, alpha):

@@ -80,7 +80,7 @@ class TestMerge:
         assert seqs(merged) == list(range(200))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_merge_is_arrival_carrier_seq_order(data):
     """The receive order is a lexsort by (arrival, carrier, seq), and merging

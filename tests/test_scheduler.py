@@ -139,7 +139,7 @@ class TestGenerateSequence:
             with pytest.raises(InvariantError, match=r"\(0, 1\]"):
                 generate_sequence(alpha)
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.fractions(min_value=0, max_value=1).filter(lambda alpha: alpha > 0))
     def test_cycle_realises_rounded_alpha(self, alpha):
         rounded = alpha.limit_denominator(64)
@@ -196,7 +196,7 @@ class TestRounding:
             for alpha in (mid - eps, mid, mid + eps):
                 _rounds_as_limit_denominator(alpha)
 
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(1, 10**20).flatmap(
         lambda den: st.integers(1, den).map(lambda num: Fraction(num, den))))
     def test_fractions_with_large_terms(self, alpha):
@@ -375,7 +375,7 @@ ALPHA_TEXT = st.one_of(
 )
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(ALPHA_TEXT)
 def test_plan_alpha_cli_exits_0_2_or_3(alpha_text):
     assert main(["plan", "--alpha", alpha_text]) in (0, 2, 3)
