@@ -72,7 +72,6 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
         raise InvariantError("transmission times exceed the int64 range")
     carrier = assignments(plan, n)
     ones, twos = _carrier_split(carrier, scenario.burst_sizes)
-    release = np.array(burst_start_ns * 2, dtype=np.int64).repeat(ones + twos)
     tx_end = np.empty(n, dtype=np.int64)
     arrival = np.empty(n, dtype=np.int64)
     row = 0  # this carrier's first row
@@ -104,7 +103,8 @@ def run(scenario: ScenarioConfig, plan: SchedulingPlan) -> RunTrace:
         np.add(delay, end, out=delay)
         row += m
 
-    return RunTrace(carrier, scenario.service_ns, release, tx_end, arrival)
+    return RunTrace(carrier, scenario.service_ns, scenario.burst_sizes, tuple(burst_start_ns),
+                    tx_end, arrival)
 
 
 # Rows per write.  The writer holds one (4096, 6) int64 block, its 24576
@@ -117,19 +117,21 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
     in the record's listed order, with CRLF line ends.  Rows are gathered
     and formatted one reused block at a time, so the writer holds ~1.4 MB
     whatever the record's length.  A row's carrier is read through its
-    sequence number, and its tx start is its tx end less that carrier's
-    service time."""
+    sequence number, its release is its burst's, found among the bursts'
+    ends, and its tx start is its tx end less that carrier's service time."""
     service = np.array((0, *trace.service_ns), dtype=np.int64)  # by carrier
+    release = np.array(trace.release_ns, dtype=np.int64)  # by burst
+    burst_end = np.cumsum(trace.burst_sizes, dtype=np.int64)  # past each burst's last seq
     block = np.empty((_CSV_BLOCK_ROWS, 6), dtype=np.int64)
     with open(path, "wb") as fh:
         fh.write(b"seq,carrier,t_scheduled,t_tx_start,t_tx_end,t_arrival\r\n")
         for start in range(0, len(trace), _CSV_BLOCK_ROWS):
-            listed = trace.order[start:start + _CSV_BLOCK_ROWS]
+            listed = trace._rows(start, start + _CSV_BLOCK_ROWS)
             rows = block[:listed.size]
             seq, carrier, scheduled, tx_start, tx_end, arrival = rows.T
             np.take(trace.seq, listed, out=seq)
             carrier[:] = trace.carrier[seq]  # int8, widened a block at a time
-            np.take(trace.t_scheduled_ns, listed, out=scheduled)
+            np.take(release, burst_end.searchsorted(seq, side="right"), out=scheduled)
             np.take(trace.t_tx_end_ns, listed, out=tx_end)
             np.subtract(tx_end, service[carrier], out=tx_start)
             np.take(trace.t_arrival_ns, listed, out=arrival)

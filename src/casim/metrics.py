@@ -115,8 +115,8 @@ def _windows(merged: RunTrace, burst_sizes: tuple[int, ...]) -> list[int]:
 def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingReport:
     """Misplacement and throughput of one scenario run, overall and per burst.
 
-    Distances come from the sequence numbers in receive order,
-    ``merged.seq[merged.order]``.  Grouping them by burst keeps receive
+    Distances come from the sequence numbers in receive order: ``merged.seq``
+    at the rows ``merged`` lists.  Grouping them by burst keeps receive
     order within a burst, so a burst's k-th received PDU lands at index
     start + k of the grouped order, while its sequence number is start + its
     local sequence position: the burst start cancels out of the distance.
@@ -153,7 +153,7 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
     # each PDU after the span is likewise among the last received.  So the
     # span holds exactly the rest, as many of each burst as it has of that
     # burst's positions.  The labels are of the smallest type.
-    grouped = merged.seq[merged.order]
+    grouped = merged.seq[merged._rows(0, n)]
     starts = np.array(list(accumulate(burst_sizes[:-1], initial=0)))
     if n_bursts > 1 and np.count_nonzero(
             np.maximum.reduceat(grouped, starts)[:-1] >= starts[1:]):

@@ -4,8 +4,9 @@ All types are immutable value objects validated at construction; they carry
 no behaviour beyond derived-quantity accessors.  Counts are ints; times,
 distances and SNR finite floats; rates exact ``Fraction``s, so capacity
 ratios come out as exact rationals.  ``RunTrace`` holds a run's per-PDU
-times as integer nanoseconds, and ``_carrier_split`` counts each burst's PDUs
-on each carrier: the lengths of its ranges of rows.
+times, and each burst's release, as integer nanoseconds, and
+``_carrier_split`` counts each burst's PDUs on each carrier: the lengths of
+its ranges of rows.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ NS_PER_S = 10**9
 INT64_MAX = 2**63 - 1  # every time is int64 ns: the horizon of a run
 
 # The most PDUs one scenario may offer: far above any bundled or benchmark
-# scenario, and low enough that a run's arrays fit in memory (run, merge and
-# report together peak at ~74 B per PDU, so ~0.74 GB at the ceiling; writing
-# trace.csv holds one block, ~1.4 MB, whatever N is).
+# scenario, and low enough that a run's arrays fit in memory (the record is
+# 25 B per PDU, and run, merge and report together peak at ~49 B per PDU, so
+# ~0.49 GB at the ceiling; writing trace.csv holds one block, ~1.4 MB,
+# whatever N is).
 MAX_TOTAL_PDUS = 10**7
 
 
@@ -459,42 +461,48 @@ class ScenarioConfig:
 #  Run record
 # ---------------------------------------------------------------------------
 
-# Each column's dtype: a carrier is 1 or 2, so one byte holds it.
-_DTYPES = {"carrier": np.dtype(np.int8), "t_scheduled_ns": np.dtype(np.int64),
-           "t_tx_end_ns": np.dtype(np.int64), "t_arrival_ns": np.dtype(np.int64)}
+# Each array's dtype: a carrier is 1 or 2, so one byte holds it.
+_DTYPES = {"carrier": np.dtype(np.int8), "t_tx_end_ns": np.dtype(np.int64),
+           "t_arrival_ns": np.dtype(np.int64)}
 
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
     """One run, stored once, its rows in carrier order: carrier 1's PDUs in
-    sequence order, then carrier 2's.  ``order`` lists the rows.
+    sequence order, then carrier 2's.
 
     ``carrier[s]`` (int8, 1 or 2) carries PDU ``s``: it is the one column
     indexed by sequence number.  ``service_ns`` holds each carrier's per-PDU
-    service time, an int in 0..2**63-1.  Row ``i`` is PDU ``seq[i]``; its
-    int64 ns times are ``t_scheduled_ns[i]``, its generator release instant,
-    ``t_tx_end_ns[i]``, the end of its serialization, which started its
-    carrier's service time earlier, and ``t_arrival_ns[i]``, its delivery
-    after propagation.  ``order`` (int64, like ``seq``) lists row indices:
-    in carrier order, or in receive order after ``receiver.merge``, which
-    shares the columns.  The constructor takes the carrier column as an int8
-    array, the two service times and the three time columns as int64
-    arrays, and stores the arrays it is given; a column of any other type is
-    refused, not converted.  It checks that the columns are one-dimensional
-    and of one length, that carriers are 1 or 2, that ``0 <= tx_end``, and
-    that ``tx_start <= tx_end <= arrival``; so every tx start is at least
-    ``-(2**63 - 1)``, in int64.  It derives ``seq``
-    as the positions of carrier 1 in the carrier column, then those of
-    carrier 2, and lists the rows in carrier order.
+    service time, an int in 0..2**63-1.  The run's bursts are
+    ``burst_sizes`` consecutive sequence numbers from 0, each at least 1 and
+    summing to N, and ``release_ns`` holds each burst's one release instant,
+    the generator's, in int ns: 0..2**63-1, never decreasing.  Row ``i`` is
+    PDU ``seq[i]``; its int64 ns times are ``t_tx_end_ns[i]``, the end of
+    its serialization, which started its carrier's service time earlier,
+    and ``t_arrival_ns[i]``, its delivery after propagation.  ``order``
+    (int64, like ``seq``) lists row indices in receive order once
+    ``receiver.merge`` sets it, sharing the columns; it is None while the
+    rows are listed in carrier order, the order they are stored in.  So a
+    record stores 25 B per PDU: the int8 carrier, ``seq``, tx end and
+    arrival.  The constructor takes the carrier column as an int8 array,
+    the two service times, the burst sizes and releases as ints, and the
+    two time columns as int64 arrays, and stores the arrays it is given; a
+    column of any other type is refused, not converted.  It checks that the
+    columns are one-dimensional and of one length, that carriers are 1 or
+    2, that ``0 <= tx_end``, and that ``tx_start <= tx_end <= arrival``; so
+    every tx start is at least ``-(2**63 - 1)``, in int64.  It derives
+    ``seq`` as the positions of carrier 1 in the carrier column, then those
+    of carrier 2.
     """
 
     carrier: np.ndarray
     service_ns: tuple[int, int]
-    t_scheduled_ns: np.ndarray
+    burst_sizes: tuple[int, ...]
+    release_ns: tuple[int, ...]
     t_tx_end_ns: np.ndarray
     t_arrival_ns: np.ndarray
     seq: np.ndarray = field(init=False)
-    order: np.ndarray = field(init=False)
+    order: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
         for name, dtype in _DTYPES.items():  # native dtypes are singletons
@@ -502,8 +510,7 @@ class RunTrace:
             if not isinstance(column, np.ndarray) or column.dtype is not dtype:
                 raise InvariantError(f"{name} must be an {dtype} array")
         carrier, tx_end, arrival = self.carrier, self.t_tx_end_ns, self.t_arrival_ns
-        if carrier.ndim != 1 or not carrier.shape == self.t_scheduled_ns.shape \
-                == tx_end.shape == arrival.shape:
+        if carrier.ndim != 1 or not carrier.shape == tx_end.shape == arrival.shape:
             raise InvariantError("columns must be one-dimensional and of equal length")
         # Rows in carrier order: carrier 1's positions, then carrier 2's, each
         # dropped once written into seq.  The counts add up to n iff every
@@ -531,9 +538,24 @@ class RunTrace:
                 or np.count_nonzero(tx_end > arrival):
             raise InvariantError("trace times must satisfy 0 <= tx_end, "
                                  "tx_start <= tx_end <= arrival")
+        try:
+            sizes = tuple([_integer("burst_sizes", size) for size in self.burst_sizes])
+            releases = tuple([_integer("release_ns", release) for release in self.release_ns])
+        except TypeError:
+            raise InvariantError("burst_sizes and release_ns must hold ints") from None
+        if min(sizes, default=1) < 1 or sum(sizes) != carrier.size:
+            raise InvariantError(f"burst_sizes must be >= 1 and sum to {carrier.size}")
+        if len(releases) != len(sizes):
+            raise InvariantError("release_ns must hold one release per burst")
+        if list(releases) != sorted(releases):
+            raise InvariantError("release_ns must never decrease")
+        if releases and not (0 <= releases[0] and releases[-1] <= INT64_MAX):
+            raise InvariantError("release_ns must be in 0..2**63-1")
         object.__setattr__(self, "service_ns", service)
+        object.__setattr__(self, "burst_sizes", sizes)
+        object.__setattr__(self, "release_ns", releases)
         object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "order", np.arange(carrier.size, dtype=np.int64))
+        object.__setattr__(self, "order", None)
 
     def _listed_in(self, order: np.ndarray) -> RunTrace:
         """This run's columns, not checked again, listed in the permutation ``order``."""
@@ -541,8 +563,16 @@ class RunTrace:
         vars(trace).update({**vars(self), "order": order})
         return trace
 
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """The row indices listed at positions ``start`` up to ``stop``, cut
+        at the record's end as a slice is: the positions themselves in
+        carrier order, else ``order``'s."""
+        if self.order is None:
+            return np.arange(start, min(stop, len(self)))
+        return self.order[start:stop]
+
     def __len__(self) -> int:
-        return self.order.size
+        return self.carrier.size
 
 
 def _carrier_split(carrier: np.ndarray, burst_sizes) -> tuple[list[int], list[int]]:

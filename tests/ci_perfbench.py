@@ -8,10 +8,12 @@ short run (SECONDS, default 1) of each workload at seed 0, of ``sweep`` and
 recomputes its results, and every rerun must repeat them byte for byte), and
 one traced run (``--trace 1``) of each workload at seed 0.  A traced run
 rebinds the layer functions that ``casim.cli`` imports, so a change to those
-imports breaks it.  Each traced run's per-layer metrics are printed, and
-appended as one markdown table to the file that ``GITHUB_STEP_SUMMARY``
-names, if it is set; they are for reading only.  The script exits nonzero
-naming each run whose last output line does not report ``"correct": true``.
+imports breaks it.  The end-to-end metrics of the untraced seed-0 runs
+(``peak_rss_mb`` among them) and the per-layer metrics of the traced runs
+are printed, and appended as two markdown tables to the file that
+``GITHUB_STEP_SUMMARY`` names, if it is set; they are for reading only.
+The script exits nonzero naming each run whose last output line does not
+report ``"correct": true``.
 pytest does not collect this file, and it is not part of the tier-1 tests.
 """
 
@@ -44,37 +46,38 @@ def last_line(workload: str, seed: int, trace: int, seconds: str) -> dict | None
     return result if proc.returncode == 0 and isinstance(result, dict) else None
 
 
-def layer_table(traced: dict[str, dict]) -> str:
-    """The per-layer metrics of each traced run, one column per workload,
-    as a markdown table."""
+def metric_table(runs: dict[str, dict]) -> str:
+    """The metrics of each run, one column per workload, as a markdown table."""
     rows: dict[str, str] = {}  # metric -> unit, in order of first appearance
-    for metrics in traced.values():
+    for metrics in runs.values():
         for name, metric in metrics.items():
             rows.setdefault(name, metric["unit"])
-    lines = ["| metric | unit | " + " | ".join(traced) + " |",
-             "|---|---|" + "---:|" * len(traced)]
+    lines = ["| metric | unit | " + " | ".join(runs) + " |",
+             "|---|---|" + "---:|" * len(runs)]
     for name, unit in rows.items():
-        cells = (f"{m[name]['value']:.4g}" if name in m else "" for m in traced.values())
+        cells = (f"{m[name]['value']:.4g}" if name in m else "" for m in runs.values())
         lines.append(f"| {name} | {unit} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str]) -> int:
     seconds = argv[0] if argv else "1"
-    failed, traced = [], {}
+    failed, untraced, traced = [], {}, {}
     for workload, seed, trace in RUNS:
         result = last_line(workload, seed, trace, seconds)
         if result is None or result.get("correct") is not True:
             failed.append(f"{workload} seed {seed} trace {trace}")
-        elif trace:
-            traced[workload] = result.get("metrics", {})
-    if traced:
-        table = layer_table(traced)
-        print(f"per-layer metrics of the traced runs (seed 0, {seconds} s):\n{table}", end="")
-        summary = os.environ.get("GITHUB_STEP_SUMMARY")
-        if summary:
-            with open(summary, "a") as fh:
-                fh.write(f"\n### Per-layer metrics, traced runs ({seconds} s)\n\n{table}")
+        elif seed == 0:
+            (traced if trace else untraced)[workload] = result.get("metrics", {})
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    for title, runs in ((f"End-to-end metrics, untraced runs, seed 0 ({seconds} s)", untraced),
+                        (f"Per-layer metrics, traced runs, seed 0 ({seconds} s)", traced)):
+        if runs:
+            table = metric_table(runs)
+            print(f"{title}:\n{table}", end="")
+            if summary:
+                with open(summary, "a") as fh:
+                    fh.write(f"\n### {title}\n\n{table}")
     for run in failed:
         print(f"not correct: {run}", file=sys.stderr)
     return 1 if failed else 0

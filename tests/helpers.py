@@ -26,20 +26,22 @@ EIGHT_PSK_56 = MODCODS["8PSK 5/6"]
 
 def rows(trace: RunTrace) -> list[tuple[int, ...]]:
     """A record's listed rows as (seq, carrier, scheduled, tx_start, tx_end, arrival)."""
-    order = trace.order
-    seq = trace.seq[order]
+    listed = trace._rows(0, len(trace))
+    seq = trace.seq[listed]
     service = (0, *trace.service_ns)
-    return [(s, c, scheduled, end - service[c], end, arrival)
-            for s, c, scheduled, end, arrival in zip(
-                seq.tolist(), trace.carrier[seq].tolist(), trace.t_scheduled_ns[order].tolist(),
-                trace.t_tx_end_ns[order].tolist(), trace.t_arrival_ns[order].tolist())]
+    release = [r for r, size in zip(trace.release_ns, trace.burst_sizes) for _ in range(size)]
+    return [(s, c, release[s], end - service[c], end, arrival)
+            for s, c, end, arrival in zip(
+                seq.tolist(), trace.carrier[seq].tolist(),
+                trace.t_tx_end_ns[listed].tolist(), trace.t_arrival_ns[listed].tolist())]
 
 
 def record(trace_rows) -> RunTrace:
     """The record of (seq, carrier, scheduled, tx_start, tx_end, arrival) rows,
     listed in carrier order.  The rows, in any order, name each seq 0..N-1
     once, and each carrier's rows share one service time, tx_end - tx_start
-    (0 for a carrier with none)."""
+    (0 for a carrier with none).  Each maximal run of consecutive seqs that
+    share one release is one burst."""
     by_seq = sorted(tuple(row) for row in trace_rows)
     assert [row[0] for row in by_seq] == list(range(len(by_seq))), "each seq 0..N-1 once"
     services = {}
@@ -47,26 +49,37 @@ def record(trace_rows) -> RunTrace:
         services.setdefault(carrier, set()).add(tx_end - tx_start)
     assert all(len(s) == 1 for s in services.values()), "one service time per carrier"
     service = tuple(services.get(c, {0}).pop() for c in (1, 2))
+    sizes, releases = [], []
+    for row in by_seq:
+        if releases and releases[-1] == row[2]:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+            releases.append(row[2])
     in_rows = sorted(by_seq, key=lambda row: (row[1], row[0]))  # carrier order
-    _, _, scheduled, _, tx_end, arrival = zip(*in_rows) if in_rows else [()] * 6
-    return RunTrace(*typed([row[1] for row in by_seq], service, scheduled, tx_end, arrival))
+    _, _, _, _, tx_end, arrival = zip(*in_rows) if in_rows else [()] * 6
+    return RunTrace(*typed([row[1] for row in by_seq], service, tuple(sizes), tuple(releases),
+                           tx_end, arrival))
 
 
-def typed(carrier, service, *times) -> tuple:
-    """``RunTrace``'s arguments: ``carrier`` as an int8 array, ``service`` as
-    given and each of the three ``times`` as an int64 array."""
-    return (np.array(carrier, dtype=np.int8), service,
+def typed(carrier, service, burst_sizes, release_ns, *times) -> tuple:
+    """``RunTrace``'s arguments: ``carrier`` as an int8 array, ``service``,
+    ``burst_sizes`` and ``release_ns`` as given and each of the two
+    ``times`` as an int64 array."""
+    return (np.array(carrier, dtype=np.int8), service, burst_sizes, release_ns,
             *(np.array(column, dtype=np.int64) for column in times))
 
 
 def seqs(trace: RunTrace) -> list[int]:
     """A record's sequence numbers in its listed order."""
-    return trace.seq[trace.order].tolist()
+    return trace.seq[trace._rows(0, len(trace))].tolist()
 
 
 def columns(trace: RunTrace) -> tuple:
-    """The arrays a record stores, whichever order it lists."""
-    return trace.carrier, trace.seq, trace.t_scheduled_ns, trace.t_tx_end_ns, trace.t_arrival_ns
+    """What a record stores, whichever order it lists: its arrays, its
+    bursts and their releases."""
+    return (trace.carrier, trace.seq, trace.burst_sizes, trace.release_ns, trace.t_tx_end_ns,
+            trace.t_arrival_ns)
 
 
 def synthetic_report(trace: RunTrace, burst_sizes=None) -> OrderingReport:

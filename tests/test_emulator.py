@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from itertools import accumulate
 from fractions import Fraction
 
 import numpy as np
@@ -276,11 +277,23 @@ class TestRun:
         assert all(row[2] == row[3] == row[4] for row in rows(trace))
         assert sorted(rows(trace)) == oracle.heap_run(sc, plan)
 
+    def test_record_stores_25_bytes_per_pdu(self):
+        # An int8 carrier and three int64 columns (seq, tx end, arrival): the
+        # releases are one per burst, and a record in carrier order has no
+        # order array.
+        sc = _long_meo_geo()
+        trace = run(sc, build_plan(sc))
+        assert trace.order is None
+        stored = [value for value in vars(trace).values() if isinstance(value, np.ndarray)]
+        assert sum(array.nbytes for array in stored) == 25 * sc.total_pdus
+        assert len(trace.release_ns) == len(trace.burst_sizes) == 8
+
     def test_peak_memory_per_pdu(self):
-        # The record is 33 B per PDU of columns (an int8 carrier, seq and three
-        # int64 times) plus 8 B of order, and it is the peak: each carrier's
-        # queue and delays are written in place, in the record's own columns.
-        # So a full-length int64 array more alive with the record (8 B) fails.
+        # The record is 25 B per PDU and it is most of the peak (~31.7 B):
+        # each carrier's queue and delays are written in place, in the
+        # record's own columns, and the rest is the constructor's carrier-1
+        # positions while it writes seq.  So a full-length int64 array more
+        # alive with the record (8 B), or a per-PDU release column, fails.
         sc = _long_meo_geo()
         plan = build_plan(sc)
         tracemalloc.start()
@@ -289,7 +302,7 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / sc.total_pdus < 45
+        assert peak / sc.total_pdus < 34
 
     def test_merge_peak_memory_per_pdu(self):
         # One argsort of the arrivals, 8 B per PDU: no column is gathered or copied.
@@ -356,21 +369,32 @@ class TestTraceCsv:
     @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
                                    _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 3])
     def test_same_bytes_at_every_block_boundary(self, n, tmp_path):
-        # Values span their ranges, signs and digit counts: releases all of
-        # int64, tx ends 0..2**63-1, so tx starts down to -(2**63 - 1); each
-        # carrier has its own service time.  The oracle formats every row in
-        # one piece.
+        # Values span their ranges, signs and digit counts: releases, one per
+        # burst, rise over 0..2**63-1, with bursts of up to 3000 rows that
+        # straddle the blocks; tx ends 0..2**63-1, so tx starts down to
+        # -(2**63 - 1); each carrier has its own service time.  The oracle
+        # formats every row in one piece.
         rng = random.Random(n)
         bound = 2**63 - 1
         service = {c: rng.randint(0, bound) for c in (1, 2)}
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(rng.choice((1, 2, rng.randint(1, 3000))), n - sum(sizes)))
+        releases = sorted(rng.randint(0, bound) for _ in sizes)
+        if len(releases) > 1:
+            releases[0], releases[-1] = 0, bound
+        release_of_seq = [r for r, size in zip(releases, sizes) for _ in range(size)]
 
         def row(seq):
             c = rng.choice((1, 2))
             tx_end = rng.randint(0, bound)
-            return (seq, c, rng.randint(-bound - 1, bound), tx_end - service[c], tx_end,
+            return (seq, c, release_of_seq[seq], tx_end - service[c], tx_end,
                     rng.randint(tx_end, bound))
 
         trace = record(row(seq) for seq in range(n))
+        if n > _CSV_BLOCK_ROWS:  # some burst runs across the first block's end
+            ends = list(accumulate(trace.burst_sizes))
+            assert _CSV_BLOCK_ROWS not in ends and len(trace.burst_sizes) > 1
         for listed in (trace, merge(trace)):
             path = tmp_path / "trace.csv"
             write_trace_csv(listed, path)

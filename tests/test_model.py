@@ -30,7 +30,7 @@ from casim.model import (
 )
 from casim.receiver import merge
 from casim.scheduler import build_plan, generate_sequence
-from helpers import carrier, columns, record, rows, typed
+from helpers import carrier, columns, record, rows, seqs, typed
 import oracle
 
 
@@ -368,13 +368,22 @@ class TestDerivedNumbers:
                                  oracle._service_ns(c2, pdu_size))
 
 
-# Valid RunTrace arguments: carrier 1 and 2, each tx_end <= its arrival.
-_VALID = typed([1, 2], (0, 0), [0, 0], [1, 2], [2, 3])
+# Valid RunTrace arguments: carrier 1 and 2 in one burst released at 0,
+# each tx_end <= its arrival.
+_RECORD = typed([1, 2], (0, 0), (2,), (0,), [1, 2], [2, 3])
 
 
 def _with(i: int, value) -> tuple:
-    """``_VALID`` with argument ``i`` replaced by ``value``."""
-    return (*_VALID[:i], value, *_VALID[i + 1:])
+    """``_RECORD`` with argument ``i`` replaced by ``value``."""
+    return (*_RECORD[:i], value, *_RECORD[i + 1:])
+
+
+def _one_burst(carrier) -> tuple:
+    """``RunTrace``'s arguments for ``carrier`` as one burst released at 0,
+    every time 0 and both service times 0."""
+    zeros = [0] * len(carrier)
+    return typed(carrier, (0, 0), (len(carrier),) if carrier else (), (0,) if carrier else (),
+                 zeros, zeros)
 
 
 class TestRunTrace:
@@ -390,23 +399,25 @@ class TestRunTrace:
             record([(0, 0, 0, 0, 5, 10)])
 
     def test_empty_trace(self):
-        trace = RunTrace(*typed([], (0, 0), [], [], []))
+        trace = RunTrace(*typed([], (0, 0), (), (), [], []))
         assert len(trace) == 0 and trace.seq.size == 0
-        with pytest.raises(TypeError):  # five fields only: seq and order are derived
-            RunTrace(*typed([], (0, 0), [], [], [], []))
+        assert trace.burst_sizes == trace.release_ns == ()
+        with pytest.raises(TypeError):  # six fields only: seq and order are derived
+            RunTrace(*typed([], (0, 0), (), (), [], [], []))
 
     def test_columns_are_equal_length_int8_carrier_int64_times(self):
         trace = record([(0, 1, 0, 0, 5, 10), (1, 2, 0, 0, 10, 10)])
         assert len(trace) == 2
         assert trace.carrier.dtype == np.int8 and trace.carrier.shape == (2,)
         assert all(c.dtype == np.int64 and c.shape == (2,) for c in (
-            trace.seq, trace.order, trace.t_scheduled_ns, trace.t_tx_end_ns, trace.t_arrival_ns))
+            trace.seq, trace.t_tx_end_ns, trace.t_arrival_ns))
         assert trace.service_ns == (5, 10)
-        assert trace.order.tolist() == [0, 1]
+        assert trace.burst_sizes == (2,) and trace.release_ns == (0,)
+        assert trace.order is None
         with pytest.raises(InvariantError, match="equal length"):
-            RunTrace(*typed([1, 1], (0, 0), [0, 0], [5, 5], [10]))
+            RunTrace(*typed([1, 1], (0, 0), (2,), (0,), [5, 5], [10]))
         with pytest.raises(InvariantError, match="one-dimensional"):
-            RunTrace(*typed([[1]], (0, 0), [[1]], [[1]], [[1]]))
+            RunTrace(*typed([[1]], (0, 0), (1,), (0,), [[1]], [[1]]))
 
     def test_columns_list_rows_in_order(self):
         # Rows are stored in carrier order: seq 1 and 3 on carrier 1, then 0 and 2.
@@ -420,38 +431,88 @@ class TestRunTrace:
         assert merged.order.tolist() == [3, 0, 2, 1]  # row indices in receive order
         assert rows(merged) == sorted(listed, key=lambda row: row[5])
 
+    def test_length_and_listed_rows_before_and_after_merge(self):
+        # Stored rows: seq 1, 3 (carrier 1), then 0, 2 (carrier 2); received
+        # in the order of rows 3, 0, 2, 1.  A slice past the end is cut there.
+        trace = record([(2, 2, 0, 1, 4, 9), (1, 1, 0, 5, 10, 10), (0, 2, 0, 0, 3, 11),
+                        (3, 1, 0, 10, 15, 15)])
+        merged = merge(trace)
+        assert len(trace) == len(merged) == 4
+        assert trace.order is None
+        for start, stop, stored, received in [(0, 4, [0, 1, 2, 3], [3, 0, 2, 1]),
+                                               (1, 3, [1, 2], [0, 2]),
+                                               (2, 9, [2, 3], [2, 1]),
+                                               (4, 8, [], [])]:
+            assert trace._rows(start, stop).tolist() == stored
+            assert merged._rows(start, stop).tolist() == received
+        assert seqs(trace) == [1, 3, 0, 2] and seqs(merged) == [2, 1, 0, 3]
+
     @pytest.mark.parametrize("columns, message", [
         (_with(0, [1.7, 2]), "carrier must be an int8 array"),
         (_with(1, (0.5, 1)), "service_ns must be an int, got 0.5"),
-        (_with(4, [2, 3]), "t_arrival_ns must be an int64 array"),
-        (_with(4, np.array([2.0, 3.0])), "t_arrival_ns must be an int64 array"),
-        (_with(4, np.array([True, True])), "t_arrival_ns must be an int64 array"),
-        (_with(4, np.array([2, 3], dtype=np.int16)), "t_arrival_ns must be an int64 array"),
-        (_with(4, np.array([2.0, math.inf])), "t_arrival_ns must be an int64 array"),
-        (_with(2, [0, 0]), "t_scheduled_ns must be an int64 array"),
+        (_with(5, [2, 3]), "t_arrival_ns must be an int64 array"),
+        (_with(5, np.array([2.0, 3.0])), "t_arrival_ns must be an int64 array"),
+        (_with(5, np.array([True, True])), "t_arrival_ns must be an int64 array"),
+        (_with(5, np.array([2, 3], dtype=np.int16)), "t_arrival_ns must be an int64 array"),
+        (_with(5, np.array([2.0, math.inf])), "t_arrival_ns must be an int64 array"),
+        (_with(3, (0.0,)), "release_ns must be an int, got 0.0"),
         (_with(0, np.array([1, 3], dtype=np.int8)), "carrier must be 1 or 2"),
         (_with(1, (0, 2**63)), "service_ns exceeds the int64 range"),
         (_with(1, 5), "service_ns must hold two service times"),
         (_with(1, (0, 0, 0)), "service_ns must hold two service times"),
         # a tx end below 0, though tx_start <= tx_end <= arrival
-        (_with(3, np.array([-1, 2], dtype=np.int64)),
+        (_with(4, np.array([-1, 2], dtype=np.int64)),
          "must satisfy 0 <= tx_end, tx_start <= tx_end <= arrival"),
         (_with(0, np.array([1.0, 2.0])), "carrier must be an int8 array"),
         (_with(0, np.array([True, True])), "carrier must be an int8 array"),
         (_with(0, np.array([1, 258], dtype=np.int16)), "carrier must be an int8 array"),
-        (_with(2, np.array([0.0, 0.0])), "t_scheduled_ns must be an int64 array"),
-        (_with(2, np.array([False, False])), "t_scheduled_ns must be an int64 array"),
-        (_with(2, np.array([0, 0], dtype=np.int16)), "t_scheduled_ns must be an int64 array"),
-        (_with(3, [1, 2]), "t_tx_end_ns must be an int64 array"),
-        (_with(3, np.array([1.0, 2.0])), "t_tx_end_ns must be an int64 array"),
-        (_with(3, np.array([True, True])), "t_tx_end_ns must be an int64 array"),
-        (_with(3, np.array([1, 2], dtype=np.int16)), "t_tx_end_ns must be an int64 array"),
+        (_with(2, (2.0,)), "burst_sizes must be an int, got 2.0"),
+        (_with(2, (True,)), "burst_sizes must be an int, got True"),
+        (_with(3, (np.float64(0.0),)), "release_ns must be an int, got np.float64"),
+        (_with(4, [1, 2]), "t_tx_end_ns must be an int64 array"),
+        (_with(4, np.array([1.0, 2.0])), "t_tx_end_ns must be an int64 array"),
+        (_with(4, np.array([True, True])), "t_tx_end_ns must be an int64 array"),
+        (_with(4, np.array([1, 2], dtype=np.int16)), "t_tx_end_ns must be an int64 array"),
     ])
     def test_values_not_whole_int64_rejected(self, columns, message):
         # A column is refused unless it is an int8 (carrier) or int64 (times)
         # array, never converted: 1.7 would store as 1, and 258 as int8 2.
+        # A burst size or release is refused unless it is an int.
         with pytest.raises(InvariantError, match=message):
             RunTrace(*columns)
+
+    def test_release_in_the_int64_range(self):
+        # A release is an int ns instant, 0..2**63-1: pinned at each end.
+        for release in (0, 2**63 - 1):
+            assert RunTrace(*_with(3, (release,))).release_ns == (release,)
+        for release in (-1, 2**63):
+            with pytest.raises(InvariantError, match=r"^release_ns must be in 0\.\.2\*\*63-1$"):
+                RunTrace(*_with(3, (release,)))
+
+    def test_release_never_decreases(self):
+        # Two bursts of one PDU: an equal release is accepted, one ns less is not.
+        for releases in ((5, 5), (5, 6), (0, 2**63 - 1)):
+            assert RunTrace(*_RECORD[:2], (1, 1), releases, *_RECORD[4:]).release_ns == releases
+        with pytest.raises(InvariantError, match=r"^release_ns must never decrease$"):
+            RunTrace(*_RECORD[:2], (1, 1), (5, 4), *_RECORD[4:])
+
+    def test_burst_sizes_at_least_1_and_sum_to_n(self):
+        for sizes in ((2,), (1, 1)):
+            assert RunTrace(*_RECORD[:2], sizes, (0,) * len(sizes), *_RECORD[4:]).burst_sizes == sizes
+        for sizes in ((1,), (3,), (2, 0), (3, -1), ()):
+            with pytest.raises(InvariantError, match=r"^burst_sizes must be >= 1 and sum to 2$"):
+                RunTrace(*_RECORD[:2], sizes, (0,) * len(sizes), *_RECORD[4:])
+        assert len(RunTrace(*_one_burst([]))) == 0  # no PDUs and no bursts
+        with pytest.raises(InvariantError, match=r"^burst_sizes must be >= 1 and sum to 0$"):
+            RunTrace(*typed([], (0, 0), (1,), (0,), [], []))
+
+    def test_one_release_per_burst(self):
+        for releases in ((), (0, 0)):
+            with pytest.raises(InvariantError,
+                               match=r"^release_ns must hold one release per burst$"):
+                RunTrace(*_with(3, releases))
+        with pytest.raises(InvariantError, match=r"^burst_sizes and release_ns must hold ints$"):
+            RunTrace(*_with(3, 0))
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from([1, 2]), max_size=40))
@@ -460,36 +521,36 @@ class TestRunTrace:
     @example([2, 2])
     @example([2, 1, 1, 2, 1])
     def test_seq_is_carrier_1_then_carrier_2_in_sequence_order(self, carrier):
-        zeros = [0] * len(carrier)
-        trace = RunTrace(*typed(carrier, (0, 0), zeros, zeros, zeros))
+        trace = RunTrace(*_one_burst(carrier))
         assert trace.seq.dtype == np.int64
         assert trace.seq.tolist() == sorted(range(len(carrier)), key=lambda s: (carrier[s], s))
 
     @pytest.mark.parametrize("carrier", [[1, 3, 2], [2, 0, 1], [1, 1, -1, 2]])
     def test_carrier_neither_1_nor_2_refused_between_valid_ones(self, carrier):
-        zeros = [0] * len(carrier)
         with pytest.raises(InvariantError, match=r"^carrier must be 1 or 2$"):
-            RunTrace(*typed(carrier, (0, 0), zeros, zeros, zeros))
+            RunTrace(*_one_burst(carrier))
 
     def test_tx_start_at_the_int64_bound(self, tmp_path):
         # With 0 <= tx_end and a service time of at most 2**63 - 1, no tx
         # start passes -(2**63 - 1): a tx end of 0 on the longest service.
         bound = 2**63 - 1
-        trace = RunTrace(*typed([1, 2], (bound, 1), [0, 0], [0, 1], [0, 1]))
+        trace = RunTrace(*typed([1, 2], (bound, 1), (2,), (0,), [0, 1], [0, 1]))
         assert [row[3] for row in rows(trace)] == [-bound, 0]
         write_trace_csv(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes().splitlines()[1:] == [
             b"0,1,0,%d,0,0" % -bound, b"1,2,0,0,1,1"]
         for tx_end in ([-1, 1], [0, -1]):  # one step below 0, on either carrier
             with pytest.raises(InvariantError, match="0 <= tx_end, tx_start <= tx_end <= arrival"):
-                RunTrace(*typed([1, 2], (bound, 1), [0, 0], tx_end, [0, 1]))
+                RunTrace(*typed([1, 2], (bound, 1), (2,), (0,), tx_end, [0, 1]))
 
     def test_int8_carrier_and_int64_times_not_copied(self):
         carrier, times = np.array([1, 2], dtype=np.int8), np.zeros(2, dtype=np.int64)
-        trace = RunTrace(carrier, (np.int64(3), 0), times, times, times)
+        trace = RunTrace(carrier, (np.int64(3), 0), (np.int64(2),), (np.int64(0),), times, times)
         assert trace.carrier is carrier
-        assert all(column is times for column in columns(trace)[2:])
+        assert trace.t_tx_end_ns is times and trace.t_arrival_ns is times
         assert trace.service_ns == (3, 0) and type(trace.service_ns[0]) is int
+        assert trace.burst_sizes == (2,) and type(trace.burst_sizes[0]) is int
+        assert trace.release_ns == (0,) and type(trace.release_ns[0]) is int
 
 
 class TestNonFinite:
@@ -675,8 +736,8 @@ class TestFieldTypes:
         assert float32 == python and hash(float32) == hash(python)
         assert type(float32.carrier2.orbit.mean_propagation_delay_s()) is float
         traces = [run(sc, build_plan(sc)) for sc in (float32, python)]
-        assert [c.tobytes() for c in columns(traces[0])] == \
-            [c.tobytes() for c in columns(traces[1])]
+        assert [np.asarray(c).tobytes() for c in columns(traces[0])] == \
+            [np.asarray(c).tobytes() for c in columns(traces[1])]
 
     @settings(max_examples=300)
     @given(st.lists(st.sampled_from(sorted(_VALID)).flatmap(_drawn_field), max_size=3), _ANY)

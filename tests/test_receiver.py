@@ -49,7 +49,7 @@ class TestMerge:
         traced = run(sc, build_plan(sc))
         merged = merge(traced)
         assert traced.carrier.dtype == np.int8
-        assert traced.order.tolist() == list(range(50))  # rows in carrier order
+        assert traced.order is None  # rows listed in carrier order, as stored
         assert seqs(traced) == sorted(range(50), key=lambda s: (traced.carrier[s], s))
         assert sorted(seqs(merged)) == list(range(50))
         assert all(a is b for a, b in zip(columns(merged), columns(traced)))
