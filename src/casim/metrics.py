@@ -4,9 +4,11 @@ Misplacement distance is the absolute difference between a PDU's position
 in the merged receive order and its original sequence position, with
 sequence numbering restarted per burst (each burst is an independent ramp).
 The mean is taken over misplaced PDUs only; the max over all PDUs.
-``ordering_report`` is the one place these figures are computed.  A burst's
-active window is reduced over its ranges of rows, one per carrier, whose
-lengths ``model._carrier_split`` gives.
+``ordering_report`` is the one place these figures are computed.  The bursts
+are the record's own, ``RunTrace.burst_sizes``, which its constructor checks;
+the scenario gives only the PDU size.  A burst's active window is reduced
+over its ranges of rows, one per carrier, whose lengths
+``model._carrier_split`` gives.
 
 One law of misplacement follows from the scheduler's cycle: on equal
 constant paths, when the cycle's ratio ``plan.alpha_used``, p/q, equals
@@ -55,17 +57,11 @@ class BurstStats:
 @dataclass(frozen=True)
 class OrderingReport(BurstStats):
     """Scenario-level evaluation: the figures of ``BurstStats`` over the whole
-    run, plus each burst's own."""
+    run, plus each burst's own.  Like ``BurstStats`` it checks nothing: the
+    report is an output, and ``ordering_report`` builds its counts as sums of
+    0/1 over n PDUs and its distances as at most n - 1."""
 
     per_burst: tuple[BurstStats, ...]
-
-    def __post_init__(self):
-        if not (0 <= self.mean_misplace <= self.max_misplace <= max(self.n_pdus - 1, 0)):
-            raise InvariantError(
-                "report must satisfy 0 <= mean <= max <= n-1, got "
-                f"mean={self.mean_misplace}, max={self.max_misplace}, n={self.n_pdus}")
-        if self.misplaced_count > self.n_pdus:
-            raise InvariantError("misplaced_count cannot exceed n_pdus")
 
     def as_dict(self) -> dict:
         """The report's fields, each burst's as a dict of its own."""
@@ -80,14 +76,15 @@ def _figures(n_pdus: int, misplaced: int, distance_sum: int, max_distance: int,
             n_pdus * pdu_size_bytes * 8 * NS_PER_S / window_ns if window_ns > 0 else 0.0)
 
 
-def _windows(merged: RunTrace, burst_sizes: tuple[int, ...]) -> list[int]:
-    """Each burst's active window in ns, from its first tx start to its last arrival.
+def _windows(merged: RunTrace) -> list[int]:
+    """The active window in ns of each of the record's bursts, from its
+    first tx start to its last arrival.
 
     Rows are stored in carrier order, so a burst's PDUs on one carrier are
     one range of rows, whose lengths ``_carrier_split`` gives: carrier 1's
     ranges, then carrier 2's.  Each non-empty range is reduced once.
     """
-    ones, twos = _carrier_split(merged.carrier, burst_sizes)
+    ones, twos = _carrier_split(merged.carrier, merged.burst_sizes)
     heads, row = [], 0
     for count in ones + twos:
         if count:
@@ -115,6 +112,8 @@ def _windows(merged: RunTrace, burst_sizes: tuple[int, ...]) -> list[int]:
 def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingReport:
     """Misplacement and throughput of one scenario run, overall and per burst.
 
+    The bursts are the record's, ``merged.burst_sizes``; ``scenario`` gives
+    only ``pdu_size_bytes``.
     Distances come from the sequence numbers in receive order: ``merged.seq``
     at the rows ``merged`` lists.  Grouping them by burst keeps receive
     order within a burst, so a burst's k-th received PDU lands at index
@@ -128,14 +127,11 @@ def ordering_report(merged: RunTrace, scenario: ScenarioConfig) -> OrderingRepor
     inter-burst gaps are excluded; a burst with a zero window reports 0.0.
     """
     n = len(merged)
-    burst_sizes = scenario.burst_sizes
-    if scenario.total_pdus != n:
-        raise InvariantError(
-            f"burst sizes sum to {scenario.total_pdus} but the stream has {n} PDUs")
+    burst_sizes = merged.burst_sizes
     if n < 2:
         raise InvariantError(f"throughput needs at least 2 PDUs, got {n}")
     n_bursts = len(burst_sizes)
-    windows = _windows(merged, burst_sizes)
+    windows = _windows(merged)
     total_ns = sum(windows)
     if total_ns <= 0:
         raise InvariantError("total active time is zero")

@@ -200,9 +200,8 @@ def assignments(plan: SchedulingPlan, n: int) -> np.ndarray:
     """Carrier indices of the PDUs with sequence numbers 0..n-1, as int8 (the
     dtype of ``RunTrace.carrier``): the prefix carrier for the first
     min(prefix_length, n), then the cycle repeated, written into one column
-    (whole cycles as one reshaped view)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    (whole cycles as one reshaped view).  A negative ``n`` raises
+    ``ValueError`` from ``np.empty``."""
     k = min(plan.prefix_length, n)
     size = len(plan.cycle)
     full, tail = divmod(n - k, size)

@@ -82,13 +82,11 @@ def columns(trace: RunTrace) -> tuple:
             trace.t_arrival_ns)
 
 
-def synthetic_report(trace: RunTrace, burst_sizes=None) -> OrderingReport:
+def synthetic_report(trace: RunTrace) -> OrderingReport:
     """The ordering report of a synthetic record, merged, taken as the run of
-    a 1500 B PDU scenario with ``burst_sizes`` (default: one burst of the
-    whole stream)."""
-    sizes = (len(trace),) if burst_sizes is None else burst_sizes
+    a 1500 B PDU scenario; the bursts are the record's own."""
     scenario = ScenarioConfig(carrier(), carrier(), SchedulerKind.LOAD_BALANCING,
-                              bursts=tuple(Burst(size) for size in sizes))
+                              bursts=(Burst(len(trace)),))
     return ordering_report(merge(trace), scenario)
 
 

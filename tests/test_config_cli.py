@@ -205,6 +205,14 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="scheduler"):
             parse_scenario_text(text)
 
+    def test_line_without_equals_is_refused(self):
+        # a non-blank line with no '=' is refused; a whitespace-only line,
+        # one step inside, is skipped
+        text = bundled_path("geo_ca").read_text()
+        with pytest.raises(ConfigError, match=r"^line 1: expected key=value, got 'label'$"):
+            parse_scenario_text("label\n" + text)
+        assert parse_scenario_text(" \t\n" + text) == parse_scenario_text(text)
+
     def test_empty_burst_entry_is_skipped(self):
         text = with_value(bundled_path("geo_ca").read_text(), "bursts", "10:0.0,,20:0.0")
         assert parse_scenario_text(text).burst_sizes == (10, 20)
@@ -405,6 +413,14 @@ class TestCli:
             "error: bursts: at least one count:gap_s entry required\n"
         assert not out.exists()
 
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bare_key.cfg"
+        cfg.write_text("label\n" + bundled_path("geo_ca").read_text())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: line 1: expected key=value, got 'label'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "plan", "prefix"])
     def test_config_directory_exits_2(self, tmp_path, capsys, command):
         argv = [command, "--config", str(tmp_path)]
@@ -474,6 +490,21 @@ class TestCli:
         with pytest.raises(OSError, match="disk full"):
             _atomic_write(target, failing_writer)
         assert not target.exists()
+        assert not (tmp_path / "report.json.tmp").exists()
+
+    def test_interrupted_write_leaves_no_temp_file(self, tmp_path):
+        # a KeyboardInterrupt is no Exception, yet its temp file goes too,
+        # and the file it was to replace is kept
+        target = tmp_path / "report.json"
+        target.write_text("kept")
+
+        def interrupted_writer(path):
+            path.write_text("partial")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _atomic_write(target, interrupted_writer)
+        assert target.read_text() == "kept"
         assert not (tmp_path / "report.json.tmp").exists()
 
     @pytest.mark.parametrize("argv, reports", [

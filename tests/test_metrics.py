@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from casim.errors import InvariantError
 from casim.metrics import (
     COMPARISON_CSV_COLUMNS,
-    OrderingReport,
     format_comparison,
     ordering_report,
     write_comparison_csv,
@@ -26,17 +26,26 @@ from helpers import (alpha_scenario, carrier, random_overlapping_meo_scenario, r
 import oracle
 
 
-def stream_from_seqs(seqs, arrival_step=100):
-    """A record whose merge receives ``seqs`` in order, one arrival per step."""
+def releases(burst_sizes):
+    """Each sequence number's release: the index of its burst, so that
+    ``helpers.record`` reads ``burst_sizes`` back as the record's bursts."""
+    return [b for b, size in enumerate(burst_sizes) for _ in range(size)]
+
+
+def stream_from_seqs(seqs, burst_sizes=None, arrival_step=100):
+    """A record of ``burst_sizes`` (default: one burst of the whole stream)
+    whose merge receives ``seqs`` in order, one arrival per step."""
+    release = releases((len(seqs),) if burst_sizes is None else burst_sizes)
     return record(
-        (s, 1, 0, i * arrival_step, (i + 1) * arrival_step, (i + 1) * arrival_step)
+        (s, 1, release[s], i * arrival_step, (i + 1) * arrival_step, (i + 1) * arrival_step)
         for i, s in enumerate(seqs)
     )
 
 
 def misplacement_stats(seqs, burst_sizes=None):
-    """(misplaced count, mean, max) of a stream receiving ``seqs`` in order."""
-    report = synthetic_report(stream_from_seqs(seqs), burst_sizes)
+    """(misplaced count, mean, max) of a stream of ``burst_sizes`` receiving
+    ``seqs`` in order."""
+    report = synthetic_report(stream_from_seqs(seqs, burst_sizes))
     return report.misplaced_count, report.mean_misplace, report.max_misplace
 
 
@@ -80,31 +89,33 @@ class TestMisplacement:
         # its global positions trail burst 1
         seqs = [1, 0, 2, 3, 4, 5]
         whole = misplacement_stats(seqs)
-        per_burst = misplacement_stats(seqs, burst_sizes=(3, 3))
-        assert whole == per_burst == (2, 1.0, 1)
+        report = synthetic_report(stream_from_seqs(seqs, (3, 3)))
+        assert len(report.per_burst) == 2
+        second = report.per_burst[1]
+        assert (second.misplaced_count, second.mean_misplace, second.max_misplace) == (0, 0.0, 0)
+        assert whole == misplacement_stats(seqs, (3, 3)) == (2, 1.0, 1)
 
-    def test_burst_sizes_must_cover_stream(self):
-        with pytest.raises(InvariantError):
-            misplacement_stats(range(6), burst_sizes=(3, 2))
 
-
-def fifo_stream(received):
-    """A record a FIFO queue can produce whose merge receives ``received``
-    (a permutation of 0..N-1, N >= 2) in order: even sequence numbers on
-    carrier 1 and odd on carrier 2, each carrier's PDUs sent back to back in
-    sequence order, and every arrival after the last tx end, one per step in
-    receive order."""
+def fifo_stream(received, burst_sizes):
+    """A record of ``burst_sizes`` a FIFO queue can produce whose merge
+    receives ``received`` (a permutation of 0..N-1, N >= 2) in order: even
+    sequence numbers on carrier 1 and odd on carrier 2, each carrier's PDUs
+    sent back to back in sequence order, and every arrival after the last tx
+    end, one per step in receive order."""
     service = (10, 25)  # carrier 1's, carrier 2's
     last_tx_end = 25 * len(received)
-    return record((s, 1 + s % 2, 0, s // 2 * service[s % 2], (s // 2 + 1) * service[s % 2],
-                   last_tx_end + 100 * (i + 1)) for i, s in enumerate(received))
+    release = releases(burst_sizes)
+    return record((s, 1 + s % 2, release[s], s // 2 * service[s % 2],
+                   (s // 2 + 1) * service[s % 2], last_tx_end + 100 * (i + 1))
+                  for i, s in enumerate(received))
 
 
 def assert_matches_oracle(received, burst_sizes):
-    trace = fifo_stream(received)
+    trace = fifo_stream(received, burst_sizes)
+    assert trace.burst_sizes == burst_sizes
     merged = merge(trace)
     assert [row[0] for row in rows(merged)] == list(received)
-    report = synthetic_report(trace, burst_sizes)
+    report = synthetic_report(trace)
     assert report.as_dict() == oracle.burst_report(rows(merged), burst_sizes, 1500)
 
 
@@ -248,11 +259,16 @@ class TestOrderingReport:
         assert report.mean_misplace <= report.max_misplace
         assert report.misplaced_count <= report.n_pdus
 
-    def test_invariant_validation(self):
-        with pytest.raises(InvariantError):
-            OrderingReport(
-                n_pdus=10, misplaced_count=1, mean_misplace=5.0, max_misplace=3,
-                throughput_bps=1.0, per_burst=())
+    def test_bursts_come_from_the_record(self):
+        # the scenario gives only the PDU size: a one-burst scenario of the
+        # same N reports the record's two bursts as the matching one does
+        sc = alpha_scenario(Fraction(2, 5), bursts=(Burst(300, 5.0), Burst(200, 0.0)))
+        merged = merge(run(sc, build_plan(sc)))
+        one_burst = replace(sc, bursts=(Burst(500),))
+        report = ordering_report(merged, one_burst)
+        assert len(report.per_burst) == 2
+        assert [b.n_pdus for b in report.per_burst] == [300, 200]
+        assert report == ordering_report(merged, sc)
 
     def test_matches_row_by_row_oracle_on_overlapping_meo_runs(self):
         rng = random.Random(4242)
